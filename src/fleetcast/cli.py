@@ -419,6 +419,10 @@ def cmd_sweep(variable, values, seeds, method, profile, r_seed, budget_nodes,
         else:
             overrides["info_count"] = int(value)
         for seed in seed_list:
+            try:
+                make_config(profile, seed, **overrides)
+            except ValueError as exc:
+                raise click.UsageError(str(exc)) from None
             tasks.append((profile, seed, overrides, method, r_seed,
                           budget_nodes, budget_seconds, max_restarts))
     results = _map_tasks(_solve_generated, tasks, jobs)

@@ -9,12 +9,16 @@ budgets, caching capacity). Because each vertex holds at most one incoming
 activation per information, every feasible plan decomposes uniquely into such
 a path sequence, so the enumeration is exhaustive.
 
-The lower bound charges every not-yet-started information the largest of its
-channel-unconstrained cheapest-path distances on the pristine graph, which
-never exceeds the cost of any structure serving it. A greedy warm start
-provides the initial incumbent. Among equal-cost optima the lexicographically
-smallest activation set (by info id, then edge index) is returned, which keeps
-golden outputs stable.
+One backward search per destination UAV on the pristine graph, ignoring
+channels, gives the cheapest distance from every vertex to a copy of that
+UAV. These tables steer path generation as an admissible estimate, and they
+give the lower bound: every not-yet-started information is charged the
+largest, over its destinations, of the distance from its nearest source copy,
+which never exceeds the cost of any structure serving it; an infinite one
+proves the instance infeasible. A greedy warm start provides the initial
+incumbent. Among equal-cost optima the lexicographically smallest activation
+set (by info id, then edge index) is returned, which keeps golden outputs
+stable.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .graph import CACHING, CONNECTIVITY, AugmentedGraph
+from .graph import KIND_CONNECTIVITY, AugmentedGraph, _shortest_paths
 from .heuristic import HeuristicKind, greedy_plan
 from .plan import Plan, plan_cost
 from .report import (STATUS_FEASIBLE, STATUS_INFEASIBLE, STATUS_OPTIMAL,
@@ -77,16 +81,25 @@ class _Search:
         self.incumbent_key = None
         self.guard = 0.0
 
+        # admissible remaining-distance estimates steer path generation:
+        # channel-free cheapest distances from every vertex to a copy of uav
+        self.h_to_dest = {}
+        for uav in sorted({u for _, u in self.demands}):
+            copies = [graph.vertex_id(uav, t) for t in range(graph.horizon)]
+            self.h_to_dest[uav], _ = _shortest_paths(
+                graph, copies, graph.in_edges, graph.edge_tail, (), {},
+                [0] * graph.horizon, {})
+
         # admissible bound for informations not yet started: the largest
         # channel-free cheapest-path distance to any of their destinations
         self.pristine_lb = {}
         self.unreachable = None
         for info in infos:
-            dists = _pristine_distances(graph, info)
+            starts = [graph.vertex_id(u, t) for u, t in info.sources]
             worst = 0.0
             for u in sorted(info.destinations):
-                d = dists.get(u)
-                if d is None:
+                d = min(self.h_to_dest[u][v] for v in starts)
+                if d == INF:
                     self.unreachable = (info.id, u)
                     break
                 worst = max(worst, d)
@@ -94,7 +107,6 @@ class _Search:
                 break
             self.pristine_lb[info.id] = worst
         self.lb_rest = []
-        self.h_to_dest = {}
         if not self.unreachable:
             later = {}
             acc = 0.0
@@ -102,9 +114,6 @@ class _Search:
                 later[info.id] = acc
                 acc += self.pristine_lb[info.id]
             self.lb_rest = [later[info.id] for info, _ in self.demands]
-            # admissible remaining-distance estimates steer path generation
-            for uav in {u for _, u in self.demands}:
-                self.h_to_dest[uav] = _backward_distances(graph, uav)
 
     def set_incumbent(self, plan: Plan):
         cost = plan_cost(self.graph, plan)
@@ -148,21 +157,23 @@ class _Search:
             self._undo(info.id, undo)
 
     def _commit(self, info_id, edges):
+        graph = self.graph
         undo = []
         supplied = self.supplied[info_id]
         for e in edges:
-            edge = self.graph.edges[e]
             self.edge_users.setdefault(e, set()).add(info_id)
-            supplied.add(edge.head)
-            if edge.kind == CONNECTIVITY:
-                self.channel[edge.time] += 1
-                owner = self.transmit.get(edge.tail)
-                self.transmit[edge.tail] = (info_id,
-                                            1 if owner is None else owner[1] + 1)
-                old_power = self.power.get(edge.tail, 0.0)
-                increment = edge.weight - old_power
+            supplied.add(graph.edge_head[e])
+            if graph.edge_kind[e] == KIND_CONNECTIVITY:
+                tail = graph.edge_tail[e]
+                weight = graph.edge_weight[e]
+                self.channel[graph.edge_time[e]] += 1
+                owner = self.transmit.get(tail)
+                self.transmit[tail] = (info_id,
+                                       1 if owner is None else owner[1] + 1)
+                old_power = self.power.get(tail, 0.0)
+                increment = weight - old_power
                 if increment > 0.0:
-                    self.power[edge.tail] = edge.weight
+                    self.power[tail] = weight
                     self.accrued += increment
                 else:
                     increment = 0.0
@@ -173,27 +184,28 @@ class _Search:
         return undo
 
     def _undo(self, info_id, undo):
+        graph = self.graph
         supplied = self.supplied[info_id]
         for e, old_power, increment in reversed(undo):
-            edge = self.graph.edges[e]
             users = self.edge_users[e]
             users.discard(info_id)
             if not users:
                 del self.edge_users[e]
-            supplied.discard(edge.head)
+            supplied.discard(graph.edge_head[e])
             self.plan_edges[info_id].discard(e)
-            if edge.kind == CONNECTIVITY:
-                self.channel[edge.time] -= 1
-                owner, count = self.transmit[edge.tail]
+            if graph.edge_kind[e] == KIND_CONNECTIVITY:
+                tail = graph.edge_tail[e]
+                self.channel[graph.edge_time[e]] -= 1
+                owner, count = self.transmit[tail]
                 if count == 1:
-                    del self.transmit[edge.tail]
+                    del self.transmit[tail]
                 else:
-                    self.transmit[edge.tail] = (owner, count - 1)
+                    self.transmit[tail] = (owner, count - 1)
                 if increment > 0.0:
                     if old_power > 0.0:
-                        self.power[edge.tail] = old_power
+                        self.power[tail] = old_power
                     else:
-                        del self.power[edge.tail]
+                        del self.power[tail]
                 self.accrued -= increment
 
     # -- candidate paths ---------------------------------------------------
@@ -277,74 +289,6 @@ class _Search:
                 if new_estimate >= budget:
                     continue
                 heappush(heap, (new_estimate, edges + (e,), h, new_cost))
-
-
-def _backward_distances(graph: AugmentedGraph, dest_uav):
-    """Cheapest channel-free distance from every vertex to a copy of dest_uav."""
-    dist = [INF] * graph.real_vertex_count
-    heap = []
-    for t in range(graph.horizon):
-        v = graph.vertex_id(dest_uav, t)
-        dist[v] = 0.0
-        heap.append((0.0, v))
-    heapify(heap)
-    done = set()
-    while heap:
-        d, v = heappop(heap)
-        if v in done:
-            continue
-        done.add(v)
-        for e in graph.in_edges[v]:
-            edge = graph.edges[e]
-            if edge.kind == CONNECTIVITY:
-                step = edge.weight
-            elif edge.kind == CACHING:
-                step = 0.0
-            else:
-                continue
-            tail = edge.tail
-            nd = d + step
-            if tail not in done and nd < dist[tail]:
-                dist[tail] = nd
-                heappush(heap, (nd, tail))
-    return dist
-
-
-def _pristine_distances(graph: AugmentedGraph, info):
-    """Channel-free cheapest-path distances from the info's sources.
-
-    Returns {dest_uav: distance}; a missing key means no path exists at all,
-    which proves the whole instance infeasible.
-    """
-    seeds = sorted(graph.vertex_id(u, t) for u, t in info.sources)
-    dist = {v: 0.0 for v in seeds}
-    heap = [(0.0, v) for v in seeds]
-    heapify(heap)
-    done = set()
-    best: dict[int, float] = {}
-    targets = set(info.destinations)
-    while heap and len(best) < len(targets):
-        d, v = heappop(heap)
-        if v in done:
-            continue
-        done.add(v)
-        uav = v // graph.horizon
-        if uav in targets and uav not in best:
-            best[uav] = d
-        for e in graph.out_edges[v]:
-            edge = graph.edges[e]
-            if edge.kind == CONNECTIVITY:
-                step = edge.weight
-            elif edge.kind == CACHING:
-                step = 0.0
-            else:
-                continue
-            head = edge.head
-            nd = d + step
-            if head not in done and (head not in dist or nd < dist[head]):
-                dist[head] = nd
-                heappush(heap, (nd, head))
-    return best
 
 
 def solve_exact(graph: AugmentedGraph, infos=None,

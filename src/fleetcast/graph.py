@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .errors import ScenarioError
 from .radio import subrange_weight
@@ -240,3 +241,73 @@ def collision_set(graph: TimeExpandedGraph, t: int) -> frozenset[int]:
     if not 0 <= t < graph.horizon:
         raise ValueError(f"time {t} outside horizon {graph.horizon}")
     return frozenset(graph.conn_by_time[t])
+
+
+def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
+                    layer_delta, target=None):
+    """Cheapest paths between the zero-cost `seeds` and every other vertex.
+
+    Direction is data: `out_edges` with `edge_head` walks forward from the
+    seeds, `in_edges` with `edge_tail` walks backward to them. Connectivity
+    steps cost the weight minus the walked vertex's residual `power` (never
+    below zero) and are skipped in time units whose `channel_used` plus
+    `layer_delta` fills the channel budget; connectivity and caching edges
+    out of a `deleted` vertex, and every edge into one, are skipped. Virtual
+    vertices other than `target` are dead ends, and the search stops once
+    `target` is settled. The discount and the deletions are keyed on the
+    vertex being walked, which is the tail of a forward edge but the head of
+    a backward one, so backward callers pass an empty residual state.
+
+    Returns (dist, parent): parent[v] is the edge that reached v, -1 for the
+    seeds and for unreached vertices.
+    """
+    inf = math.inf
+    dist = [inf] * graph.vertex_count
+    parent = [-1] * graph.vertex_count
+    done = bytearray(graph.vertex_count)
+    heap = [(0.0, v) for v in seeds]
+    heapify(heap)
+    for _, v in heap:
+        dist[v] = 0.0
+    kinds = graph.edge_kind
+    weights = graph.edge_weight
+    times = graph.edge_time
+    channels = graph.channels
+    real_vertex_count = graph.real_vertex_count
+    while heap:
+        d, v = heappop(heap)
+        if done[v]:
+            continue
+        done[v] = 1
+        if v == target:
+            break
+        v_deleted = v in deleted
+        v_power = power.get(v, 0.0)
+        for e in adjacency[v]:
+            head = ends[e]
+            if done[head] or head in deleted:
+                continue
+            kind = kinds[e]
+            if kind == 0:  # connectivity
+                if v_deleted:
+                    continue
+                t = times[e]
+                if channel_used[t] + layer_delta.get(t, 0) >= channels:
+                    continue
+                w = weights[e]
+                step = w - v_power if w > v_power else 0.0
+            elif kind == 1:  # caching
+                if v_deleted:
+                    continue
+                step = 0.0
+            else:
+                # virtual terminals other than the target are dead ends
+                if head >= real_vertex_count and head != target:
+                    continue
+                step = 0.0
+            nd = d + step
+            if nd < dist[head]:
+                dist[head] = nd
+                parent[head] = e
+                heappush(heap, (nd, head))
+    return dist, parent

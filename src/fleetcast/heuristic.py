@@ -21,10 +21,9 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 
 from .errors import InternalError, PlanStructureError
-from .graph import CACHING, CONNECTIVITY, VIRTUAL, AugmentedGraph
+from .graph import CONNECTIVITY, VIRTUAL, AugmentedGraph, _shortest_paths
 from .plan import Plan, check_feasibility, plan_cost
 from .report import (STATUS_FEASIBLE, STATUS_INFEASIBLE_HEURISTIC, SolveReport)
 
@@ -113,8 +112,10 @@ def build_tree(graph: AugmentedGraph, info, state: ResidualState):
 
     for dest_uav in sorted(info.destinations):
         target = graph.dest_vertex[(info.id, dest_uav)]
-        parent = _dijkstra(graph, state, source, tree_vertices, power,
-                           layer_delta, target)
+        _, parent = _shortest_paths(
+            graph, sorted(tree_vertices) + [source], graph.out_edges,
+            graph.edge_head, state.deleted, power, state.channel_used,
+            layer_delta, target)
         if parent[target] < 0:
             return None
         path = _walk_back(graph, parent, target)
@@ -148,69 +149,13 @@ def build_tree(graph: AugmentedGraph, info, state: ResidualState):
     return Tree(edges=frozenset(tree_edges), cost=cost)
 
 
-def _dijkstra(graph, state, source, tree_vertices, power, layer_delta, target):
-    """Cheapest paths from the virtual source plus the current tree."""
-    inf = math.inf
-    dist = [inf] * graph.vertex_count
-    parent = [-1] * graph.vertex_count
-    done = bytearray(graph.vertex_count)
-    heap = [(0.0, v) for v in sorted(tree_vertices)]
-    heap.append((0.0, source))
-    heapify(heap)
-    for _, v in heap:
-        dist[v] = 0.0
-    kinds = graph.edge_kind
-    heads = graph.edge_head
-    weights = graph.edge_weight
-    times = graph.edge_time
-    deleted = state.deleted
-    channel_used = state.channel_used
-    while heap:
-        d, v = heappop(heap)
-        if done[v]:
-            continue
-        done[v] = 1
-        if v == target:
-            break
-        v_deleted = v in deleted
-        v_power = power.get(v, 0.0)
-        for e in graph.out_edges[v]:
-            head = heads[e]
-            if done[head] or head in deleted:
-                continue
-            kind = kinds[e]
-            if kind == 0:  # connectivity
-                if v_deleted:
-                    continue
-                t = times[e]
-                if channel_used[t] + layer_delta.get(t, 0) >= graph.channels:
-                    continue
-                w = weights[e]
-                step = w - v_power if w > v_power else 0.0
-            elif kind == 1:  # caching
-                if v_deleted:
-                    continue
-                step = 0.0
-            else:
-                # virtual destination sinks other than the target are dead ends
-                if head >= graph.real_vertex_count and head != target:
-                    continue
-                step = 0.0
-            nd = d + step
-            if nd < dist[head]:
-                dist[head] = nd
-                parent[head] = e
-                heappush(heap, (nd, head))
-    return parent
-
-
 def _walk_back(graph, parent, target):
     path = []
     v = target
     while parent[v] >= 0:
         e = parent[v]
         path.append(e)
-        v = graph.edges[e].tail
+        v = graph.edge_tail[e]
     path.reverse()
     return path
 

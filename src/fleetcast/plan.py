@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import PlanStructureError
+from .errors import FormatError, PlanStructureError
 from .graph import CACHING, CONNECTIVITY, VIRTUAL, AugmentedGraph
 from .jsonio import read_json, write_json
 from .scenario import CACHE_SINGLE
@@ -253,7 +253,14 @@ def plan_from_dict(graph: AugmentedGraph, doc: dict) -> Plan:
     activations = {}
     for info_key, rows in doc["activations"].items():
         edges = set()
-        for tu, tt, hu, ht, kind in rows:
+        for row in rows:
+            if not isinstance(row, list) or len(row) != 5:
+                raise FormatError(f"plan row {row!r} is not a 5-element list")
+            tu, tt, hu, ht, kind = row
+            for u, t in ((tu, tt), (hu, ht)):
+                if not (0 <= u < graph.uav_count and 0 <= t < graph.horizon):
+                    raise PlanStructureError(
+                        f"plan vertex ({u},{t}) lies outside the graph")
             tail = graph.vertex_id(tu, tt)
             head = graph.vertex_id(hu, ht)
             e = graph.edge_index_by_pair.get((tail, head))

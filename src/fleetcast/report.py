@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import FormatError
 from .graph import AugmentedGraph
 from .jsonio import read_json, write_json
 from .plan import Plan, plan_from_dict, plan_to_dict
@@ -63,6 +64,10 @@ def save_report(graph: AugmentedGraph, report: SolveReport, path) -> None:
 
 def load_report(graph: AugmentedGraph, path) -> SolveReport:
     doc = read_json(path, REPORT_FORMAT)
+    missing = [key for key in ("method", "status", "objective_joules")
+               if key not in doc]
+    if missing:
+        raise FormatError(f"{path}: report lacks {', '.join(missing)}")
     plan = doc.get("plan")
     return SolveReport(
         method=doc["method"],

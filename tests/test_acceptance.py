@@ -174,6 +174,7 @@ def test_criterion_2_heuristic_soundness():
                     assert report.objective >= exact.objective, (seed, name)
 
 
+@pytest.mark.slow
 def test_criterion_3_ordering_trend(comparison_set):
     with criterion(3, "mean deviation: most-power-first <= least-power-first "
                       "and <= random over 30 comparison instances"):
@@ -190,6 +191,7 @@ def test_criterion_3_ordering_trend(comparison_set):
         assert mpf <= rnd
 
 
+@pytest.mark.slow
 def test_criterion_4_speedup(comparison_set):
     with criterion(4, "every heuristic at least 100x faster than exact "
                       "wherever exact needs over 100 ms"):

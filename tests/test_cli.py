@@ -145,6 +145,14 @@ def test_sweep_requires_seeds(tmp_path):
     assert code == 1
 
 
+def test_sweep_rejects_bad_config_as_usage_error(tmp_path):
+    out = tmp_path / "s.csv"
+    code = run("sweep", "--variable", "uav_count", "--values", "1",
+               "--seeds", "0", "--out", str(out))
+    assert code == 1
+    assert not out.exists()
+
+
 def test_sweep_packet_size(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run("sweep", "--variable", "packet_size",

@@ -1,13 +1,15 @@
 """Branch-and-bound solver: worked optima, oracle agreement, budgets."""
 
+import math
+
 import pytest
 
 import instances
 import oracles
 from fleetcast.errors import GenerationError
-from fleetcast.exact import SearchBudget, solve_exact
+from fleetcast.exact import SearchBudget, _Search, solve_exact
 from fleetcast.gen import generate_scenario, make_config
-from fleetcast.graph import augment, build_time_expanded_graph
+from fleetcast.graph import VIRTUAL, augment, build_time_expanded_graph
 from fleetcast.heuristic import HeuristicKind, greedy_plan
 from fleetcast.plan import check_feasibility
 from fleetcast.report import report_to_dict
@@ -129,7 +131,6 @@ def test_matches_exhaustive_enumeration_on_micro_set():
 
 
 def test_lower_bound_is_admissible_on_micro_set():
-    from fleetcast.exact import _Search
     for seed, graph in micro_graphs(15, start_seed=4200):
         feasible, objective, _ = oracles.enumerate_optimum(graph)
         if not feasible:
@@ -138,3 +139,69 @@ def test_lower_bound_is_admissible_on_micro_set():
         assert not search.unreachable
         root_bound = sum(search.pristine_lb[info.id] for info in graph.infos)
         assert root_bound <= objective + 1e-12, f"seed {seed}"
+
+
+def _bellman_ford(graph, seeds, backward):
+    """Channel-free cheapest distances between `seeds` and every real vertex."""
+    dist = [math.inf] * graph.real_vertex_count
+    for v in seeds:
+        dist[v] = 0.0
+    real_edges = [e for e in graph.edges if e.kind != VIRTUAL]
+    for _ in range(graph.real_vertex_count):
+        changed = False
+        for e in real_edges:
+            a, b = (e.head, e.tail) if backward else (e.tail, e.head)
+            if dist[a] + e.weight < dist[b]:
+                dist[b] = dist[a] + e.weight
+                changed = True
+        if not changed:
+            break
+    return dist
+
+
+def _copies(graph, uav):
+    return [graph.vertex_id(uav, t) for t in range(graph.horizon)]
+
+
+def test_backward_tables_and_pristine_bound_match_bellman_ford():
+    graphs = [("chain3", instances.augmented(instances.chain3())),
+              ("star4", instances.augmented(instances.star4()))]
+    graphs += [(f"seed {seed}", graph) for seed, graph in micro_graphs(30)]
+    for name, graph in graphs:
+        search = _Search(graph, list(graph.infos), SearchBudget())
+        # forward and backward sums may differ in the last bit
+        for uav, table in search.h_to_dest.items():
+            ref = _bellman_ford(graph, _copies(graph, uav), backward=True)
+            assert all(math.isclose(table[v], ref[v], rel_tol=1e-12)
+                       for v in range(len(ref))), name
+        unreachable = None
+        for info in graph.infos:
+            starts = [graph.vertex_id(u, t) for u, t in info.sources]
+            ref = _bellman_ford(graph, starts, backward=False)
+            nearest = {u: min(ref[v] for v in _copies(graph, u))
+                       for u in sorted(info.destinations)}
+            lost = [u for u, d in nearest.items() if d == math.inf]
+            if lost:
+                unreachable = (info.id, lost[0])
+                break
+            assert math.isclose(search.pristine_lb[info.id],
+                                 max(nearest.values()), rel_tol=1e-12), name
+        assert search.unreachable == unreachable, name
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: a start vertex that already "
+                          "transmits the information gets an undiscounted "
+                          "estimate, which prunes the optimum")
+def test_optimal_matches_oracle_when_start_already_transmits():
+    scenario = generate_scenario(make_config(
+        "micro", 10444, uav_count=4, horizon=2, info_count=1, channels=2,
+        gather_radius=15.0, area_side=40.0, max_range=30.0, subrange_count=4,
+        destinations_per_info=(2, 4)))
+    graph = augment(build_time_expanded_graph(scenario), scenario.infos)
+    feasible, objective, _ = oracles.enumerate_optimum(graph)
+    if not (feasible and objective == pytest.approx(8.4375)):
+        pytest.fail(f"oracle changed: {feasible}, {objective}")
+    report = solve_exact(graph)
+    assert report.status == "OPTIMAL"
+    assert report.objective == objective  # 8.775 J today

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 import instances
 import oracles
-from fleetcast.errors import PlanStructureError
+from fleetcast.errors import FormatError, PlanStructureError
 from fleetcast.graph import CONNECTIVITY
+from fleetcast.jsonio import write_json
 from fleetcast.plan import (Plan, check_feasibility, load_plan, plan_cost,
                             plan_from_dict, plan_to_dict, save_plan)
+from fleetcast.report import SolveReport, load_report, report_to_dict
 from fleetcast.scenario import InfoSpec
 
 
@@ -185,11 +187,32 @@ def test_plan_round_trip(tmp_path, chain):
     assert path.read_text() == text
 
 
-def test_plan_from_dict_rejects_unknown_route(chain):
-    doc = plan_to_dict(chain, Plan({0: frozenset()}))
-    doc["activations"]["0"] = [[0, 0, 2, 0, "connectivity"]]  # out of range
-    with pytest.raises(PlanStructureError):
-        plan_from_dict(chain, doc)
+@pytest.mark.parametrize("rows, drop, error", [
+    pytest.param([[0, 0, 2, 0, "connectivity"]], None, PlanStructureError,
+                 id="no-such-edge"),
+    # (0,1) and (0,2) are outside T=1 but would alias (1,0)->(2,0)
+    pytest.param([[0, 1, 0, 2, "connectivity"]], None, PlanStructureError,
+                 id="aliasing-time"),
+    pytest.param([[-1, 0, 0, 0, "connectivity"]], None, PlanStructureError,
+                 id="negative-uav"),
+    pytest.param([[0, 0, 1, 0]], None, FormatError, id="short-row"),
+    pytest.param([7], None, FormatError, id="scalar-row"),
+    pytest.param([], "method", FormatError, id="no-method"),
+    pytest.param([], "status", FormatError, id="no-status"),
+    pytest.param([], "objective_joules", FormatError, id="no-objective"),
+])
+def test_plan_from_dict_rejects_unknown_route(chain, tmp_path, rows, drop,
+                                              error):
+    # the plan reaches plan_from_dict through load_report, which also needs
+    # the report's own keys
+    doc = report_to_dict(chain, SolveReport("mpf", "FEASIBLE", 0.0,
+                                            Plan({0: frozenset()})))
+    doc["plan"]["activations"]["0"] = rows
+    doc.pop(drop, None)
+    path = tmp_path / "report.json"
+    write_json(path, doc)
+    with pytest.raises(error):
+        load_report(chain, path)
 
 
 # -- checker completeness against the independent evaluator ----------------
