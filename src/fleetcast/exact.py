@@ -26,8 +26,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import filterfalse
 
-from .graph import KIND_CONNECTIVITY, AugmentedGraph, _shortest_paths
+from .graph import (KIND_CACHING, KIND_CONNECTIVITY, AugmentedGraph,
+                    _shortest_paths)
 from .heuristic import HeuristicKind, greedy_plan
 from .plan import Plan, plan_cost
 from .report import (STATUS_FEASIBLE, STATUS_INFEASIBLE, STATUS_OPTIMAL,
@@ -66,7 +68,9 @@ class _Search:
 
         self.demands = [(info, u) for info in infos
                         for u in sorted(info.destinations)]
-        self.edge_users: dict[int, set[int]] = {}
+        # caching edges in use; only "single" capacity needs them (see
+        # _candidate_iter for why nothing else tracks edge users)
+        self.cache_used: set[int] = set()
         self.transmit: dict[int, tuple[int, int]] = {}
         self.channel = [0] * graph.horizon
         self.power: dict[int, float] = {}
@@ -81,11 +85,26 @@ class _Search:
         self.incumbent_key = None
         self.guard = 0.0
 
+        # real out-edges per vertex for path generation: at most one caching
+        # edge as (e, head), and the connectivity edges as (e, head, weight)
+        self.cache_out = [None] * graph.real_vertex_count
+        self.conn_out = [[] for _ in range(graph.real_vertex_count)]
+        for v in range(graph.real_vertex_count):
+            for e in graph.out_edges[v]:
+                kind = graph.edge_kind[e]
+                if kind == KIND_CONNECTIVITY:
+                    self.conn_out[v].append(
+                        (e, graph.edge_head[e], graph.edge_weight[e]))
+                elif kind == KIND_CACHING:
+                    self.cache_out[v] = (e, graph.edge_head[e])
+
         # admissible remaining-distance estimates steer path generation:
         # channel-free cheapest distances from every vertex to a copy of uav
         self.h_to_dest = {}
+        self.dest_copies = {}
         for uav in sorted({u for _, u in self.demands}):
             copies = [graph.vertex_id(uav, t) for t in range(graph.horizon)]
+            self.dest_copies[uav] = frozenset(copies)
             self.h_to_dest[uav], _ = _shortest_paths(
                 graph, copies, graph.in_edges, graph.edge_tail, (), {},
                 [0] * graph.horizon, {})
@@ -143,74 +162,70 @@ class _Search:
         if self.accrued + lb >= self.incumbent_cost + self.guard:
             return
         info, dest_uav = self.demands[level]
-        accrued_here = self.accrued
-
-        def budget_left():
-            return self.incumbent_cost + self.guard - accrued_here - lb
-
-        for cost, edges in self._candidate_iter(info, dest_uav, budget_left):
+        for cost, edges in self._candidate_iter(info, dest_uav,
+                                                self.accrued, lb):
             self.nodes += 1
             if self.nodes > self.budget.max_nodes:
                 raise _BudgetExhausted
             undo = self._commit(info.id, edges)
             self._descend(level + 1)
-            self._undo(info.id, undo)
+            self._undo(info.id, edges, undo)
 
     def _commit(self, info_id, edges):
         graph = self.graph
+        kinds = graph.edge_kind
+        self.supplied[info_id].update(map(graph.edge_head.__getitem__, edges))
+        self.plan_edges[info_id].update(edges)
+        if self.single_cache:
+            self.cache_used.update(filter(kinds.__getitem__, edges))
+        channel = self.channel
+        transmit = self.transmit
+        power = self.power
         undo = []
-        supplied = self.supplied[info_id]
-        for e in edges:
-            self.edge_users.setdefault(e, set()).add(info_id)
-            supplied.add(graph.edge_head[e])
-            if graph.edge_kind[e] == KIND_CONNECTIVITY:
-                tail = graph.edge_tail[e]
-                weight = graph.edge_weight[e]
-                self.channel[graph.edge_time[e]] += 1
-                owner = self.transmit.get(tail)
-                self.transmit[tail] = (info_id,
-                                       1 if owner is None else owner[1] + 1)
-                old_power = self.power.get(tail, 0.0)
-                increment = weight - old_power
-                if increment > 0.0:
-                    self.power[tail] = weight
-                    self.accrued += increment
-                else:
-                    increment = 0.0
-                undo.append((e, old_power, increment))
+        for e in filterfalse(kinds.__getitem__, edges):  # connectivity is 0
+            tail = graph.edge_tail[e]
+            weight = graph.edge_weight[e]
+            t = graph.edge_time[e]
+            channel[t] += 1
+            owner = transmit.get(tail)
+            transmit[tail] = (info_id, 1 if owner is None else owner[1] + 1)
+            old_power = power.get(tail, 0.0)
+            increment = weight - old_power
+            if increment > 0.0:
+                power[tail] = weight
+                self.accrued += increment
             else:
-                undo.append((e, None, 0.0))
-            self.plan_edges[info_id].add(e)
+                increment = 0.0
+            undo.append((tail, t, old_power, increment))
         return undo
 
-    def _undo(self, info_id, undo):
+    def _undo(self, info_id, edges, undo):
         graph = self.graph
-        supplied = self.supplied[info_id]
-        for e, old_power, increment in reversed(undo):
-            users = self.edge_users[e]
-            users.discard(info_id)
-            if not users:
-                del self.edge_users[e]
-            supplied.discard(graph.edge_head[e])
-            self.plan_edges[info_id].discard(e)
-            if graph.edge_kind[e] == KIND_CONNECTIVITY:
-                tail = graph.edge_tail[e]
-                self.channel[graph.edge_time[e]] -= 1
-                owner, count = self.transmit[tail]
-                if count == 1:
-                    del self.transmit[tail]
+        self.supplied[info_id].difference_update(
+            map(graph.edge_head.__getitem__, edges))
+        self.plan_edges[info_id].difference_update(edges)
+        if self.single_cache:
+            self.cache_used.difference_update(edges)
+        channel = self.channel
+        transmit = self.transmit
+        power = self.power
+        for tail, t, old_power, increment in reversed(undo):
+            channel[t] -= 1
+            owner, count = transmit[tail]
+            if count == 1:
+                del transmit[tail]
+            else:
+                transmit[tail] = (owner, count - 1)
+            if increment > 0.0:
+                if old_power > 0.0:
+                    power[tail] = old_power
                 else:
-                    self.transmit[tail] = (owner, count - 1)
-                if increment > 0.0:
-                    if old_power > 0.0:
-                        self.power[tail] = old_power
-                    else:
-                        del self.power[tail]
-                self.accrued -= increment
+                    del power[tail]
+            self.accrued -= increment
 
     # -- candidate paths ---------------------------------------------------
 
-    def _candidate_iter(self, info, dest_uav, budget_left):
+    def _candidate_iter(self, info, dest_uav, accrued, lb):
         """Admissible paths serving (info, dest_uav) in ascending cost order.
 
         A path starts at a supplied vertex, visits only fresh vertices for
@@ -218,77 +233,101 @@ class _Search:
         empty path is admissible when some copy is already supplied. Partial
         paths are expanded best-first on cost plus a pristine-graph
         remaining-distance estimate, so generation never chases extensions
-        that cannot possibly finish under the caller's remaining budget, which
-        shrinks every time a better incumbent appears.
+        that cannot possibly finish under the caller's remaining budget,
+        `incumbent_cost + guard - accrued - lb`, which shrinks every time a
+        better incumbent appears. A start that already transmits this
+        information at power p gets its first connectivity step discounted
+        by p, so its estimate is discounted too; anything less would prune
+        cheaper paths and could certify a suboptimal plan.
+
+        Time never decreases along a path: caching edges go from t to t+1
+        and connectivity edges stay in t. So a step can only revisit, and
+        only count against the channel budget of, the path's vertices in the
+        head's layer: the head plus the tails of the path's trailing
+        connectivity edges, at most U-1 of them. The per-pop state is built
+        from those alone, which keeps it independent of path length.
+
+        No edge-user bookkeeping is needed beyond `cache_used` ("single"
+        capacity only), because the other checks already imply it:
+        - a connectivity edge used by information A has A owning its tail,
+          so the owner check blocks every other information, and its head
+          is supplied for A, so the freshness check blocks A;
+        - a caching edge A already uses likewise has a head supplied for A.
+
+        The cost order holds up to rounding: an estimate sums a path's steps
+        in another order than the distance tables do, so two yielded costs
+        can be out of order by an ulp, which the incumbent guard absorbs.
         """
         graph = self.graph
-        horizon = graph.horizon
         supplied = self.supplied[info.id]
-        if any(v // horizon == dest_uav for v in supplied):
+        dest_copies = self.dest_copies[dest_uav]
+        if not dest_copies.isdisjoint(supplied):
             yield 0.0, ()
 
         remaining = self.h_to_dest[dest_uav]
-        # heap entries: (cost + remaining estimate, edge tuple, head, cost)
-        heap = [(remaining[start], (), start, 0.0)
-                for start in sorted(supplied)
-                if remaining[start] != INF]
+        power = self.power
+        # the incumbent only improves while a path is out with the caller,
+        # so the budget is recomputed after each yield and nowhere else
+        budget = self.incumbent_cost + self.guard - accrued - lb
+        # heap entries: (cost + remaining estimate, edge tuple, head, cost);
+        # the keys are distinct, so building the heap unsorted keeps the
+        # pop order, and a start at or above the budget would never be popped
+        heap = [(remaining[start], (), start, 0.0) for start in supplied
+                if remaining[start] < budget and start not in power]
+        for start in supplied.intersection(power):
+            estimate = max(0.0, remaining[start] - power[start])
+            if estimate < budget:
+                heap.append((estimate, (), start, 0.0))
         heapify(heap)
+
+        horizon = graph.horizon
+        channels = graph.channels
+        channel = self.channel
+        transmit = self.transmit
+        single_cache = self.single_cache
+        cache_used = self.cache_used
+        kinds = graph.edge_kind
+        tails = graph.edge_tail
+        cache_out = self.cache_out
+        conn_out = self.conn_out
+        info_id = info.id
+        deadline = self.deadline
         while heap:
-            if budget_left() <= heap[0][0]:
+            if budget <= heap[0][0]:
                 return
             self.pulls += 1
-            if self.pulls % 2048 == 0 and time.perf_counter() > self.deadline:
+            if self.pulls % 2048 == 0 and time.perf_counter() > deadline:
                 raise _BudgetExhausted
-            estimate, edges, head, cost = heappop(heap)
-            kinds = graph.edge_kind
-            heads = graph.edge_head
-            tails = graph.edge_tail
-            weights = graph.edge_weight
-            times = graph.edge_time
-            if edges:
-                start = tails[edges[0]]
-                if head // horizon == dest_uav:
-                    yield cost, edges
-            else:
-                start = head
-            path_set = {start}
-            path_layers: dict[int, int] = {}
-            for e in edges:
-                path_set.add(heads[e])
-                if kinds[e] == 0:
-                    path_layers[times[e]] = path_layers.get(times[e], 0) + 1
-            v = head
-            budget = budget_left()
-            v_owner = self.transmit.get(v)
-            v_power = self.power.get(v, 0.0)
-            for e in graph.out_edges[v]:
-                kind = kinds[e]
-                if kind == 0:  # connectivity
-                    if v_owner is not None and v_owner[0] != info.id:
-                        continue
-                    if e in self.edge_users:
-                        continue
-                    t = times[e]
-                    if self.channel[t] + path_layers.get(t, 0) >= graph.channels:
-                        continue
-                    w = weights[e]
-                    step = w - v_power if w > v_power else 0.0
-                elif kind == 1:  # caching
-                    users = self.edge_users.get(e)
-                    if users is not None and (self.single_cache
-                                              or info.id in users):
-                        continue
-                    step = 0.0
-                else:
-                    continue  # exact paths live on real edges only
-                h = heads[e]
-                if h in supplied or h in path_set:
+            _, edges, head, cost = heappop(heap)
+            if edges and head in dest_copies:
+                yield cost, edges
+                budget = self.incumbent_cost + self.guard - accrued - lb
+            step = cache_out[head]
+            if step is not None:
+                e, h = step
+                if h not in supplied and not (single_cache
+                                              and e in cache_used):
+                    new_estimate = cost + remaining[h]
+                    if new_estimate < budget:
+                        heappush(heap, (new_estimate, edges + (e,), h, cost))
+            owner = transmit.get(head)
+            if owner is not None and owner[0] != info_id:
+                continue
+            layer = {head}
+            for e in reversed(edges):
+                if kinds[e]:
+                    break
+                layer.add(tails[e])
+            if channel[head % horizon] + len(layer) > channels:
+                continue
+            v_power = power.get(head, 0.0)
+            for e, h, w in conn_out[head]:
+                if h in supplied or h in layer:
                     continue
-                new_cost = cost + step
+                new_cost = cost + (w - v_power if w > v_power else 0.0)
                 new_estimate = new_cost + remaining[h]
-                if new_estimate >= budget:
-                    continue
-                heappush(heap, (new_estimate, edges + (e,), h, new_cost))
+                if new_estimate < budget:
+                    heappush(heap, (new_estimate, edges + (e,), h, new_cost))
 
 
 def solve_exact(graph: AugmentedGraph, infos=None,

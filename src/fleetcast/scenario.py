@@ -75,6 +75,10 @@ class Scenario:
         self._validate()
 
     def _validate(self):
+        for name in ("uav_count", "horizon", "channels"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ScenarioError(f"{name} must be an integer, got {value!r}")
         if self.uav_count < 1:
             raise ScenarioError("uav_count must be at least 1")
         if self.horizon < 1:

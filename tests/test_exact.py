@@ -9,7 +9,8 @@ import oracles
 from fleetcast.errors import GenerationError
 from fleetcast.exact import SearchBudget, _Search, solve_exact
 from fleetcast.gen import generate_scenario, make_config
-from fleetcast.graph import VIRTUAL, augment, build_time_expanded_graph
+from fleetcast.graph import (CONNECTIVITY, VIRTUAL, augment,
+                             build_time_expanded_graph)
 from fleetcast.heuristic import HeuristicKind, greedy_plan
 from fleetcast.plan import check_feasibility
 from fleetcast.report import report_to_dict
@@ -189,10 +190,6 @@ def test_backward_tables_and_pristine_bound_match_bellman_ford():
         assert search.unreachable == unreachable, name
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: a start vertex that already "
-                          "transmits the information gets an undiscounted "
-                          "estimate, which prunes the optimum")
 def test_optimal_matches_oracle_when_start_already_transmits():
     scenario = generate_scenario(make_config(
         "micro", 10444, uav_count=4, horizon=2, info_count=1, channels=2,
@@ -204,4 +201,145 @@ def test_optimal_matches_oracle_when_start_already_transmits():
         pytest.fail(f"oracle changed: {feasible}, {objective}")
     report = solve_exact(graph)
     assert report.status == "OPTIMAL"
-    assert report.objective == objective  # 8.775 J today
+    # without the start discount the estimate prunes the optimum: 8.775 J
+    assert report.objective == objective
+
+
+def multi_destination_graphs(count, start_seed=10000):
+    """Micro instances whose information goes to two to four UAVs.
+
+    With several destinations, later paths start at vertices that already
+    transmit the information, which is where a start estimate must be
+    discounted to stay a lower bound.
+    """
+    seed = start_seed - 1
+    while count:
+        seed += 1
+        try:
+            scenario = generate_scenario(make_config(
+                "micro", seed, uav_count=3 + seed % 2, horizon=2 + seed % 2,
+                info_count=1, channels=1 + seed % 2, gather_radius=15.0,
+                area_side=40.0, max_range=30.0, subrange_count=4,
+                destinations_per_info=(2, 3 + seed % 2),
+                cache_capacity="single" if seed % 3 else "unlimited"))
+        except GenerationError:
+            continue
+        count -= 1
+        yield seed, augment(build_time_expanded_graph(scenario),
+                            scenario.infos)
+
+
+@pytest.mark.parametrize("warm_start", [True, False])
+def test_matches_oracle_with_several_destinations(warm_start):
+    for seed, graph in multi_destination_graphs(80):
+        report = solve_exact(graph, warm_start=warm_start)
+        feasible, objective, _ = oracles.enumerate_optimum(graph)
+        if feasible:
+            assert report.status == "OPTIMAL", f"seed {seed}"
+            assert report.objective == objective, f"seed {seed}"
+            assert check_feasibility(graph, report.plan).feasible
+        else:
+            assert report.status == "INFEASIBLE", f"seed {seed}"
+
+
+def _reference_paths(search, info, dest_uav):
+    """Every admissible path serving one demand, by plain depth-first search.
+
+    The rules are read off the committed plan edges, not off the search's
+    own bookkeeping: a connectivity edge needs an unused edge, a tail that
+    transmits nothing or this information, and room in its time unit's
+    channel budget counting the path's own transmissions; its cost is its
+    weight less the power its tail already transmits at. A caching edge
+    must be unused by this information, and by every information under
+    "single" capacity. Every vertex after the start must be fresh for this
+    information and not yet on the path. Returns a set of (cost, edges).
+    """
+    graph = search.graph
+    edges_of = search.plan_edges
+    used = set().union(*edges_of.values())
+    owner, power, channel = {}, {}, [0] * graph.horizon
+    for info_id, edges in edges_of.items():
+        for e in edges:
+            edge = graph.edges[e]
+            if edge.kind == CONNECTIVITY:
+                owner.setdefault(edge.tail, set()).add(info_id)
+                power[edge.tail] = max(power.get(edge.tail, 0.0), edge.weight)
+                channel[edge.time] += 1
+    supplied = ({graph.vertex_id(u, t) for u, t in info.sources}
+                | {graph.edges[e].head for e in edges_of[info.id]})
+    copies = {graph.vertex_id(dest_uav, t) for t in range(graph.horizon)}
+    found = {(0.0, ())} if supplied & copies else set()
+
+    def extend(v, path, on_path, cost):
+        for e in graph.out_edges[v]:
+            edge = graph.edges[e]
+            if edge.kind == VIRTUAL or edge.head in supplied | on_path:
+                continue
+            if edge.kind == CONNECTIVITY:
+                sent = sum(graph.edges[p].kind == CONNECTIVITY
+                           and graph.edges[p].time == edge.time for p in path)
+                if (e in used or not owner.get(v, set()) <= {info.id}
+                        or channel[edge.time] + sent + 1 > graph.channels):
+                    continue
+                step = max(0.0, edge.weight - power.get(v, 0.0))
+            else:
+                if e in edges_of[info.id] or (
+                        graph.cache_capacity == "single" and e in used):
+                    continue
+                step = 0.0
+            new_path = path + (e,)
+            if edge.head in copies:
+                found.add((cost + step, new_path))
+            extend(edge.head, new_path, on_path | {edge.head}, cost + step)
+
+    for start in supplied:
+        extend(start, (), {start}, 0.0)
+    return found
+
+
+def _assert_candidates_match_reference(search, label):
+    for info, dest_uav in search.demands:
+        got = list(search._candidate_iter(info, dest_uav, 0.0, 0.0))
+        # ascending up to rounding: estimate sums associate differently
+        costs = [cost for cost, _ in got]
+        assert all(a <= b or math.isclose(a, b, rel_tol=1e-12)
+                   for a, b in zip(costs, costs[1:])), label
+        assert len(set(got)) == len(got), label
+        assert set(got) == _reference_paths(search, info, dest_uav), label
+
+
+def test_candidate_paths_match_reference_enumeration():
+    checked = 0
+    for seed in range(300, 420):
+        try:
+            scenario = generate_scenario(make_config(
+                "micro", seed, uav_count=3 + seed % 2, horizon=3 + seed % 2,
+                info_count=2, channels=2, gather_radius=15.0, area_side=40.0,
+                max_range=30.0, subrange_count=3,
+                destinations_per_info=(1, 3),
+                cache_capacity="single" if seed % 2 else "unlimited"))
+        except GenerationError:
+            continue
+        graph = augment(build_time_expanded_graph(scenario), scenario.infos)
+        search = _Search(graph, list(graph.infos), SearchBudget())
+        info, dest_uav = search.demands[0]
+        # commit a first path that transmits, so that owner, power, channel
+        # and cache state are all in play for every demand
+        first = next((edges for _, edges in
+                      search._candidate_iter(info, dest_uav, 0.0, 0.0)
+                      if any(graph.edges[e].kind == CONNECTIVITY
+                             for e in edges)), None)
+        if first is None:
+            continue
+        before = (search.accrued, dict(search.power), dict(search.transmit),
+                  list(search.channel), set(search.cache_used),
+                  {i: set(v) for i, v in search.supplied.items()})
+        undo = search._commit(info.id, first)
+        _assert_candidates_match_reference(search, f"seed {seed}, committed")
+        search._undo(info.id, first, undo)
+        assert before == (search.accrued, search.power, search.transmit,
+                          search.channel, search.cache_used, search.supplied)
+        assert not any(search.plan_edges.values())
+        _assert_candidates_match_reference(search, f"seed {seed}, undone")
+        checked += 1
+    assert checked >= 30

@@ -60,6 +60,19 @@ def test_validation_catches_bad_shapes():
                  radio=base.radio, infos=base.infos, cache_capacity="lots")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("uav_count", 3.0), ("horizon", 1.0), ("channels", 1.0),
+    ("channels", True), ("horizon", True), ("uav_count", "3"),
+    ("channels", None)])
+def test_count_fields_must_be_integers(field, value):
+    # chain3 has 3 UAVs, horizon 1 and 1 channel: each value equals or
+    # names the real count, so only the type check can reject it
+    doc = scenario_to_dict(instances.chain3())
+    doc[field] = value
+    with pytest.raises(ScenarioError, match=field):
+        scenario_from_dict(doc)
+
+
 def test_validation_catches_dangling_infos():
     base = instances.chain3()
     with pytest.raises(ScenarioError):
