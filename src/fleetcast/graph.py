@@ -250,13 +250,30 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     Direction is data: `out_edges` with `edge_head` walks forward from the
     seeds, `in_edges` with `edge_tail` walks backward to them. Connectivity
     steps cost the weight minus the walked vertex's residual `power` (never
-    below zero) and are skipped in time units whose `channel_used` plus
-    `layer_delta` fills the channel budget; connectivity and caching edges
-    out of a `deleted` vertex, and every edge into one, are skipped. Virtual
-    vertices other than `target` are dead ends, and the search stops once
-    `target` is settled. The discount and the deletions are keyed on the
-    vertex being walked, which is the tail of a forward edge but the head of
-    a backward one, so backward callers pass an empty residual state.
+    below zero). Virtual vertices other than `target` are dead ends. The
+    discount is keyed on the vertex being walked, which is the tail of a
+    forward edge but the head of a backward one, so backward callers pass an
+    empty residual state.
+
+    Channel budget: connectivity edges stay inside one time unit, so every
+    connectivity edge in `adjacency[v]` lies in v's own layer, `v % horizon`,
+    in either direction. Whether that layer's `channel_used` plus
+    `layer_delta` leaves a free channel is therefore decided once per
+    settled vertex; if not, none of its connectivity edges is walked.
+
+    Deletions: `deleted` vertices are marked settled before the search, so
+    no edge ever enters one. This is exact only if no seed is deleted, which
+    callers guarantee (greedy seeds are the virtual source and vertices its
+    current tree reached through undeleted heads; backward callers pass no
+    deletions).
+
+    Stop rule: the search ends when `target` is settled, or earlier, at the
+    first zero-cost virtual edge into it. That edge leaves a vertex settled
+    at distance d and gives `target` distance d; every later pop is at d or
+    more and a tie never replaces a parent, so that distance and parent are
+    final. The parents of settled vertices are final too, so the path walked
+    back from `target` is the one a full search would give; other entries of
+    `dist` and `parent` are meaningful only when `target` is None.
 
     Returns (dist, parent): parent[v] is the edge that reached v, -1 for the
     seeds and for unreached vertices.
@@ -265,13 +282,15 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     dist = [inf] * graph.vertex_count
     parent = [-1] * graph.vertex_count
     done = bytearray(graph.vertex_count)
+    for v in deleted:
+        done[v] = 1
     heap = [(0.0, v) for v in seeds]
     heapify(heap)
     for _, v in heap:
         dist[v] = 0.0
     kinds = graph.edge_kind
     weights = graph.edge_weight
-    times = graph.edge_time
+    horizon = graph.horizon
     channels = graph.channels
     real_vertex_count = graph.real_vertex_count
     while heap:
@@ -281,31 +300,27 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
         done[v] = 1
         if v == target:
             break
-        v_deleted = v in deleted
+        t = v % horizon
+        layer_open = channel_used[t] + layer_delta.get(t, 0) < channels
         v_power = power.get(v, 0.0)
         for e in adjacency[v]:
             head = ends[e]
-            if done[head] or head in deleted:
+            if done[head]:
                 continue
             kind = kinds[e]
             if kind == 0:  # connectivity
-                if v_deleted:
-                    continue
-                t = times[e]
-                if channel_used[t] + layer_delta.get(t, 0) >= channels:
+                if not layer_open:
                     continue
                 w = weights[e]
-                step = w - v_power if w > v_power else 0.0
-            elif kind == 1:  # caching
-                if v_deleted:
-                    continue
-                step = 0.0
-            else:
-                # virtual terminals other than the target are dead ends
-                if head >= real_vertex_count and head != target:
-                    continue
-                step = 0.0
-            nd = d + step
+                nd = d + (w - v_power) if w > v_power else d
+            elif kind == 1 or head < real_vertex_count:  # caching, fan-out
+                nd = d
+            elif head == target and d < dist[head]:  # final, see stop rule
+                dist[head] = d
+                parent[head] = e
+                return dist, parent
+            else:  # other virtual terminals are dead ends
+                continue
             if nd < dist[head]:
                 dist[head] = nd
                 parent[head] = e

@@ -13,6 +13,11 @@ from pathlib import Path
 from .errors import FormatError
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import FormatError, PlanStructureError
 from .graph import CACHING, CONNECTIVITY, VIRTUAL, AugmentedGraph
-from .jsonio import read_json, write_json
+from .jsonio import _is_int, read_json, write_json
 from .scenario import CACHE_SINGLE
 
 PLAN_FORMAT = "fleetcast-plan/1"
@@ -250,13 +250,27 @@ def plan_to_dict(graph: AugmentedGraph, plan: Plan) -> dict:
 
 
 def plan_from_dict(graph: AugmentedGraph, doc: dict) -> Plan:
+    rows_by_info = doc.get("activations") if isinstance(doc, dict) else None
+    if not isinstance(rows_by_info, dict):
+        raise FormatError("a plan must be an object with an activations object")
     activations = {}
-    for info_key, rows in doc["activations"].items():
+    for info_key, rows in rows_by_info.items():
+        try:
+            info_id = int(info_key)
+        except (TypeError, ValueError):
+            info_id = None
+        if info_id is None or str(info_id) != info_key:
+            raise FormatError(f"plan info key {info_key!r} is not an integer")
+        if not isinstance(rows, list):
+            raise FormatError(f"plan rows of info {info_key} must be a list")
         edges = set()
         for row in rows:
             if not isinstance(row, list) or len(row) != 5:
                 raise FormatError(f"plan row {row!r} is not a 5-element list")
             tu, tt, hu, ht, kind = row
+            if not (all(_is_int(x) for x in row[:4]) and isinstance(kind, str)):
+                raise FormatError(f"plan row {row!r} needs four integer "
+                                  "coordinates and a kind string")
             for u, t in ((tu, tt), (hu, ht)):
                 if not (0 <= u < graph.uav_count and 0 <= t < graph.horizon):
                     raise PlanStructureError(
@@ -269,7 +283,7 @@ def plan_from_dict(graph: AugmentedGraph, doc: dict) -> Plan:
                     f"plan edge ({tu},{tt})->({hu},{ht}) [{kind}] does not "
                     f"exist in the graph")
             edges.add(e)
-        activations[int(info_key)] = edges
+        activations[info_id] = edges
     return Plan(activations)
 
 

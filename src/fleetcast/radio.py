@@ -35,10 +35,12 @@ class RadioParams:
         for name in ("bandwidth_hz", "path_loss_exponent", "noise_density",
                      "slot_seconds"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)
+            if isinstance(value, bool) or not (
+                    isinstance(value, (int, float)) and math.isfinite(value)
                     and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not (isinstance(self.packet_bits, int) and self.packet_bits > 0):
+        if isinstance(self.packet_bits, bool) or not (
+                isinstance(self.packet_bits, int) and self.packet_bits > 0):
             raise ValueError(f"packet_bits must be a positive integer, got "
                              f"{self.packet_bits!r}")
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import FormatError, ScenarioError
-from .jsonio import read_json, write_json
+from .jsonio import _is_int, read_json, write_json
 from .radio import RadioParams
 
 SCENARIO_FORMAT = "fleetcast-scenario/1"
@@ -36,12 +36,20 @@ class InfoSpec:
     destinations: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "sources",
-                           frozenset((int(u), int(t)) for u, t in self.sources))
-        object.__setattr__(self, "destinations",
-                           frozenset(int(u) for u in self.destinations))
-        if not isinstance(self.id, int) or self.id < 0:
+        if not _is_int(self.id) or self.id < 0:
             raise ScenarioError(f"info id must be a nonnegative integer, got {self.id!r}")
+        sources = [(u, t) for u, t in self.sources]
+        for u, t in sources:
+            if not (_is_int(u) and _is_int(t)):
+                raise ScenarioError(f"info {self.id}: source ({u!r}, {t!r}) "
+                                    "must be a pair of integers")
+        destinations = list(self.destinations)
+        for u in destinations:
+            if not _is_int(u):
+                raise ScenarioError(f"info {self.id}: destination {u!r} "
+                                    "must be an integer UAV id")
+        object.__setattr__(self, "sources", frozenset(sources))
+        object.__setattr__(self, "destinations", frozenset(destinations))
         if not self.sources:
             raise ScenarioError(f"info {self.id}: sources must be nonempty")
         if not self.destinations:
@@ -77,7 +85,7 @@ class Scenario:
     def _validate(self):
         for name in ("uav_count", "horizon", "channels"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise ScenarioError(f"{name} must be an integer, got {value!r}")
         if self.uav_count < 1:
             raise ScenarioError("uav_count must be at least 1")
@@ -191,8 +199,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             radio=radio,
             infos=tuple(
                 InfoSpec(id=entry["id"],
-                         sources=frozenset(tuple(src) for src in entry["sources"]),
-                         destinations=frozenset(entry["destinations"]))
+                         sources=[tuple(src) for src in entry["sources"]],
+                         destinations=list(entry["destinations"]))
                 for entry in doc["infos"]),
             per_uav_radii=per_uav,
             cache_capacity=doc.get("cache_capacity", CACHE_SINGLE),

@@ -100,6 +100,16 @@ def test_solve_rejects_float_horizon(micro_scenario, tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_solve_rejects_float_source_uav(micro_scenario, tmp_path):
+    doc = json.loads(micro_scenario.read_text())
+    doc["infos"][0]["sources"][0][0] += 0.5
+    micro_scenario.write_text(json.dumps(doc))
+    code = run("solve", str(micro_scenario), "--method", "mpf",
+               "--out", str(tmp_path / "r.json"))
+    assert code == 1
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_lp_command(micro_scenario, tmp_path):
     out = tmp_path / "model.lp"
     assert run("lp", str(micro_scenario), "--out", str(out)) == 0

@@ -2,13 +2,17 @@
 
 import math
 import random
+from heapq import heapify, heappop, heappush
 
 import pytest
 
 import instances
-from fleetcast.errors import ScenarioError
-from fleetcast.graph import (CACHING, CONNECTIVITY, VIRTUAL, augment,
-                             build_time_expanded_graph, collision_set)
+from fleetcast.errors import GenerationError, ScenarioError
+from fleetcast.gen import generate_scenario, make_config
+from fleetcast.graph import (CACHING, CONNECTIVITY, VIRTUAL, _shortest_paths,
+                             augment, build_time_expanded_graph,
+                             collision_set)
+from fleetcast.heuristic import ResidualState, _walk_back, build_tree
 from fleetcast.radio import subrange_weight
 from fleetcast.scenario import InfoSpec, Scenario
 
@@ -231,3 +235,171 @@ def test_build_is_deterministic():
     g2 = build_time_expanded_graph(scen)
     assert [(e.tail, e.head, e.kind, e.weight) for e in g1.edges] \
         == [(e.tail, e.head, e.kind, e.weight) for e in g2.edges]
+
+
+# The kernel as it was before its early stop, per-vertex layer gate and
+# pre-settled deletions: a plain Dijkstra that checks every edge on its own.
+def _reference_shortest_paths(graph, seeds, adjacency, ends, deleted, power,
+                              channel_used, layer_delta, target=None):
+    """Cheapest paths between the zero-cost `seeds` and every other vertex.
+
+    Direction is data: `out_edges` with `edge_head` walks forward from the
+    seeds, `in_edges` with `edge_tail` walks backward to them. Connectivity
+    steps cost the weight minus the walked vertex's residual `power` (never
+    below zero) and are skipped in time units whose `channel_used` plus
+    `layer_delta` fills the channel budget; connectivity and caching edges
+    out of a `deleted` vertex, and every edge into one, are skipped. Virtual
+    vertices other than `target` are dead ends, and the search stops once
+    `target` is settled. The discount and the deletions are keyed on the
+    vertex being walked, which is the tail of a forward edge but the head of
+    a backward one, so backward callers pass an empty residual state.
+
+    Returns (dist, parent): parent[v] is the edge that reached v, -1 for the
+    seeds and for unreached vertices.
+    """
+    inf = math.inf
+    dist = [inf] * graph.vertex_count
+    parent = [-1] * graph.vertex_count
+    done = bytearray(graph.vertex_count)
+    heap = [(0.0, v) for v in seeds]
+    heapify(heap)
+    for _, v in heap:
+        dist[v] = 0.0
+    kinds = graph.edge_kind
+    weights = graph.edge_weight
+    times = graph.edge_time
+    channels = graph.channels
+    real_vertex_count = graph.real_vertex_count
+    while heap:
+        d, v = heappop(heap)
+        if done[v]:
+            continue
+        done[v] = 1
+        if v == target:
+            break
+        v_deleted = v in deleted
+        v_power = power.get(v, 0.0)
+        for e in adjacency[v]:
+            head = ends[e]
+            if done[head] or head in deleted:
+                continue
+            kind = kinds[e]
+            if kind == 0:  # connectivity
+                if v_deleted:
+                    continue
+                t = times[e]
+                if channel_used[t] + layer_delta.get(t, 0) >= channels:
+                    continue
+                w = weights[e]
+                step = w - v_power if w > v_power else 0.0
+            elif kind == 1:  # caching
+                if v_deleted:
+                    continue
+                step = 0.0
+            else:
+                # virtual terminals other than the target are dead ends
+                if head >= real_vertex_count and head != target:
+                    continue
+                step = 0.0
+            nd = d + step
+            if nd < dist[head]:
+                dist[head] = nd
+                parent[head] = e
+                heappush(heap, (nd, head))
+    return dist, parent
+
+
+def _kernel_graphs():
+    """Micro instances plus one mid-size generated scenario."""
+    produced = 0
+    seed = 0
+    while produced < 24:
+        seed += 1
+        try:
+            scenario = generate_scenario(make_config(
+                "micro", seed, uav_count=3 + seed % 3, horizon=4 + seed % 4,
+                info_count=1 + seed % 3, channels=1 + seed % 2,
+                gather_radius=18.0, area_side=55.0,
+                destinations_per_info=(1, 2)))
+        except (GenerationError, ValueError):
+            continue
+        produced += 1
+        yield augment(build_time_expanded_graph(scenario), scenario.infos)
+    scenario = generate_scenario(make_config(
+        "paper", 3, uav_count=10, info_count=4, horizon=60, channels=2,
+        area_side=200.0, gather_radius=20.0, destinations_per_info=(2, 4)))
+    yield augment(build_time_expanded_graph(scenario), scenario.infos)
+
+
+def _random_residual(graph, rng):
+    """A greedy-like residual state, its seeds, and the info being served.
+
+    Some other infos' trees are committed first; the seeds are the virtual
+    source plus part of a tree built for the served info on that state, so
+    no seed is deleted. Extra deletions, power discounts that sometimes zero
+    a step exactly, and channel counts that fill some layers are added on top.
+    """
+    infos = list(graph.infos)
+    rng.shuffle(infos)
+    info = infos.pop()
+    state = ResidualState(graph)
+    for other in infos:
+        if rng.random() < 0.6:
+            tree = build_tree(graph, other, state)
+            if tree is not None:
+                state.commit(tree)
+    seeds = {graph.source_vertex[info.id]}
+    tree = build_tree(graph, info, state)
+    if tree is not None:
+        for e in tree.edges:
+            if rng.random() < 0.5:
+                seeds.update((graph.edge_tail[e], graph.edge_head[e]))
+    seeds = sorted(seeds)
+    deleted = set(state.deleted)
+    for v in range(graph.real_vertex_count):
+        if v not in seeds and rng.random() < 0.1:
+            deleted.add(v)
+    power = dict(state.vertex_power)
+    for v in range(graph.real_vertex_count):
+        conn = [graph.edge_weight[e] for e in graph.out_edges[v]
+                if graph.edge_kind[e] == 0]
+        if conn and rng.random() < 0.3:
+            w = rng.choice(conn)
+            power[v] = w if rng.random() < 0.5 else w * rng.uniform(0.2, 1.5)
+    channel_used = list(state.channel_used)
+    layer_delta = {t: rng.randint(0, graph.channels)
+                   for t in range(graph.horizon) if rng.random() < 0.4}
+    return info, seeds, deleted, power, channel_used, layer_delta
+
+
+def test_shortest_paths_match_reference_kernel():
+    rng = random.Random(2024)
+    early_stops = 0
+    for graph in _kernel_graphs():
+        for _ in range(6):
+            info, seeds, deleted, power, used, delta = _random_residual(
+                graph, rng)
+            forward = (graph, seeds, graph.out_edges, graph.edge_head,
+                       deleted, power, used, delta)
+            targets = [graph.dest_vertex[(info.id, u)]
+                       for u in sorted(info.destinations)]
+            targets += rng.sample(range(graph.real_vertex_count), 3)
+            for target in targets:
+                dist, parent = _shortest_paths(*forward, target)
+                ref_dist, ref_parent = _reference_shortest_paths(
+                    *forward, target)
+                assert dist[target] == ref_dist[target]
+                assert _walk_back(graph, parent, target) \
+                    == _walk_back(graph, ref_parent, target)
+                early_stops += dist != ref_dist
+            assert _shortest_paths(*forward) \
+                == _reference_shortest_paths(*forward)
+
+            uav = rng.randrange(graph.uav_count)
+            copies = [graph.vertex_id(uav, t) for t in range(graph.horizon)
+                      if graph.vertex_id(uav, t) not in deleted]
+            backward = (graph, copies, graph.in_edges, graph.edge_tail,
+                        deleted, power, used, delta)
+            assert _shortest_paths(*backward) \
+                == _reference_shortest_paths(*backward)
+    assert early_stops > 0  # the early stop really left work undone

@@ -1,14 +1,19 @@
 """Greedy orderings, channel-aware tree building, and the restart driver."""
 
+import hashlib
+
 import pytest
 
 import instances
 import oracles
 from fleetcast.errors import PlanStructureError
-from fleetcast.graph import CONNECTIVITY
+from fleetcast.gen import generate_scenario, make_config
+from fleetcast.graph import CONNECTIVITY, augment, build_time_expanded_graph
+from fleetcast.jsonio import canonical_dumps
 from fleetcast.heuristic import (HeuristicKind, ResidualState, build_tree,
                                  greedy_plan, order_information)
 from fleetcast.plan import check_feasibility
+from fleetcast.report import report_to_dict
 from fleetcast.scenario import InfoSpec
 
 
@@ -179,3 +184,29 @@ def test_greedy_restart_pushes_failed_info_to_front():
     assert report.status == "FEASIBLE"
     assert report.restarts == 1
     assert check_feasibility(graph, report.plan).feasible
+
+
+# Canonical report digests on a mid-size generated scenario, recorded with the
+# plain Dijkstra kernel (no early stop, per-edge channel and deletion checks).
+# Any change to the search's tie-breaks shows up here as a different plan.
+PINNED_REPORT_SHA256 = {
+    "mpf": "4bb05c2e3b03b47beefa099e3e5cbbcdbf4eefca58c40d5246d1c6070071bc51",
+    "lpf": "770211a971f3029255ce8667dbbebc796210d2f328fbe24cdd2bc716aff2ac97",
+    "muf": "983b50bc24e43accc0d66be100345a4d965b7eaf4987ee2915acf7f0aa37d774",
+    "r[0]": "1a3a7b91d6e4e18a4e58db8a808bb63dd9dc95c372811f6d43da443a03090af0",
+}
+
+
+def test_greedy_reports_pinned_on_generated_scenario():
+    # U=12, I=8, T=400: each ordering gives a different plan, with restarts
+    scenario = generate_scenario(make_config(
+        "paper", 0, uav_count=12, info_count=8, horizon=400, channels=2,
+        area_side=300.0, gather_radius=20.0, destinations_per_info=(2, 5)))
+    graph = augment(build_time_expanded_graph(scenario), scenario.infos)
+    for kind in [HeuristicKind("mpf"), HeuristicKind("lpf"),
+                 HeuristicKind("muf"), HeuristicKind("r", seed=0)]:
+        report = greedy_plan(graph, graph.infos, kind)
+        assert report.status == "FEASIBLE"
+        document = canonical_dumps(report_to_dict(graph, report))
+        digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
+        assert digest == PINNED_REPORT_SHA256[kind.label()], kind.label()

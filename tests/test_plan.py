@@ -197,6 +197,15 @@ def test_plan_round_trip(tmp_path, chain):
                  id="negative-uav"),
     pytest.param([[0, 0, 1, 0]], None, FormatError, id="short-row"),
     pytest.param([7], None, FormatError, id="scalar-row"),
+    # (0,0)->(1,0) exists: only the types of these rows are wrong
+    pytest.param([[0, 0, 1.0, 0, "connectivity"]], None, FormatError,
+                 id="float-uav"),
+    pytest.param([[0, False, 1, 0, "connectivity"]], None, FormatError,
+                 id="bool-time"),
+    pytest.param([["0", 0, 1, 0, "connectivity"]], None, FormatError,
+                 id="string-uav"),
+    pytest.param([[0, 0, 1, 0, 0]], None, FormatError, id="numeric-kind"),
+    pytest.param(7, None, FormatError, id="scalar-rows"),
     pytest.param([], "method", FormatError, id="no-method"),
     pytest.param([], "status", FormatError, id="no-status"),
     pytest.param([], "objective_joules", FormatError, id="no-objective"),
@@ -212,6 +221,20 @@ def test_plan_from_dict_rejects_unknown_route(chain, tmp_path, rows, drop,
     path = tmp_path / "report.json"
     write_json(path, doc)
     with pytest.raises(error):
+        load_report(chain, path)
+
+
+@pytest.mark.parametrize("activations", [
+    {"x": []}, {"1.0": []}, {"01": []}, {" 0": []}, {"None": []}, [],
+], ids=["word", "float", "leading-zero", "leading-space", "none", "list"])
+def test_plan_from_dict_rejects_malformed_info_keys(chain, tmp_path,
+                                                    activations):
+    doc = report_to_dict(chain, SolveReport("mpf", "FEASIBLE", 0.0,
+                                            Plan({0: frozenset()})))
+    doc["plan"]["activations"] = activations
+    path = tmp_path / "report.json"
+    write_json(path, doc)
+    with pytest.raises(FormatError):
         load_report(chain, path)
 
 

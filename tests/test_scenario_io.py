@@ -73,6 +73,31 @@ def test_count_fields_must_be_integers(field, value):
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("sources", [[0.9, 0]]), ("sources", [[0, 0.0]]), ("sources", [[True, 0]]),
+    ("sources", [["0", 0]]), ("destinations", [2.7]),
+    ("destinations", [2.0]), ("destinations", [True]), ("id", 0.0),
+    ("id", False)], ids=["float-uav", "float-time", "bool-uav", "string-uav",
+                         "float-dest", "integral-float-dest", "bool-dest",
+                         "float-id", "bool-id"])
+def test_info_ids_and_times_must_be_integers(key, value):
+    # chain3's info 0 gathers at (0, 0) and goes to UAV 2: each value would
+    # coerce to a real UAV, time or id, so only the type check rejects it
+    doc = scenario_to_dict(instances.chain3())
+    doc["infos"][0][key] = value
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("packet_bits", True), ("bandwidth_hz", True)])
+def test_radio_fields_reject_booleans(field, value):
+    doc = scenario_to_dict(instances.chain3())
+    doc["radio"][field] = value
+    with pytest.raises(FormatError, match=field):
+        scenario_from_dict(doc)
+
+
 def test_validation_catches_dangling_infos():
     base = instances.chain3()
     with pytest.raises(ScenarioError):
