@@ -269,7 +269,8 @@ def cmd_lp(scenario_file, out, max_variables):
         raise InternalError("exported LP failed its own lint: " + problems[0])
     path = _resolve_out(out, f"{Path(scenario_file).stem}.lp")
     Path(path).write_text(text, encoding="utf-8")
-    click.echo(f"wrote {path} ({len(text.splitlines())} lines)")
+    n_lines = text.count("\n")   # every line of the export ends in "\n"
+    click.echo(f"wrote {path} ({n_lines} lines)")
 
 
 @cli.command("compare")

@@ -24,17 +24,27 @@ from __future__ import annotations
 import re
 
 from .errors import LpSizeError
-from .graph import CACHING, CONNECTIVITY, VIRTUAL, AugmentedGraph
+from .graph import KIND_CACHING, KIND_CONNECTIVITY, AugmentedGraph
 from .scenario import CACHE_SINGLE
 
 LP_HEADER = "\\ fleetcast-lp/1"
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"   # exponents intact
+_NAME_RE = re.compile(rf"^{_NAME}$")
 _TOKEN_RE = re.compile(
-    r"[A-Za-z_][A-Za-z0-9_]*"                     # variable name
-    r"|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"      # number, exponents intact
-    r"|[-+]"                                      # sign
-    r"|\S")                                       # anything else: flagged
+    rf"{_NAME}"             # variable name
+    rf"|{_NUMBER}"          # number
+    r"|[-+]"                # sign
+    r"|\S")                 # anything else: flagged
+_RHS_RE = re.compile(rf"[-+]?{_NUMBER}")
+# A constraint row as export_lp writes it: terms are `[coefficient ]name`,
+# split by " + " or " - ", the first optionally led by "- ". Such a row lints
+# clean but for a duplicate name; any other row is checked token by token.
+_ROW_RE = re.compile(
+    rf"({_NAME}): ((?:- )?(?:{_NUMBER} )?{_NAME}(?: [-+] (?:{_NUMBER} )?{_NAME})*+)"
+    rf" (?:<=|>=|=) [-+]?{_NUMBER}")
+_BINARIES_RE = re.compile(rf"{_NAME}(?: {_NAME})*+")
 _SENSES = ("<=", ">=", "=")
 
 
@@ -42,132 +52,112 @@ def export_lp(graph: AugmentedGraph, infos=None, max_variables: int = 500_000) -
     """Serialize the instance as a minimize LP document."""
     infos = sorted(graph.infos if infos is None else infos, key=lambda i: i.id)
     n_vertices = graph.real_vertex_count
-    real_edges = [e for e in graph.edges if e.kind != VIRTUAL]
+    n_edges = graph.real_edge_count     # virtual edges are numbered after these
+    horizon = graph.horizon
 
-    n_vars = (len(infos) * len(real_edges) + 2 * len(infos) * n_vertices
-              + sum(len(i.destinations) for i in infos) * graph.horizon
+    n_vars = (len(infos) * n_edges + 2 * len(infos) * n_vertices
+              + sum(len(i.destinations) for i in infos) * horizon
               + n_vertices)
     if n_vars > max_variables:
         raise LpSizeError(
             f"instance needs {n_vars} variables, cap is {max_variables}")
 
+    kind = graph.edge_kind
+    weight = graph.edge_weight
     out_real = [[] for _ in range(n_vertices)]
     in_real = [[] for _ in range(n_vertices)]
-    for edge in real_edges:
-        out_real[edge.tail].append(edge)
-        in_real[edge.head].append(edge)
+    for e in range(n_edges):
+        out_real[graph.edge_tail[e]].append(e)
+        in_real[graph.edge_head[e]].append(e)
 
-    rows = []
-
-    def row(name, terms, sense, rhs):
-        # terms: list of (coefficient, variable)
-        if not terms:
-            raise AssertionError(f"constraint {name} has no terms")
-        parts = []
-        for k, (coef, var) in enumerate(terms):
-            if coef >= 0:
-                sign = "+ " if k else ""
-            else:
-                sign = "- "
-            mag = abs(coef)
-            if mag == 1:
-                parts.append(f"{sign}{var}")
-            else:
-                parts.append(f"{sign}{mag!r} {var}")
-        rows.append(f" {name}: {' '.join(parts)} {sense} {rhs!r}")
+    # Each variable name is built once; a row is its unit-coefficient names
+    # joined by " + ", then its other terms formatted by _term.
+    P = [f"P_{v}" for v in range(n_vertices)]
+    a_of, b_of, binaries = [], [], []
+    lines = [LP_HEADER, "Minimize", f" obj: {' + '.join(P)}", "Subject To"]
+    row = lines.append
 
     for info in infos:
         i = info.id
+        a = [f"a_{i}_{e}" for e in range(n_edges)]
+        h = [f"h_{i}_{v}" for v in range(n_vertices)]
+        b = [f"b_{i}_{v}" for v in range(n_vertices)]
+        dest_uavs = sorted(info.destinations)
+        d = {v: f"d_{i}_{v}" for u in dest_uavs
+             for v in range(u * horizon, (u + 1) * horizon)}
+        a_of.append(a)
+        b_of.append(b)
+        binaries += a
+        binaries += h
+        binaries += b
+        binaries += d.values()
         source_vertices = {graph.vertex_id(u, t) for u, t in info.sources}
-        dest_uavs = info.destinations
         for v in range(n_vertices):
-            uav = v // graph.horizon
             outs = out_real[v]
-            ins = in_real[v]
+            ins = " + ".join([a[e] for e in in_real[v]])
+            ins_ = f"{ins} " if ins else ""     # ready for a next term
             if v not in source_vertices:
+                sends = " + ".join([a[e] for e in outs])
+                sends_ = f"{sends} " if sends else ""
                 if outs:
-                    row(f"c1_{i}_{v}",
-                        [(1, f"a_{i}_{e.index}") for e in outs]
-                        + [(-len(outs), f"h_{i}_{v}")], "<=", 0)
-                row(f"c2_{i}_{v}",
-                    [(1, f"a_{i}_{e.index}") for e in outs]
-                    + [(-1, f"h_{i}_{v}")], ">=", 0)
-            if uav not in dest_uavs:
-                row(f"c3_{i}_{v}",
-                    [(1, f"a_{i}_{e.index}") for e in ins]
-                    + [(-1, f"h_{i}_{v}")], "=", 0)
+                    row(f" c1_{i}_{v}: {sends_}{_term(-len(outs), h[v])} <= 0")
+                row(f" c2_{i}_{v}: {sends_}- {h[v]} >= 0")
+            if v not in d:
+                row(f" c3_{i}_{v}: {ins_}- {h[v]} = 0")
             else:
-                in_terms = [(1, f"a_{i}_{e.index}") for e in ins]
-                row(f"c4a_{i}_{v}", in_terms + [(-1, f"h_{i}_{v}")], ">=", 0)
-                row(f"c4b_{i}_{v}", in_terms + [(-1, f"d_{i}_{v}")], ">=", 0)
-                row(f"c4c_{i}_{v}",
-                    in_terms + [(-1, f"h_{i}_{v}"), (-1, f"d_{i}_{v}")], "<=", 0)
-                if in_terms:
-                    row(f"c4d_{i}_{v}", in_terms, "<=", 1)
-        for u in sorted(dest_uavs):
-            row(f"c5_{i}_{u}",
-                [(1, f"d_{i}_{graph.vertex_id(u, t)}")
-                 for t in range(graph.horizon)], "=", 1)
-        send_terms = [(1, f"a_{i}_{e.index}")
-                      for v in sorted(source_vertices) for e in out_real[v]]
-        if not send_terms:
-            send_terms = [(0, "P_0")]  # no source can send: unsatisfiable row
-        row(f"c6_{i}", send_terms, ">=", 1)
+                row(f" c4a_{i}_{v}: {ins_}- {h[v]} >= 0")
+                row(f" c4b_{i}_{v}: {ins_}- {d[v]} >= 0")
+                row(f" c4c_{i}_{v}: {ins_}- {h[v]} - {d[v]} <= 0")
+                if ins:
+                    row(f" c4d_{i}_{v}: {ins} <= 1")
+        for u in dest_uavs:
+            copies = " + ".join([d[v] for v in range(u * horizon, (u + 1) * horizon)])
+            row(f" c5_{i}_{u}: {copies} = 1")
+        sends = " + ".join([a[e] for v in sorted(source_vertices) for e in out_real[v]])
+        # no source can send: the row reads 0 P_0 >= 1, unsatisfiable
+        row(f" c6_{i}: {sends or '0 P_0'} >= 1")
 
     if infos:
         for v in range(n_vertices):
-            row(f"c7_{v}", [(1, f"b_{info.id}_{v}") for info in infos], "<=", 1)
-        for info in infos:
+            row(f" c7_{v}: {' + '.join([b[v] for b in b_of])} <= 1")
+        conn_out = [[e for e in outs if kind[e] == KIND_CONNECTIVITY]
+                    for outs in out_real]
+        for info, a, b in zip(infos, a_of, b_of):
             i = info.id
             for v in range(n_vertices):
-                conn_out = [e for e in out_real[v] if e.kind == CONNECTIVITY]
-                if conn_out:
-                    row(f"c8_{i}_{v}",
-                        [(1, f"a_{i}_{e.index}") for e in conn_out]
-                        + [(-len(conn_out), f"b_{i}_{v}")], "<=", 0)
-        for t in range(graph.horizon):
+                conn = conn_out[v]
+                if conn:
+                    row(f" c8_{i}_{v}: {' + '.join([a[e] for e in conn])} "
+                        f"{_term(-len(conn), b[v])} <= 0")
+        for t in range(horizon):
             layer = graph.conn_by_time[t]
             if layer:
-                row(f"c9_{t}",
-                    [(1, f"a_{info.id}_{e}")
-                     for info in infos for e in layer], "<=", graph.channels)
+                row(f" c9_{t}: {' + '.join([a[e] for a in a_of for e in layer])} "
+                    f"<= {graph.channels!r}")
         for v in range(n_vertices):
-            for e in out_real[v]:
-                if e.kind != CONNECTIVITY:
-                    continue
-                row(f"c10_{v}_{e.index}",
-                    [(1, f"P_{v}")]
-                    + [(-e.weight, f"a_{info.id}_{e.index}") for info in infos],
-                    ">=", 0)
+            for e in conn_out[v]:
+                coef = -weight[e]
+                row(f" c10_{v}_{e}: {P[v]} "
+                    f"{' '.join([_term(coef, a[e]) for a in a_of])} >= 0")
         if graph.cache_capacity == CACHE_SINGLE:
-            for edge in real_edges:
-                if edge.kind == CACHING:
-                    row(f"ce_{edge.index}",
-                        [(1, f"a_{info.id}_{edge.index}") for info in infos],
-                        "<=", 1)
+            for e in range(n_edges):
+                if kind[e] == KIND_CACHING:
+                    row(f" ce_{e}: {' + '.join([a[e] for a in a_of])} <= 1")
 
-    binaries = []
-    for info in infos:
-        i = info.id
-        binaries.extend(f"a_{i}_{e.index}" for e in real_edges)
-        binaries.extend(f"h_{i}_{v}" for v in range(n_vertices))
-        binaries.extend(f"b_{i}_{v}" for v in range(n_vertices))
-        for u in sorted(info.destinations):
-            binaries.extend(f"d_{i}_{graph.vertex_id(u, t)}"
-                            for t in range(graph.horizon))
-
-    lines = [LP_HEADER, "Minimize"]
-    objective = " + ".join(f"P_{v}" for v in range(n_vertices))
-    lines.append(f" obj: {objective}")
-    lines.append("Subject To")
-    lines.extend(rows)
-    lines.append("Binaries")
+    row("Binaries")
     for k in range(0, len(binaries), 8):
-        lines.append(" " + " ".join(binaries[k:k + 8]))
-    lines.append("Bounds")
-    lines.extend(f" 0 <= P_{v}" for v in range(n_vertices))
-    lines.append("End")
+        row(" " + " ".join(binaries[k:k + 8]))
+    row("Bounds")
+    lines += [f" 0 <= {p}" for p in P]
+    row("End")
     return "\n".join(lines) + "\n"
+
+
+def _term(coef, var: str) -> str:
+    """A term after the first: `+`/`-` by sign, then `repr(abs(coef))` unless 1."""
+    sign = "+" if coef >= 0 else "-"
+    mag = abs(coef)
+    return f"{sign} {var}" if mag == 1 else f"{sign} {mag!r} {var}"
 
 
 def lint_lp(text: str) -> list[str]:
@@ -175,7 +165,12 @@ def lint_lp(text: str) -> list[str]:
 
     Checks the section layout, that every row parses as terms/sense/rhs, that
     names are well-formed and unique, and that every referenced variable is
-    declared binary or carries an explicit bound.
+    declared binary or carries an explicit bound. A right-hand side must be an
+    optionally signed number of the coefficient grammar.
+
+    Rows and Binaries lines in the form export_lp writes pass with one
+    regular-expression match each; any other line goes through the checks
+    token by token, so a document gets the same messages either way.
     """
     errors: list[str] = []
     lines = [ln.strip() for ln in text.splitlines()]
@@ -198,7 +193,7 @@ def lint_lp(text: str) -> list[str]:
         errors.append("sections out of order")
         return errors
 
-    referenced: set[str] = set()
+    referenced: set[str] = set()    # also holds signs and coefficients
     declared: set[str] = set()
 
     def parse_expr(expr, where):
@@ -240,6 +235,14 @@ def lint_lp(text: str) -> list[str]:
 
     row_names = set()
     for ln in lines[indices["subject to"] + 1:indices["binaries"]]:
+        match = _ROW_RE.fullmatch(ln)
+        if match is not None:
+            name, lhs = match.groups()
+            if name in row_names:
+                errors.append(f"duplicate constraint name {name!r}")
+            row_names.add(name)
+            referenced.update(lhs.split())
+            continue
         if ":" not in ln:
             errors.append(f"constraint without a name: {ln!r}")
             continue
@@ -259,14 +262,15 @@ def lint_lp(text: str) -> list[str]:
             errors.append(f"{name}: no relational operator")
             continue
         lhs, rhs = rest.rsplit(sense, 1)
-        try:
-            float(rhs)
-        except ValueError:
+        if not _RHS_RE.fullmatch(rhs.strip()):
             errors.append(f"{name}: right-hand side {rhs.strip()!r} not numeric")
         if parse_expr(lhs, name) == 0:
             errors.append(f"{name}: no variables on the left-hand side")
 
     for ln in lines[indices["binaries"] + 1:indices["bounds"]]:
+        if _BINARIES_RE.fullmatch(ln):
+            declared.update(ln.split())
+            continue
         for tok in ln.split():
             if not _NAME_RE.match(tok):
                 errors.append(f"bad binary name {tok!r}")
@@ -281,5 +285,6 @@ def lint_lp(text: str) -> list[str]:
             declared.add(tok)
 
     for var in sorted(referenced - declared):
-        errors.append(f"variable {var} is never declared binary or bounded")
+        if _NAME_RE.match(var):     # skip the signs and coefficients
+            errors.append(f"variable {var} is never declared binary or bounded")
     return errors

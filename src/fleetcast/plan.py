@@ -253,6 +253,7 @@ def plan_from_dict(graph: AugmentedGraph, doc: dict) -> Plan:
     rows_by_info = doc.get("activations") if isinstance(doc, dict) else None
     if not isinstance(rows_by_info, dict):
         raise FormatError("a plan must be an object with an activations object")
+    known = {info.id for info in graph.infos}
     activations = {}
     for info_key, rows in rows_by_info.items():
         try:
@@ -261,6 +262,8 @@ def plan_from_dict(graph: AugmentedGraph, doc: dict) -> Plan:
             info_id = None
         if info_id is None or str(info_id) != info_key:
             raise FormatError(f"plan info key {info_key!r} is not an integer")
+        if info_id not in known:
+            raise PlanStructureError(f"plan references unknown info {info_id}")
         if not isinstance(rows, list):
             raise FormatError(f"plan rows of info {info_key} must be a list")
         edges = set()

@@ -7,11 +7,13 @@ lives on the in-memory report and in the comparison CSVs.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 
 from .errors import FormatError
 from .graph import AugmentedGraph
-from .jsonio import read_json, write_json
+from .jsonio import _is_int, read_json, write_json
 from .plan import Plan, plan_from_dict, plan_to_dict
 
 REPORT_FORMAT = "fleetcast-report/1"
@@ -23,6 +25,11 @@ STATUS_INFEASIBLE_HEURISTIC = "INFEASIBLE_HEURISTIC"
 STATUS_TIMEOUT = "TIMEOUT_NO_SOLUTION"
 
 SOLVED_STATUSES = (STATUS_OPTIMAL, STATUS_FEASIBLE)
+STATUSES = (STATUS_OPTIMAL, STATUS_FEASIBLE, STATUS_INFEASIBLE,
+            STATUS_INFEASIBLE_HEURISTIC, STATUS_TIMEOUT)
+
+# `exact`, a deterministic greedy ordering, or `r[<seed>]` for the random one
+_METHOD_RE = re.compile(r"exact|mpf|lpf|muf|r\[-?(?:0|[1-9][0-9]*)\]")
 
 
 @dataclass
@@ -68,11 +75,24 @@ def load_report(graph: AugmentedGraph, path) -> SolveReport:
                if key not in doc]
     if missing:
         raise FormatError(f"{path}: report lacks {', '.join(missing)}")
+    method, status = doc["method"], doc["status"]
+    if not (isinstance(method, str) and _METHOD_RE.fullmatch(method)):
+        raise FormatError(f"{path}: unknown method {method!r}")
+    if not (isinstance(status, str) and status in STATUSES):
+        raise FormatError(f"{path}: unknown status {status!r}")
+    objective = doc["objective_joules"]
+    if not (objective is None or _is_int(objective)
+            or isinstance(objective, float) and math.isfinite(objective)):
+        raise FormatError(f"{path}: objective_joules {objective!r} is not "
+                          "a finite number")
+    for key in ("nodes", "restarts", "seed"):
+        if key in doc and not _is_int(doc[key]):
+            raise FormatError(f"{path}: {key} {doc[key]!r} is not an integer")
     plan = doc.get("plan")
     return SolveReport(
-        method=doc["method"],
-        status=doc["status"],
-        objective=doc["objective_joules"],
+        method=method,
+        status=status,
+        objective=objective,
         plan=None if plan is None else plan_from_dict(graph, plan),
         nodes=doc.get("nodes"),
         restarts=doc.get("restarts"),

@@ -71,14 +71,15 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "trajectories", tuple(
-            tuple((float(x), float(y)) for x, y in traj)
+            tuple((_float(x, "trajectory position"),
+                   _float(y, "trajectory position")) for x, y in traj)
             for traj in self.trajectories))
-        object.__setattr__(self, "subrange_radii",
-                           tuple(float(r) for r in self.subrange_radii))
+        object.__setattr__(self, "subrange_radii", tuple(
+            _float(r, "subrange radius") for r in self.subrange_radii))
         object.__setattr__(self, "infos", tuple(self.infos))
         if self.per_uav_radii is not None:
             object.__setattr__(self, "per_uav_radii", {
-                int(u): tuple(float(r) for r in radii)
+                int(u): tuple(_float(r, f"radius of UAV {u}") for r in radii)
                 for u, radii in self.per_uav_radii.items()})
         self._validate()
 
@@ -133,6 +134,18 @@ class Scenario:
         if self.per_uav_radii is not None and uav in self.per_uav_radii:
             return self.per_uav_radii[uav]
         return self.subrange_radii
+
+
+def _float(value, label) -> float:
+    """A JSON int or float as a float; anything else is a ScenarioError."""
+    if type(value) is float:    # nearly every value: skip the checks below
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{label} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{label} {value!r} is out of range") from None
 
 
 def _check_radii(radii, label):

@@ -118,6 +118,26 @@ def test_lp_command(micro_scenario, tmp_path):
     assert lint_lp(text) == []
 
 
+def test_lp_command_reports_line_count(micro_scenario, tmp_path, capsys):
+    out = tmp_path / "model.lp"
+    assert run("lp", str(micro_scenario), "--out", str(out)) == 0
+    n_lines = len(out.read_text().splitlines())
+    assert capsys.readouterr().out == f"wrote {out} ({n_lines} lines)\n"
+
+
+def test_lp_command_exits_3_when_export_fails_its_lint(micro_scenario, tmp_path,
+                                                       monkeypatch, capsys):
+    # an exporter bug, not a user error: nothing is written and exit code is 3
+    broken = ("\\ fleetcast-lp/1\nMinimize\n obj: P_0\nSubject To\n"
+              " c1: P_0 >= nan\nBinaries\nBounds\n 0 <= P_0\nEnd\n")
+    monkeypatch.setattr("fleetcast.cli.export_lp", lambda graph, **_: broken)
+    out = tmp_path / "model.lp"
+    assert run("lp", str(micro_scenario), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "failed its own lint: c1: right-hand side 'nan' not numeric" in err
+    assert not out.exists()
+
+
 def test_compare_writes_csv_and_means(micro_scenario, tmp_path):
     out = tmp_path / "compare.csv"
     code = run("compare", str(micro_scenario), "--methods", "exact,mpf,r",

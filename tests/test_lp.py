@@ -1,10 +1,16 @@
-"""LP export: worked variable counts, lint pass, size cap."""
+"""LP export: worked variable counts, pinned bytes, lint pass, size cap."""
+
+import hashlib
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import instances
 import oracles
 from fleetcast.errors import LpSizeError
+from fleetcast.gen import generate_scenario, make_config
 from fleetcast.lp import export_lp, lint_lp
 from fleetcast.scenario import InfoSpec
 
@@ -24,6 +30,32 @@ def constraint_names(text):
     start = lines.index("Subject To") + 1
     end = lines.index("Binaries")
     return [line.split(":", 1)[0].strip() for line in lines[start:end]]
+
+
+def caching_pair():
+    """Two UAVs over three time units, each holding what the other wants."""
+    return instances.static_scenario(
+        positions=[(0, 0), (10, 0)], horizon=3, channels=1,
+        infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1}),
+               InfoSpec(id=1, sources={(1, 1)}, destinations={0})])
+
+
+def scientific_pair():
+    """Paper radio at 5 cm: a hop costs 1.5000000000000005e-05 J."""
+    return instances.static_scenario(
+        positions=[(0, 0), (0.03, 0)], radii=(0.05,), radio=instances.PAPER_RADIO,
+        infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1})])
+
+
+def zero_weight_pair():
+    """Two co-located UAVs whose hop energy underflows to 0.0 J."""
+    return instances.static_scenario(
+        positions=[(0, 0), (0, 0)], radii=(1e-200,), radio=instances.PAPER_RADIO,
+        infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1})])
+
+
+def generated(profile, seed, **overrides):
+    return generate_scenario(make_config(profile, seed, **overrides))
 
 
 def test_two_vertices_one_edge():
@@ -67,11 +99,7 @@ def test_lint_and_counts_on_hand_instances(make):
 
 
 def test_lint_and_counts_with_caching_edges():
-    scen = instances.static_scenario(
-        positions=[(0, 0), (10, 0)], horizon=3, channels=1,
-        infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1}),
-               InfoSpec(id=1, sources={(1, 1)}, destinations={0})])
-    graph = instances.augmented(scen)
+    graph = instances.augmented(caching_pair())
     text = export_lp(graph)
     assert lint_lp(text) == []
     assert len(variable_names(text)) == oracles.lp_variable_count(graph, graph.infos)
@@ -79,26 +107,350 @@ def test_lint_and_counts_with_caching_edges():
 
 
 def test_weights_survive_scientific_notation():
-    # micro radio energies are small enough to print with exponents
-    scen = instances.static_scenario(
-        positions=[(0, 0), (3, 0)], radii=(5.0,), radio=instances.PAPER_RADIO,
-        infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1})])
-    graph = instances.augmented(scen)
-    text = export_lp(graph)
+    text = export_lp(instances.augmented(scientific_pair()))
+    assert " - 1.5000000000000005e-05 a_0_" in text
     assert lint_lp(text) == []
 
 
+PINNED_INSTANCES = {
+    "chain3": instances.chain3,
+    "star4": instances.star4,
+    "crossing_pair2": lambda: instances.crossing_pair(2),
+    "disjoint_pairs": instances.disjoint_pairs,
+    "self_delivery": instances.self_delivery,
+    "asymmetric_pair": instances.asymmetric_pair,
+    "caching_pair": caching_pair,
+    "scientific_pair": scientific_pair,
+    "zero_weight_pair": zero_weight_pair,     # writes `+ 0.0 a_0_0`
+    "paper1": lambda: generated("paper", 1),
+    "paper8": lambda: generated("paper", 8),
+    "paper24": lambda: generated("paper", 24),
+}
+
+# Recorded with the row-by-row exporter that built a (coefficient, name)
+# tuple per term; the bytes are part of the file format.
+PINNED_LP_SHA256 = {
+    "chain3":
+        "ce56e5451c660d48fffcc17e336cda804886139a1f22da561cb62bafbddab3c1",
+    "star4":
+        "d2023bb7078cb040cc322167af35bb971a6c00ec50678f15ac0f2a4d946143c4",
+    "crossing_pair2":
+        "5336150dfdd3b631a587ad61b94e575847dd56719e5110c2fc19595a2abb86ad",
+    "disjoint_pairs":
+        "d637b5f073763f263deeb1950e1993ce72bf8491aec90b2a1f7ec4171a3dd535",
+    "self_delivery":
+        "03b9b750ebb0b755f37f14a550bb1721b2dc62a32f9ca7ea8f44529d32b8a547",
+    "asymmetric_pair":
+        "110bc1b2a29c407973511873d8f7c39a62242b69da93ca056ed1f0abc1563f66",
+    "caching_pair":
+        "406c4aff5412bc97a34feffe0b7255a87b81fb49fc147dd0467f91c05999b1c9",
+    "scientific_pair":
+        "ad4175ecab3df86ad23f099bb7bb47095805fa47a0473e24e3ef0bc63f024821",
+    "zero_weight_pair":
+        "08b546dce1db4862083908f113229f3173583d1f3693afb9b20d833a387b96c8",
+    "paper1":
+        "28aa922135bd5042f964e0a94ceab896ed1e38a960ffa283625a90e3c326cbcc",
+    "paper8":
+        "2b0f9f6dbfcdb21ab6958e67308fea106be61ea4ad44d6eb6f8742cd8c9c8c93",
+    "paper24":
+        "baf2bad8b7476a2394993589105c47c19dba21641e9c4bba753ad1401825cf17",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
+def test_export_bytes_pinned(name):
+    text = export_lp(instances.augmented(PINNED_INSTANCES[name]()))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == PINNED_LP_SHA256[name]
+
+
 def test_lint_rejects_malformed_documents():
-    assert lint_lp("Minimize\n obj: x\nEnd\n")  # missing sections
+    assert lint_lp("Minimize\n obj: x\nEnd\n") == [
+        "missing section 'subject to'", "missing section 'binaries'",
+        "missing section 'bounds'"]
     bad_order = ("Minimize\n obj: P_0\nBinaries\n x\nSubject To\n"
                  " c: x <= 1\nBounds\n 0 <= P_0\nEnd\n")
-    assert any("order" in e for e in lint_lp(bad_order))
+    assert lint_lp(bad_order) == ["sections out of order"]
     undeclared = ("Minimize\n obj: P_0\nSubject To\n c1: y >= 1\n"
                   "Binaries\nBounds\n 0 <= P_0\nEnd\n")
-    assert any("never declared" in e for e in lint_lp(undeclared))
+    assert lint_lp(undeclared) == ["variable y is never declared binary or bounded"]
     bad_rhs = ("Minimize\n obj: P_0\nSubject To\n c1: P_0 >= q\n"
                "Binaries\nBounds\n 0 <= P_0\nEnd\n")
-    assert any("not numeric" in e for e in lint_lp(bad_rhs))
+    assert lint_lp(bad_rhs) == ["c1: right-hand side 'q' not numeric"]
     dup = ("Minimize\n obj: P_0\nSubject To\n c1: P_0 >= 0\n c1: P_0 >= 0\n"
            "Binaries\nBounds\n 0 <= P_0\nEnd\n")
-    assert any("duplicate" in e for e in lint_lp(dup))
+    assert lint_lp(dup) == ["duplicate constraint name 'c1'"]
+
+
+def one_row(row):
+    return (f"Minimize\n obj: P_0\nSubject To\n {row}\n"
+            "Binaries\nBounds\n 0 <= P_0\nEnd\n")
+
+
+@pytest.mark.parametrize("rhs", ["1_000", "nan", "-inf", "Infinity", "inf",
+                                 "0x10", "1e", "- 1", "+-1", "1 2"])
+def test_lint_rejects_right_hand_sides_that_are_no_lp_numbers(rhs):
+    assert lint_lp(one_row(f"c1: P_0 >= {rhs}")) == [
+        f"c1: right-hand side {rhs!r} not numeric"]
+
+
+@pytest.mark.parametrize("rhs", ["1", "-1", "+1", "0.5", ".5", "5.", "1e5",
+                                 "2.5E-3", "-1e+22"])
+def test_lint_accepts_right_hand_sides_that_are_lp_numbers(rhs):
+    assert lint_lp(one_row(f"c1: P_0 >= {rhs}")) == []
+
+
+# --- differential check against the token-by-token lint ------------------
+
+_REF_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_REF_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+_REF_TOKEN_RE = re.compile(
+    r"[A-Za-z_][A-Za-z0-9_]*"                     # variable name
+    rf"|{_REF_NUMBER}"                            # number, exponents intact
+    r"|[-+]"                                      # sign
+    r"|\S")                                       # anything else: flagged
+_REF_RHS_RE = re.compile(rf"[-+]?{_REF_NUMBER}")
+_REF_SENSES = ("<=", ">=", "=")
+
+
+def _reference_lint_lp(text):
+    """The token-by-token lint that predates the row grammar fast path.
+
+    Kept as it was, except that a right-hand side must be an optionally
+    signed LP number rather than anything `float` accepts.
+    """
+    errors = []
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("\\")]
+
+    section_order = ["minimize", "subject to", "binaries", "bounds", "end"]
+    indices = {}
+    for k, ln in enumerate(lines):
+        key = ln.lower()
+        if key in section_order:
+            if key in indices:
+                errors.append(f"duplicate section {ln!r}")
+            indices[key] = k
+    for name in section_order:
+        if name not in indices:
+            errors.append(f"missing section {name!r}")
+    if errors:
+        return errors
+    if [indices[name] for name in section_order] != sorted(indices.values()):
+        errors.append("sections out of order")
+        return errors
+
+    referenced = set()
+    declared = set()
+
+    def parse_expr(expr, where):
+        coef = None
+        seen_terms = 0
+        for tok in _REF_TOKEN_RE.findall(expr):
+            if tok in ("+", "-"):
+                if coef is not None:
+                    errors.append(f"{where}: dangling coefficient")
+                    return 0
+                continue
+            if _REF_NAME_RE.match(tok):
+                referenced.add(tok)
+                seen_terms += 1
+                coef = None
+                continue
+            try:
+                float(tok)
+            except ValueError:
+                errors.append(f"{where}: unparseable token {tok!r}")
+                return 0
+            if coef is not None:
+                errors.append(f"{where}: two coefficients in a row")
+                return 0
+            coef = tok
+        if coef is not None:
+            errors.append(f"{where}: dangling coefficient")
+        return seen_terms
+
+    obj_lines = lines[indices["minimize"] + 1:indices["subject to"]]
+    if not obj_lines:
+        errors.append("empty objective")
+    else:
+        expr = " ".join(obj_lines)
+        if ":" in expr:
+            expr = expr.split(":", 1)[1]
+        parse_expr(expr, "objective")
+
+    row_names = set()
+    for ln in lines[indices["subject to"] + 1:indices["binaries"]]:
+        if ":" not in ln:
+            errors.append(f"constraint without a name: {ln!r}")
+            continue
+        name, rest = ln.split(":", 1)
+        name = name.strip()
+        if not _REF_NAME_RE.match(name):
+            errors.append(f"bad constraint name {name!r}")
+        if name in row_names:
+            errors.append(f"duplicate constraint name {name!r}")
+        row_names.add(name)
+        sense = None
+        for candidate in _REF_SENSES:
+            if candidate in rest:
+                sense = candidate
+                break
+        if sense is None:
+            errors.append(f"{name}: no relational operator")
+            continue
+        lhs, rhs = rest.rsplit(sense, 1)
+        if not _REF_RHS_RE.fullmatch(rhs.strip()):
+            errors.append(f"{name}: right-hand side {rhs.strip()!r} not numeric")
+        if parse_expr(lhs, name) == 0:
+            errors.append(f"{name}: no variables on the left-hand side")
+
+    for ln in lines[indices["binaries"] + 1:indices["bounds"]]:
+        for tok in ln.split():
+            if not _REF_NAME_RE.match(tok):
+                errors.append(f"bad binary name {tok!r}")
+            declared.add(tok)
+
+    for ln in lines[indices["bounds"] + 1:indices["end"]]:
+        tokens = ln.split()
+        names = [tok for tok in tokens if _REF_NAME_RE.match(tok) and tok != "free"]
+        if not names:
+            errors.append(f"bound line without a variable: {ln!r}")
+        for tok in names:
+            declared.add(tok)
+
+    for var in sorted(referenced - declared):
+        errors.append(f"variable {var} is never declared binary or bounded")
+    return errors
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
+def test_lint_matches_reference_on_exported_documents(name):
+    text = export_lp(instances.augmented(PINNED_INSTANCES[name]()))
+    assert lint_lp(text) == _reference_lint_lp(text) == []
+
+
+def _mutation_bases():
+    scenarios = [instances.chain3(), instances.star4(), caching_pair(),
+                 scientific_pair(), generated("micro", 3),
+                 generated("paper", 8, horizon=12)]
+    return [export_lp(instances.augmented(s)).split("\n") for s in scenarios]
+
+
+MUTATION_BASES = _mutation_bases()
+SECTIONS = ("Minimize", "Subject To", "Binaries", "Bounds", "End")
+STRAY = list("*x1:=<>.e_E+- \t\n\\") + ["é", "٣", "ⅷ", " ", "<=", ">="]
+ODD_RHS = ["1_000", "nan", "-inf", "Infinity", "inf", "+1", "-0", "1e5", ".5",
+           "5.", "1e", "0x10", "٣", "- 1", "+-1", "", "1 2", "x", "1e-05"]
+ODD_SENSES = ["", " ", "=<", "=>", "==", "<", ">", "<= <=", "≤", "= =", ">="]
+ODD_NAMES = ["1x", "x.y", "a-b", "é", "_", "free", "x:y", "P_0", "a_0_0",
+             "3 h_0_1", "+"]
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+SENSE_RE = re.compile(r"<=|>=|=")
+ROW_RHS_RE = re.compile(r"( \S+: .* (?:<=|>=|=) )\S+$")    # group 1: all but rhs
+
+
+def _mutate(data, lines):
+    kind = data.draw(st.sampled_from([
+        "delete", "duplicate", "swap_tokens", "stray", "coefficients",
+        "sense", "bad_name", "reorder_sections", "rhs"]))
+    k = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[k]
+    if kind == "delete":
+        del lines[k]
+    elif kind == "duplicate":
+        lines.insert(data.draw(st.integers(0, len(lines))), line)
+    elif kind == "swap_tokens":
+        tokens = line.split(" ")
+        i = data.draw(st.integers(0, len(tokens) - 1))
+        j = data.draw(st.integers(0, len(tokens) - 1))
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+        lines[k] = " ".join(tokens)
+    elif kind == "stray":
+        at = data.draw(st.integers(0, len(line)))
+        lines[k] = line[:at] + data.draw(st.sampled_from(STRAY)) + line[at:]
+    elif kind == "coefficients":
+        # one or two numbers before a name: a coefficient, or two in a row
+        names = list(NAME_RE.finditer(line))
+        if names:
+            at = data.draw(st.sampled_from(names)).start()
+            numbers = data.draw(st.lists(st.sampled_from(
+                ["2", "0.5", "1e-05", "3.", "21.600000000000005"]),
+                min_size=1, max_size=2))
+            lines[k] = line[:at] + " ".join(numbers) + " " + line[at:]
+    elif kind == "sense":
+        lines[k] = SENSE_RE.sub(data.draw(st.sampled_from(ODD_SENSES)), line,
+                                count=1)
+    elif kind == "bad_name":
+        names = list(NAME_RE.finditer(line))
+        if names:
+            m = data.draw(st.sampled_from(names))
+            lines[k] = (line[:m.start()] + data.draw(st.sampled_from(ODD_NAMES))
+                        + line[m.end():])
+    elif kind == "reorder_sections":
+        present = [i for i, ln in enumerate(lines) if ln in SECTIONS]
+        if len(present) >= 2:
+            i, j = data.draw(st.lists(st.sampled_from(present), min_size=2,
+                                      max_size=2, unique=True))
+            lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "rhs":
+        for i in range(k, len(lines)):
+            m = ROW_RHS_RE.match(lines[i])
+            if m:
+                lines[i] = m.group(1) + data.draw(st.sampled_from(ODD_RHS))
+                break
+
+
+def _line_edits(line):
+    """Each single edit of one line that the sweep below tries."""
+    for sense in ODD_SENSES:
+        yield SENSE_RE.sub(sense, line, count=1)
+    row = ROW_RHS_RE.match(line)
+    if row:
+        for rhs in ODD_RHS:
+            yield row.group(1) + rhs
+    names = list(NAME_RE.finditer(line))
+    for m in names[:1] + names[-1:]:
+        for odd in ODD_NAMES + ["2 3 " + m.group(), "0.5 " + m.group()]:
+            yield line[:m.start()] + odd + line[m.end():]
+
+
+def test_lint_matches_reference_on_single_line_edits():
+    lines = export_lp(instances.augmented(scientific_pair())).split("\n")
+    for k, line in enumerate(lines):
+        for edited in _line_edits(line):
+            text = "\n".join(lines[:k] + [edited] + lines[k + 1:])
+            assert lint_lp(text) == _reference_lint_lp(text), edited
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_lint_matches_reference_on_mutants(data):
+    lines = list(data.draw(st.sampled_from(MUTATION_BASES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, lines)
+    text = "\n".join(lines)
+    assert lint_lp(text) == _reference_lint_lp(text)
+
+
+@given(st.sampled_from(["c1", "c_2", "1c", "", "c 1", "é"]),
+       st.sampled_from([": ", ":", " : ", " "]),
+       st.lists(st.tuples(
+           st.sampled_from(["", "+ ", "- ", "+", "-", "+ - ", "* "]),
+           st.sampled_from(["", "2 ", "2 3 ", "0.5 ", "1e-05 ", "1e ", "٣ ",
+                            "1_0 ", "2", ".5 "]),
+           st.sampled_from(["x", "P_0", "a_0_1", "e", "E5", "", "1x", "é"]),
+           st.sampled_from([" ", "", "  ", "\t"])), min_size=1, max_size=5),
+       st.sampled_from(["<= ", ">= ", "= ", "", "<=", "=< ", "<= <= ", "> "]),
+       st.sampled_from(["0", "1", "-1", "+1", "2.5e+3", "1_000", "nan", "٣",
+                        "", "x", "1 2", "- 1"]),
+       st.lists(st.sampled_from(["x", "P_0", "e", "1x", "c1"]), max_size=3))
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_lint_matches_reference_on_random_rows(name, colon, terms, sense, rhs,
+                                              binaries):
+    lhs = "".join(sign + coefs + var + sep for sign, coefs, var, sep in terms)
+    row = f"{name}{colon}{lhs}{sense}{rhs}"
+    text = ("Minimize\n obj: P_0\nSubject To\n c0: x + 2 P_0 >= 1\n"
+            f" {row}\n {row}\nBinaries\n x {' '.join(binaries)}\n"
+            "Bounds\n 0 <= P_0\nEnd\n")
+    assert lint_lp(text) == _reference_lint_lp(text)

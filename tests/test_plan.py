@@ -1,5 +1,6 @@
 """Feasibility checker, plan cost, and plan serialization."""
 
+import json
 import math
 
 import pytest
@@ -13,7 +14,9 @@ from fleetcast.graph import CONNECTIVITY
 from fleetcast.jsonio import write_json
 from fleetcast.plan import (Plan, check_feasibility, load_plan, plan_cost,
                             plan_from_dict, plan_to_dict, save_plan)
-from fleetcast.report import SolveReport, load_report, report_to_dict
+from fleetcast.heuristic import HEURISTIC_KINDS
+from fleetcast.report import (STATUSES, SolveReport, load_report,
+                              report_to_dict, save_report)
 from fleetcast.scenario import InfoSpec
 
 
@@ -236,6 +239,54 @@ def test_plan_from_dict_rejects_malformed_info_keys(chain, tmp_path,
     write_json(path, doc)
     with pytest.raises(FormatError):
         load_report(chain, path)
+
+
+def chain_report_doc(chain):
+    hop1 = edge_by_route(chain, 0, 0, 1, 0)
+    hop2 = edge_by_route(chain, 1, 0, 2, 0)
+    return report_to_dict(chain, SolveReport(
+        "mpf", "FEASIBLE", 20.0, Plan({0: {hop1, hop2}}), restarts=0))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("method", "quantum"), ("method", 3), ("method", "r"), ("method", "r[01]"),
+    ("method", "mpf[1]"), ("status", 17), ("status", "optimal"),
+    ("status", None), ("objective_joules", "cheap"), ("objective_joules", True),
+    ("objective_joules", [20.0]), ("objective_joules", float("nan")),
+    ("objective_joules", float("inf")), ("objective_joules", float("-inf")),
+    ("nodes", [1]), ("nodes", 1.0), ("nodes", True), ("nodes", None),
+    ("restarts", "0"), ("restarts", False), ("seed", 2.5), ("seed", "7"),
+])
+def test_load_report_rejects_mistyped_fields(chain, tmp_path, key, value):
+    doc = chain_report_doc(chain)
+    doc[key] = value
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))    # json.dumps writes NaN and Infinity
+    with pytest.raises(FormatError):
+        load_report(chain, path)
+
+
+def test_load_report_rejects_plan_for_unknown_info(chain, tmp_path):
+    doc = chain_report_doc(chain)
+    doc["plan"]["activations"]["7"] = []
+    path = tmp_path / "report.json"
+    write_json(path, doc)
+    with pytest.raises(PlanStructureError):
+        load_report(chain, path)
+
+
+def test_load_report_round_trips_every_method_and_status(chain, tmp_path):
+    methods = [("exact", None), ("r", 0), ("r", 7), ("r", -3)] + [
+        (kind, None) for kind in HEURISTIC_KINDS if kind != "r"]
+    path = tmp_path / "report.json"
+    for method, seed in methods:
+        for status in STATUSES:
+            label = method if seed is None else f"{method}[{seed}]"
+            save_report(chain, SolveReport(label, status, None, None, nodes=12,
+                                           seed=seed), path)
+            text = path.read_text()
+            save_report(chain, load_report(chain, path), path)
+            assert path.read_text() == text
 
 
 # -- checker completeness against the independent evaluator ----------------

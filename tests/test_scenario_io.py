@@ -98,6 +98,45 @@ def test_radio_fields_reject_booleans(field, value):
         scenario_from_dict(doc)
 
 
+def _with_value(doc, where, value):
+    # where: "position", "radius" or "uav-radius", each chain3's first entry
+    if where == "position":
+        doc["trajectories"][0][0] = value
+    elif where == "radius":
+        doc["subrange_radii"] = value
+    else:
+        doc["per_uav_radii"] = {"1": value}
+    return doc
+
+
+@pytest.mark.parametrize("where,value", [
+    ("position", [True, "0"]), ("position", [0.0, "0"]),
+    ("position", [False, 0.0]), ("position", [0.0, None]),
+    ("position", [10 ** 400, 0.0]), ("radius", ["10"]), ("radius", [True]),
+    ("radius", [[10.0]]), ("uav-radius", ["10"]), ("uav-radius", [True]),
+], ids=["bool-string", "string-y", "bool-x", "null-y", "huge-x",
+        "string-radius", "bool-radius", "list-radius", "string-uav-radius",
+        "bool-uav-radius"])
+def test_positions_and_radii_must_be_numbers(where, value):
+    # each value would coerce to a finite float: (1.0, 0.0), (0.0, 0.0),
+    # 10.0 or 1.0; only the type check rejects it
+    doc = _with_value(scenario_to_dict(instances.chain3()), where, value)
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("where,value,loaded", [
+    ("position", [1, 2], (1.0, 2.0)), ("radius", [10], (10.0,)),
+    ("uav-radius", [4, 8.5], (4.0, 8.5))])
+def test_positions_and_radii_accept_json_integers(where, value, loaded):
+    scen = scenario_from_dict(
+        _with_value(scenario_to_dict(instances.chain3()), where, value))
+    found = {"position": scen.trajectories[0][0], "radius": scen.subrange_radii,
+             "uav-radius": scen.radii_for(1)}[where]
+    assert found == loaded
+    assert all(type(x) is float for x in found)
+
+
 def test_validation_catches_dangling_infos():
     base = instances.chain3()
     with pytest.raises(ScenarioError):
