@@ -23,10 +23,10 @@ from .gen import PROFILES, generate_scenario, make_config
 from .graph import augment, build_time_expanded_graph
 from .heuristic import HeuristicKind, greedy_plan
 from .lp import export_lp, lint_lp
-from .report import save_report
+from .report import HEURISTIC_KINDS, METHOD_EXACT, RANDOM_KIND, save_report
 from .scenario import load_scenario, save_scenario
 
-METHODS = ("exact", "mpf", "lpf", "muf", "r")
+METHODS = (METHOD_EXACT, *HEURISTIC_KINDS)
 UNIT_FACTORS = {"J": 1.0, "mJ": 1e3, "uJ": 1e6, "nJ": 1e9}
 
 COMPARE_CSV_HEADER = "# format: fleetcast-compare-csv/1 (objectives in joules)"
@@ -149,11 +149,11 @@ def _build_graph(scenario):
 
 def _run_method(graph, method, r_seed, budget_nodes, budget_seconds,
                 max_restarts):
-    if method == "exact":
+    if method == METHOD_EXACT:
         budget = SearchBudget(max_nodes=budget_nodes,
                               time_limit_seconds=budget_seconds)
         return solve_exact(graph, graph.infos, budget)
-    kind = HeuristicKind(method, r_seed if method == "r" else None)
+    kind = HeuristicKind(method, r_seed if method == RANDOM_KIND else None)
     return greedy_plan(graph, graph.infos, kind, max_restarts)
 
 
@@ -304,16 +304,16 @@ def cmd_compare(scenario_files, methods, r_seed, budget_nodes, budget_seconds,
 
     exact_optimal = {
         r["instance"]: r["objective"] for r in results
-        if r["method"] == "exact" and r["status"] == "OPTIMAL"}
+        if r["method"] == METHOD_EXACT and r["status"] == "OPTIMAL"}
     rows = []
     for r in sorted(results, key=lambda r: (r["instance"],
                                             method_list.index(r["method"]))):
         deviation = None
         best = exact_optimal.get(r["instance"])
-        if (r["method"] != "exact" and best is not None
+        if (r["method"] != METHOD_EXACT and best is not None
                 and r["objective"] is not None and best > 0):
             deviation = (r["objective"] - best) / best * 100.0
-        elif (r["method"] != "exact" and best == 0.0
+        elif (r["method"] != METHOD_EXACT and best == 0.0
               and r["objective"] == 0.0):
             deviation = 0.0
         rows.append(ExperimentRow(

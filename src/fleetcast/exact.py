@@ -32,11 +32,10 @@ from .graph import (KIND_CACHING, KIND_CONNECTIVITY, AugmentedGraph,
                     _shortest_paths)
 from .heuristic import HeuristicKind, greedy_plan
 from .plan import Plan, plan_cost
-from .report import (STATUS_FEASIBLE, STATUS_INFEASIBLE, STATUS_OPTIMAL,
-                     STATUS_TIMEOUT, SolveReport)
+from .report import (METHOD_EXACT, STATUS_FEASIBLE, STATUS_INFEASIBLE,
+                     STATUS_OPTIMAL, STATUS_TIMEOUT, SolveReport)
 from .scenario import CACHE_SINGLE
 
-METHOD_EXACT = "exact"
 INF = float("inf")
 
 

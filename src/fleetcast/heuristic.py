@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from .errors import InternalError, PlanStructureError
 from .graph import CONNECTIVITY, VIRTUAL, AugmentedGraph, _shortest_paths
 from .plan import Plan, check_feasibility, plan_cost
-from .report import (STATUS_FEASIBLE, STATUS_INFEASIBLE_HEURISTIC, SolveReport)
-
-HEURISTIC_KINDS = ("mpf", "lpf", "muf", "r")
+from .report import (HEURISTIC_KINDS, RANDOM_KIND, STATUS_FEASIBLE,
+                     STATUS_INFEASIBLE_HEURISTIC, SolveReport)
 
 
 @dataclass(frozen=True)
@@ -39,9 +38,9 @@ class HeuristicKind:
         if self.kind not in HEURISTIC_KINDS:
             raise ValueError(f"unknown heuristic kind {self.kind!r}; "
                              f"expected one of {HEURISTIC_KINDS}")
-        if (self.seed is None) == (self.kind == "r"):
-            raise ValueError("a seed is required for kind 'r' and forbidden "
-                             "for the deterministic kinds")
+        if (self.seed is None) == (self.kind == RANDOM_KIND):
+            raise ValueError(f"a seed is required for kind {RANDOM_KIND!r} "
+                             "and forbidden for the deterministic kinds")
 
     def label(self) -> str:
         return self.kind if self.seed is None else f"{self.kind}[{self.seed}]"
@@ -167,7 +166,7 @@ def order_information(graph: AugmentedGraph, infos, kind: HeuristicKind):
     if kind.kind == "muf":
         return [info.id for info in
                 sorted(infos, key=lambda i: (-len(i.destinations), i.id))]
-    if kind.kind == "r":
+    if kind.kind == RANDOM_KIND:
         rng = random.Random(kind.seed)
         rng.shuffle(ids)
         return ids

@@ -30,7 +30,7 @@ from .scenario import CACHE_SINGLE
 LP_HEADER = "\\ fleetcast-lp/1"
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"   # exponents intact
+_NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"  # exponents intact
 _NAME_RE = re.compile(rf"^{_NAME}$")
 _TOKEN_RE = re.compile(
     rf"{_NAME}"             # variable name
@@ -42,9 +42,9 @@ _RHS_RE = re.compile(rf"[-+]?{_NUMBER}")
 # split by " + " or " - ", the first optionally led by "- ". Such a row lints
 # clean but for a duplicate name; any other row is checked token by token.
 _ROW_RE = re.compile(
-    rf"({_NAME}): ((?:- )?(?:{_NUMBER} )?{_NAME}(?: [-+] (?:{_NUMBER} )?{_NAME})*+)"
+    rf"({_NAME}): ((?:- )?(?:{_NUMBER} )?{_NAME}(?: [-+] (?:{_NUMBER} )?{_NAME})*)"
     rf" (?:<=|>=|=) [-+]?{_NUMBER}")
-_BINARIES_RE = re.compile(rf"{_NAME}(?: {_NAME})*+")
+_BINARIES_RE = re.compile(rf"{_NAME}(?: {_NAME})*")
 _SENSES = ("<=", ">=", "=")
 
 

@@ -28,8 +28,15 @@ SOLVED_STATUSES = (STATUS_OPTIMAL, STATUS_FEASIBLE)
 STATUSES = (STATUS_OPTIMAL, STATUS_FEASIBLE, STATUS_INFEASIBLE,
             STATUS_INFEASIBLE_HEURISTIC, STATUS_TIMEOUT)
 
-# `exact`, a deterministic greedy ordering, or `r[<seed>]` for the random one
-_METHOD_RE = re.compile(r"exact|mpf|lpf|muf|r\[-?(?:0|[1-9][0-9]*)\]")
+# A method label is `exact`, a deterministic greedy ordering, or
+# `r[<seed>]` for the random one.
+METHOD_EXACT = "exact"
+HEURISTIC_KINDS = ("mpf", "lpf", "muf", "r")
+RANDOM_KIND = "r"       # the one heuristic kind that takes a seed
+
+_METHOD_RE = re.compile("|".join(
+    [METHOD_EXACT] + [k for k in HEURISTIC_KINDS if k != RANDOM_KIND]
+    + [rf"{RANDOM_KIND}\[-?(?:0|[1-9][0-9]*)\]"]))
 
 
 @dataclass

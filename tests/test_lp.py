@@ -188,7 +188,8 @@ def one_row(row):
 
 
 @pytest.mark.parametrize("rhs", ["1_000", "nan", "-inf", "Infinity", "inf",
-                                 "0x10", "1e", "- 1", "+-1", "1 2"])
+                                 "0x10", "1e", "- 1", "+-1", "1 2",
+                                 "\u0663", "\uff11", "1\u0663"])
 def test_lint_rejects_right_hand_sides_that_are_no_lp_numbers(rhs):
     assert lint_lp(one_row(f"c1: P_0 >= {rhs}")) == [
         f"c1: right-hand side {rhs!r} not numeric"]
@@ -203,7 +204,7 @@ def test_lint_accepts_right_hand_sides_that_are_lp_numbers(rhs):
 # --- differential check against the token-by-token lint ------------------
 
 _REF_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_REF_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+_REF_NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
 _REF_TOKEN_RE = re.compile(
     r"[A-Za-z_][A-Za-z0-9_]*"                     # variable name
     rf"|{_REF_NUMBER}"                            # number, exponents intact

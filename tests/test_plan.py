@@ -14,8 +14,9 @@ from fleetcast.graph import CONNECTIVITY
 from fleetcast.jsonio import write_json
 from fleetcast.plan import (Plan, check_feasibility, load_plan, plan_cost,
                             plan_from_dict, plan_to_dict, save_plan)
-from fleetcast.heuristic import HEURISTIC_KINDS
-from fleetcast.report import (STATUSES, SolveReport, load_report,
+from fleetcast.heuristic import HeuristicKind
+from fleetcast.report import (HEURISTIC_KINDS, METHOD_EXACT, RANDOM_KIND,
+                              STATUSES, SolveReport, load_report,
                               report_to_dict, save_report)
 from fleetcast.scenario import InfoSpec
 
@@ -276,12 +277,12 @@ def test_load_report_rejects_plan_for_unknown_info(chain, tmp_path):
 
 
 def test_load_report_round_trips_every_method_and_status(chain, tmp_path):
-    methods = [("exact", None), ("r", 0), ("r", 7), ("r", -3)] + [
-        (kind, None) for kind in HEURISTIC_KINDS if kind != "r"]
+    kinds = [HeuristicKind(RANDOM_KIND, seed) for seed in (0, 7, -3)] + [
+        HeuristicKind(kind) for kind in HEURISTIC_KINDS if kind != RANDOM_KIND]
+    methods = [(METHOD_EXACT, None)] + [(k.label(), k.seed) for k in kinds]
     path = tmp_path / "report.json"
-    for method, seed in methods:
+    for label, seed in methods:
         for status in STATUSES:
-            label = method if seed is None else f"{method}[{seed}]"
             save_report(chain, SolveReport(label, status, None, None, nodes=12,
                                            seed=seed), path)
             text = path.read_text()
