@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -25,12 +26,11 @@ CONNECTIVITY = "connectivity"
 CACHING = "caching"
 VIRTUAL = "virtual"
 
-# integer kind codes for hot loops
+# integer kind codes for hot loops, and their names by code
 KIND_CONNECTIVITY = 0
 KIND_CACHING = 1
 KIND_VIRTUAL = 2
-_KIND_CODE = {CONNECTIVITY: KIND_CONNECTIVITY, CACHING: KIND_CACHING,
-              VIRTUAL: KIND_VIRTUAL}
+KIND_NAMES = (CONNECTIVITY, CACHING, VIRTUAL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,33 +47,54 @@ class Edge:
 class TimeExpandedGraph:
     """Immutable time-expanded graph over all (uav, time) vertices.
 
-    Edge indices follow a fixed construction order (by time layer, then tail
-    UAV, then head UAV) so that anything keyed on them is reproducible.
+    Edges are parallel flat lists over edge indices: `edge_tail`, `edge_head`,
+    `edge_kind` (a KIND_* code), `edge_weight` and `edge_time` (the tail's
+    layer, -1 for virtual edges), in a reproducible construction order: by
+    time layer, then tail UAV, then head UAV.
     """
 
-    def __init__(self, scenario: Scenario, edges, out_edges, in_edges, conn_by_time):
+    def __init__(self, scenario: Scenario, arrays, out_edges, in_edges,
+                 conn_by_time):
         self.scenario = scenario
         self.uav_count = scenario.uav_count
         self.horizon = scenario.horizon
         self.channels = scenario.channels
         self.cache_capacity = scenario.cache_capacity
-        self.edges = edges
-        self.out_edges = out_edges
-        self.in_edges = in_edges
+        (self.edge_tail, self.edge_head, self.edge_kind, self.edge_weight,
+         self.edge_time) = arrays
+        self.out_edges, self.in_edges = out_edges, in_edges
         self.conn_by_time = conn_by_time
-        self.real_vertex_count = self.uav_count * self.horizon
-        self.vertex_count = self.real_vertex_count
-        self.real_edge_count = len(edges)
-        self.edge_index_by_pair = {(e.tail, e.head): e.index for e in edges}
-        self._build_edge_arrays()
+        self.real_vertex_count = self.vertex_count = self.uav_count * self.horizon
+        self.real_edge_count = len(self.edge_tail)
+        self._edge_records = None
 
-    def _build_edge_arrays(self):
-        # parallel flat arrays over edge indices, for solver hot loops
-        self.edge_tail = [e.tail for e in self.edges]
-        self.edge_head = [e.head for e in self.edges]
-        self.edge_kind = [_KIND_CODE[e.kind] for e in self.edges]
-        self.edge_weight = [e.weight for e in self.edges]
-        self.edge_time = [-1 if e.time is None else e.time for e in self.edges]
+    @property
+    def edges(self) -> Sequence:
+        """Every edge as an `Edge`, built on first indexing and then kept:
+        about 16 MiB at U = 30, T = 500, so no solver reads it."""
+        return _EdgeView(self)
+
+    def _records(self) -> list:
+        if self._edge_records is None:
+            positions, horizon = self.scenario.trajectories, self.horizon
+            records = []
+            for e, (tail, head, kind, weight, t) in enumerate(zip(
+                    self.edge_tail, self.edge_head, self.edge_kind,
+                    self.edge_weight, self.edge_time)):
+                subrange = None
+                if kind == KIND_CONNECTIVITY:  # the builder's lookup again
+                    u, u2 = tail // horizon, head // horizon
+                    dist = math.dist(positions[u][t], positions[u2][t])
+                    subrange = bisect_left(self.scenario.radii_for(u), dist) + 1
+                records.append(Edge(e, tail, head, KIND_NAMES[kind], weight,
+                                    None if t < 0 else t, subrange))
+            self._edge_records = records
+        return self._edge_records
+
+    def edge_index(self, tail: int, head: int) -> int | None:
+        """The edge tail->head, or None: a scan of the tail's out-edges."""
+        heads = self.edge_head
+        return next((e for e in self.out_edges[tail] if heads[e] == head), None)
 
     def vertex_id(self, uav: int, time: int) -> int:
         return uav * self.horizon + time
@@ -86,29 +107,32 @@ class TimeExpandedGraph:
         return f"({u},{t})"
 
 
+class _EdgeView(Sequence):
+    """`graph.edges`; `len()` reads the flat lists and builds no records."""
+
+    def __init__(self, graph: TimeExpandedGraph):
+        self.graph = graph
+
+    def __len__(self):
+        return len(self.graph.edge_tail)
+
+    def __getitem__(self, index):
+        return self.graph._records()[index]
+
+
 class AugmentedGraph(TimeExpandedGraph):
     """A time-expanded graph extended with virtual sources and destinations."""
 
-    def __init__(self, base: TimeExpandedGraph, infos, edges, out_edges, in_edges,
-                 source_vertex, dest_vertex, vertex_count):
+    def __init__(self, base: TimeExpandedGraph, infos, arrays, out_edges,
+                 in_edges, source_vertex, dest_vertex, vertex_count):
+        super().__init__(base.scenario, arrays, out_edges, in_edges,
+                         base.conn_by_time)
         self.base = base
-        self.scenario = base.scenario
-        self.uav_count = base.uav_count
-        self.horizon = base.horizon
-        self.channels = base.channels
-        self.cache_capacity = base.cache_capacity
-        self.edges = edges
-        self.out_edges = out_edges
-        self.in_edges = in_edges
-        self.conn_by_time = base.conn_by_time
-        self.real_vertex_count = base.real_vertex_count
         self.vertex_count = vertex_count
         self.real_edge_count = base.real_edge_count
-        self.edge_index_by_pair = base.edge_index_by_pair
         self.infos = infos
         self.source_vertex = source_vertex   # info id -> virtual vertex
         self.dest_vertex = dest_vertex       # (info id, uav) -> virtual vertex
-        self._build_edge_arrays()
 
     def info_by_id(self, info_id: int) -> InfoSpec:
         for info in self.infos:
@@ -136,60 +160,56 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
     energy of the smallest enclosing subrange. Each UAV also gets a
     zero-weight caching edge into its next time copy.
     """
-    horizon = scenario.horizon
-    uav_count = scenario.uav_count
-    vertex_count = uav_count * horizon
-    edges: list[Edge] = []
-    out_edges = [[] for _ in range(vertex_count)]
-    in_edges = [[] for _ in range(vertex_count)]
+    horizon, uav_count = scenario.horizon, scenario.uav_count
+    tails, heads, kinds, weights, times = arrays = ([], [], [], [], [])
+    out_edges = [[] for _ in range(uav_count * horizon)]
+    in_edges = [[] for _ in range(uav_count * horizon)]
     conn_by_time = [[] for _ in range(horizon)]
 
     radii = [scenario.radii_for(u) for u in range(uav_count)]
-    weights = [
-        tuple(subrange_weight(scenario.radio, r) for r in radii[u])
-        for u in range(uav_count)
-    ]
+    weight_of = [[subrange_weight(scenario.radio, r) for r in rs] for rs in radii]
 
     for t in range(horizon):
-        layer = [scenario.trajectories[u][t] for u in range(uav_count)]
+        layer = [traj[t] for traj in scenario.trajectories]
+        ids = [u * horizon + t for u in range(uav_count)]
         for u in range(uav_count):
-            tail = u * horizon + t
+            tail, position, r = ids[u], layer[u], radii[u]
             for u2 in range(uav_count):
                 if u2 == u:
-                    if t + 1 < horizon:
-                        head = u * horizon + t + 1
-                        edge = Edge(len(edges), tail, head, CACHING, 0.0, t, None)
-                        edges.append(edge)
-                        out_edges[tail].append(edge.index)
-                        in_edges[head].append(edge.index)
-                    continue
-                dist = math.dist(layer[u], layer[u2])
-                r = radii[u]
-                if dist > r[-1]:
-                    continue
-                k = bisect_left(r, dist)
-                head = u2 * horizon + t
-                edge = Edge(len(edges), tail, head, CONNECTIVITY,
-                            weights[u][k], t, k + 1)
-                edges.append(edge)
-                out_edges[tail].append(edge.index)
-                in_edges[head].append(edge.index)
-                conn_by_time[t].append(edge.index)
+                    if t + 1 == horizon:
+                        continue
+                    head, kind, weight = tail + 1, KIND_CACHING, 0.0
+                    e = len(tails)
+                else:
+                    dist = math.dist(position, layer[u2])
+                    if dist > r[-1]:
+                        continue
+                    head, kind = ids[u2], KIND_CONNECTIVITY
+                    weight = weight_of[u][bisect_left(r, dist)]
+                    e = len(tails)
+                    conn_by_time[t].append(e)
+                tails.append(tail)
+                heads.append(head)
+                kinds.append(kind)
+                weights.append(weight)
+                times.append(t)
+                out_edges[tail].append(e)
+                in_edges[head].append(e)
 
-    return TimeExpandedGraph(scenario, edges, out_edges, in_edges, conn_by_time)
+    return TimeExpandedGraph(scenario, arrays, out_edges, in_edges, conn_by_time)
 
 
 def augment(graph: TimeExpandedGraph, infos) -> AugmentedGraph:
-    """Attach virtual source/destination terminals for the given infos."""
+    """Attach virtual source/destination terminals for the given infos.
+
+    Only the virtual edges are new: each flat list is the base's plus the
+    virtual part, and only vertices that gain a virtual edge get their own
+    adjacency lists. The base graph is never changed.
+    """
     infos = tuple(sorted(infos, key=lambda i: i.id))
-    seen = set()
-    for info in infos:
-        if info.id in seen:
+    for k, info in enumerate(infos):
+        if k and info.id == infos[k - 1].id:
             raise ScenarioError(f"duplicate info id {info.id}")
-        seen.add(info.id)
-        if not info.sources or not info.destinations:
-            raise ScenarioError(f"info {info.id}: sources and destinations "
-                                "must be nonempty")
         for u, t in info.sources:
             if not (0 <= u < graph.uav_count and 0 <= t < graph.horizon):
                 raise ScenarioError(
@@ -199,26 +219,28 @@ def augment(graph: TimeExpandedGraph, infos) -> AugmentedGraph:
                 raise ScenarioError(f"info {info.id}: destination UAV {u} "
                                     "does not exist")
 
-    edges = list(graph.edges)
-    out_edges = [list(adj) for adj in graph.out_edges]
-    in_edges = [list(adj) for adj in graph.in_edges]
+    tails, heads = [], []
+    base_out, base_in = graph.out_edges, graph.in_edges
+    out_edges, in_edges = list(base_out), list(base_in)
     source_vertex: dict[int, int] = {}
     dest_vertex: dict[tuple[int, int], int] = {}
-    next_vertex = graph.real_vertex_count
+    real, first_edge = graph.real_vertex_count, len(graph.edge_tail)
 
     def add_vertex():
-        nonlocal next_vertex
         out_edges.append([])
         in_edges.append([])
-        v = next_vertex
-        next_vertex += 1
-        return v
+        return len(out_edges) - 1
 
     def add_edge(tail, head):
-        edge = Edge(len(edges), tail, head, VIRTUAL, 0.0, None, None)
-        edges.append(edge)
-        out_edges[tail].append(edge.index)
-        in_edges[head].append(edge.index)
+        e = first_edge + len(tails)
+        tails.append(tail)
+        heads.append(head)
+        if tail < real and out_edges[tail] is base_out[tail]:
+            out_edges[tail] = base_out[tail].copy()
+        out_edges[tail].append(e)
+        if head < real and in_edges[head] is base_in[head]:
+            in_edges[head] = base_in[head].copy()
+        in_edges[head].append(e)
 
     for info in infos:
         s = add_vertex()
@@ -232,8 +254,12 @@ def augment(graph: TimeExpandedGraph, infos) -> AugmentedGraph:
             for t in range(graph.horizon):
                 add_edge(graph.vertex_id(u, t), d)
 
-    return AugmentedGraph(graph, infos, edges, out_edges, in_edges,
-                          source_vertex, dest_vertex, next_vertex)
+    k = len(tails)
+    arrays = (graph.edge_tail + tails, graph.edge_head + heads,
+              graph.edge_kind + [KIND_VIRTUAL] * k,
+              graph.edge_weight + [0.0] * k, graph.edge_time + [-1] * k)
+    return AugmentedGraph(graph, infos, arrays, out_edges, in_edges,
+                          source_vertex, dest_vertex, len(out_edges))
 
 
 def collision_set(graph: TimeExpandedGraph, t: int) -> frozenset[int]:

@@ -20,10 +20,12 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InternalError, PlanStructureError
-from .graph import CONNECTIVITY, VIRTUAL, AugmentedGraph, _shortest_paths
+from .graph import (KIND_CONNECTIVITY, KIND_VIRTUAL, AugmentedGraph,
+                    _shortest_paths)
 from .plan import Plan, check_feasibility, plan_cost
 from .report import (HEURISTIC_KINDS, RANDOM_KIND, STATUS_FEASIBLE,
                      STATUS_INFEASIBLE_HEURISTIC, SolveReport)
@@ -54,97 +56,88 @@ class Tree:
 
 
 class ResidualState:
-    """What earlier trees left behind: deletions, channel usage, vertex power."""
+    """What earlier trees left behind: deleted vertices and channel usage."""
 
     def __init__(self, graph: AugmentedGraph):
         self.graph = graph
         self.deleted: set[int] = set()
         self.channel_used = [0] * graph.horizon
-        self.vertex_power: dict[int, float] = {}
 
     def commit(self, tree: Tree) -> None:
         """Absorb a tree: delete its vertices, count its channels.
 
         A time unit that reaches the channel budget is closed entirely: every
         vertex in it is deleted so later trees cannot route anything through
-        that layer, not even cached data.
+        that layer, not even cached data. The tree's transmit powers need no
+        record: every transmitting vertex is deleted here.
         """
         graph = self.graph
+        kinds, times = graph.edge_kind, graph.edge_time
         saturated = set()
         for e in tree.edges:
-            edge = graph.edges[e]
-            self.deleted.add(edge.tail)
-            self.deleted.add(edge.head)
-            if edge.kind == CONNECTIVITY:
-                self.channel_used[edge.time] += 1
-                if self.channel_used[edge.time] >= graph.channels:
-                    saturated.add(edge.time)
-                prev = self.vertex_power.get(edge.tail, 0.0)
-                if edge.weight > prev:
-                    self.vertex_power[edge.tail] = edge.weight
+            self.deleted.update((graph.edge_tail[e], graph.edge_head[e]))
+            if kinds[e] == KIND_CONNECTIVITY:
+                t = times[e]
+                self.channel_used[t] += 1
+                if self.channel_used[t] >= graph.channels:
+                    saturated.add(t)
         for t in saturated:
-            for u in range(graph.uav_count):
-                self.deleted.add(graph.vertex_id(u, t))
+            self.deleted.update(graph.vertex_id(u, t)
+                                for u in range(graph.uav_count))
 
 
 def build_tree(graph: AugmentedGraph, info, state: ResidualState):
     """Grow a cheapest-path tree serving every destination of `info`.
 
     Destinations are visited in ascending UAV id. Each search runs from the
-    whole current tree (merged edges are free), relaxes connectivity edges at
-    the tail's residual power discount, skips deleted vertices, and skips
-    connectivity edges in channel-saturated time units. Returns None when some
-    destination is unreachable, including the rare case of a single path
-    needing more channel slots in one time unit than remain.
+    whole current tree (merged edges are free), discounts connectivity edges
+    by the power their tail already spends in this tree, skips deleted
+    vertices, and skips connectivity edges in channel-saturated time units.
+    Returns None when some destination is unreachable, including the rare
+    case of a single path needing more channel slots in one time unit than
+    remain.
     """
     if info.id not in graph.source_vertex:
         raise PlanStructureError(f"info {info.id} is not part of the graph")
     if state.graph is not graph:
         raise PlanStructureError("residual state belongs to a different graph")
 
+    tails, heads = graph.edge_tail, graph.edge_head
+    kinds, weights, times = graph.edge_kind, graph.edge_weight, graph.edge_time
     source = graph.source_vertex[info.id]
     tree_edges: set[int] = set()
     tree_vertices: set[int] = set()
-    tree_power: dict[int, float] = {}
+    power: dict[int, float] = {}      # tail -> max weight it sends in the tree
     layer_delta: dict[int, int] = {}
-    power = dict(state.vertex_power)
 
     for dest_uav in sorted(info.destinations):
         target = graph.dest_vertex[(info.id, dest_uav)]
         _, parent = _shortest_paths(
             graph, sorted(tree_vertices) + [source], graph.out_edges,
-            graph.edge_head, state.deleted, power, state.channel_used,
+            heads, state.deleted, power, state.channel_used,
             layer_delta, target)
         if parent[target] < 0:
             return None
         path = _walk_back(graph, parent, target)
-        added = {}
+        added = Counter(times[e] for e in path
+                        if kinds[e] == KIND_CONNECTIVITY and e not in tree_edges)
+        if any(state.channel_used[t] + layer_delta.get(t, 0) + extra
+               > graph.channels for t, extra in added.items()):
+            return None  # one path needs more slots than the unit has left
         for e in path:
-            edge = graph.edges[e]
-            if edge.kind == CONNECTIVITY and e not in tree_edges:
-                added[edge.time] = added.get(edge.time, 0) + 1
-        for t, extra in added.items():
-            used = state.channel_used[t] + layer_delta.get(t, 0) + extra
-            if used > graph.channels:
-                return None  # one path needs more slots than the unit has left
-        for e in path:
-            edge = graph.edges[e]
-            if edge.kind == VIRTUAL or e in tree_edges:
+            kind = kinds[e]
+            if kind == KIND_VIRTUAL or e in tree_edges:
                 continue
             tree_edges.add(e)
-            if edge.tail < graph.real_vertex_count:
-                tree_vertices.add(edge.tail)
-            if edge.head < graph.real_vertex_count:
-                tree_vertices.add(edge.head)
-            if edge.kind == CONNECTIVITY:
-                layer_delta[edge.time] = layer_delta.get(edge.time, 0) + 1
-                if edge.weight > power.get(edge.tail, 0.0):
-                    power[edge.tail] = edge.weight
-                if edge.weight > tree_power.get(edge.tail, 0.0):
-                    tree_power[edge.tail] = edge.weight
+            tail = tails[e]
+            tree_vertices.update((tail, heads[e]))  # both real: e is not virtual
+            if kind == KIND_CONNECTIVITY:
+                layer_delta[times[e]] = layer_delta.get(times[e], 0) + 1
+                if weights[e] > power.get(tail, 0.0):
+                    power[tail] = weights[e]
 
     # same per-vertex maxima and fsum as plan_cost, kept bit-identical
-    cost = math.fsum(tree_power[v] for v in sorted(tree_power))
+    cost = math.fsum(power[v] for v in sorted(power))
     return Tree(edges=frozenset(tree_edges), cost=cost)
 
 
@@ -167,8 +160,7 @@ def order_information(graph: AugmentedGraph, infos, kind: HeuristicKind):
         return [info.id for info in
                 sorted(infos, key=lambda i: (-len(i.destinations), i.id))]
     if kind.kind == RANDOM_KIND:
-        rng = random.Random(kind.seed)
-        rng.shuffle(ids)
+        random.Random(kind.seed).shuffle(ids)
         return ids
     standalone = {}
     for info in infos:

@@ -18,6 +18,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _int_key(key):
+    """The int an object key spells in canonical decimal text, else None."""
+    try:
+        value = int(key)
+    except (TypeError, ValueError):
+        return None
+    return value if str(value) == key else None
+
+
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 

@@ -38,6 +38,11 @@ _TOKEN_RE = re.compile(
     r"|[-+]"                # sign
     r"|\S")                 # anything else: flagged
 _RHS_RE = re.compile(rf"[-+]?{_NUMBER}")
+# A Bounds line, tokens one space apart: `lo <= name`, `lo <= name <= hi`,
+# `name >= lo`, `name <= hi` or `name free`, each bound a right-hand side.
+# Only lint_lp needs it, so it is compiled there, on first use.
+_BOUND = (rf"{_RHS_RE.pattern} <= {_NAME}(?: <= {_RHS_RE.pattern})?"
+          rf"|{_NAME} (?:[<>]= {_RHS_RE.pattern}|free)")
 # A constraint row as export_lp writes it: terms are `[coefficient ]name`,
 # split by " + " or " - ", the first optionally led by "- ". Such a row lints
 # clean but for a duplicate name; any other row is checked token by token.
@@ -165,8 +170,9 @@ def lint_lp(text: str) -> list[str]:
 
     Checks the section layout, that every row parses as terms/sense/rhs, that
     names are well-formed and unique, and that every referenced variable is
-    declared binary or carries an explicit bound. A right-hand side must be an
-    optionally signed number of the coefficient grammar.
+    declared binary or carries an explicit bound. A right-hand side, and each
+    bound of a Bounds line, must be an optionally signed number of the
+    coefficient grammar.
 
     Rows and Binaries lines in the form export_lp writes pass with one
     regular-expression match each; any other line goes through the checks
@@ -276,13 +282,15 @@ def lint_lp(text: str) -> list[str]:
                 errors.append(f"bad binary name {tok!r}")
             declared.add(tok)
 
+    bound_line = re.compile(_BOUND).fullmatch   # re caches the compiled form
     for ln in lines[indices["bounds"] + 1:indices["end"]]:
         tokens = ln.split()
         names = [tok for tok in tokens if _NAME_RE.match(tok) and tok != "free"]
         if not names:
             errors.append(f"bound line without a variable: {ln!r}")
-        for tok in names:
-            declared.add(tok)
+        elif not bound_line(" ".join(tokens)):
+            errors.append(f"malformed bound line: {ln!r}")
+        declared.update(names)
 
     for var in sorted(referenced - declared):
         if _NAME_RE.match(var):     # skip the signs and coefficients

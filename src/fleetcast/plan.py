@@ -31,8 +31,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import FormatError, PlanStructureError
-from .graph import CACHING, CONNECTIVITY, VIRTUAL, AugmentedGraph
-from .jsonio import _is_int, read_json, write_json
+from .graph import (KIND_CACHING, KIND_CONNECTIVITY, KIND_NAMES, KIND_VIRTUAL,
+                    AugmentedGraph)
+from .jsonio import _int_key, _is_int, read_json, write_json
 from .scenario import CACHE_SINGLE
 
 PLAN_FORMAT = "fleetcast-plan/1"
@@ -79,14 +80,15 @@ class FeasibilityReport:
 
 def _validate_structure(graph: AugmentedGraph, plan: Plan):
     known = {info.id for info in graph.infos}
+    kinds = graph.edge_kind
     for info_id, edges in plan.activations.items():
         if info_id not in known:
             raise PlanStructureError(f"plan references unknown info {info_id}")
         for e in edges:
-            if not 0 <= e < len(graph.edges):
+            if not 0 <= e < len(kinds):
                 raise PlanStructureError(
                     f"plan references edge index {e} outside the graph")
-            if graph.edges[e].kind == VIRTUAL:
+            if kinds[e] == KIND_VIRTUAL:
                 raise PlanStructureError(
                     f"plan activates virtual edge {e}; plans cover real edges only")
 
@@ -95,6 +97,9 @@ def check_feasibility(graph: AugmentedGraph, plan: Plan) -> FeasibilityReport:
     """Evaluate every feasibility rule; structural problems raise instead."""
     _validate_structure(graph, plan)
     infos = {info.id: info for info in graph.infos}
+    tails, heads = graph.edge_tail, graph.edge_head
+    kinds, times = graph.edge_kind, graph.edge_time
+    label = graph.vertex_label
     violations: list[Violation] = []
 
     def violate(constraint, info, subject, message):
@@ -107,36 +112,25 @@ def check_feasibility(graph: AugmentedGraph, plan: Plan) -> FeasibilityReport:
             edge_users.setdefault(e, []).append(info_id)
     for e in sorted(edge_users):
         owners = edge_users[e]
-        if len(owners) < 2:
+        if len(owners) < 2 or (kinds[e] == KIND_CACHING
+                               and graph.cache_capacity != CACHE_SINGLE):
             continue
-        edge = graph.edges[e]
-        if edge.kind == CACHING and graph.cache_capacity != CACHE_SINGLE:
-            continue
-        violate("EDGE", None, f"edge {e}",
-                f"edge {graph.vertex_label(edge.tail)}->"
-                f"{graph.vertex_label(edge.head)} carries infos {owners}")
+        violate("EDGE", None, f"edge {e}", f"edge {label(tails[e])}->"
+                f"{label(heads[e])} carries infos {owners}")
 
-    # one transmitted info per vertex
+    # one transmitted info per vertex, and the channel budget per time unit
     vertex_infos: dict[int, set[int]] = {}
+    layer_active = [0] * graph.horizon
     for info_id, edges in plan.activations.items():
         for e in edges:
-            edge = graph.edges[e]
-            if edge.kind == CONNECTIVITY:
-                vertex_infos.setdefault(edge.tail, set()).add(info_id)
+            if kinds[e] == KIND_CONNECTIVITY:
+                vertex_infos.setdefault(tails[e], set()).add(info_id)
+                layer_active[times[e]] += 1
     for v in sorted(vertex_infos):
         owners = vertex_infos[v]
         if len(owners) > 1:
-            violate("C7", None, graph.vertex_label(v),
-                    f"vertex {graph.vertex_label(v)} transmits "
+            violate("C7", None, label(v), f"vertex {label(v)} transmits "
                     f"{len(owners)} infos: {sorted(owners)}")
-
-    # channel budget per time unit
-    layer_active = [0] * graph.horizon
-    for edges in plan.activations.values():
-        for e in edges:
-            edge = graph.edges[e]
-            if edge.kind == CONNECTIVITY:
-                layer_active[edge.time] += 1
     for t, active in enumerate(layer_active):
         if active > graph.channels:
             violate("C9", None, f"t={t}",
@@ -150,28 +144,24 @@ def check_feasibility(graph: AugmentedGraph, plan: Plan) -> FeasibilityReport:
         in_cnt: dict[int, int] = {}
         out_cnt: dict[int, int] = {}
         for e in edges:
-            edge = graph.edges[e]
-            in_cnt[edge.head] = in_cnt.get(edge.head, 0) + 1
-            out_cnt[edge.tail] = out_cnt.get(edge.tail, 0) + 1
-
-        def is_dest_copy(v):
-            return graph.vertex_uav_time(v)[0] in info.destinations
-
+            in_cnt[heads[e]] = in_cnt.get(heads[e], 0) + 1
+            out_cnt[tails[e]] = out_cnt.get(tails[e], 0) + 1
         for v in sorted(set(in_cnt) | set(out_cnt)):
             ins = in_cnt.get(v, 0)
             outs = out_cnt.get(v, 0)
-            label = graph.vertex_label(v)
+            name = label(v)
+            dest_copy = graph.vertex_uav_time(v)[0] in info.destinations
             if ins > 1:
-                violate("C4" if is_dest_copy(v) else "C3", info_id, label,
-                        f"vertex {label} has {ins} incoming activations for "
+                violate("C4" if dest_copy else "C3", info_id, name,
+                        f"vertex {name} has {ins} incoming activations for "
                         f"info {info_id}")
             if outs >= 1 and v not in source_vertices and ins != 1:
-                violate("C3", info_id, label,
-                        f"vertex {label} forwards info {info_id} with "
+                violate("C3", info_id, name,
+                        f"vertex {name} forwards info {info_id} with "
                         f"{ins} incoming activations instead of 1")
-            if ins == 1 and outs == 0 and not is_dest_copy(v):
-                violate("C2", info_id, label,
-                        f"vertex {label} receives info {info_id} but neither "
+            if ins == 1 and outs == 0 and not dest_copy:
+                violate("C2", info_id, name,
+                        f"vertex {name} receives info {info_id} but neither "
                         f"forwards nor delivers it")
 
         # supply propagation from the info's source copies
@@ -180,16 +170,14 @@ def check_feasibility(graph: AugmentedGraph, plan: Plan) -> FeasibilityReport:
         while frontier:
             frontier = False
             for e in edges:
-                edge = graph.edges[e]
-                if edge.tail in supplied and edge.head not in supplied:
-                    supplied.add(edge.head)
+                if tails[e] in supplied and heads[e] not in supplied:
+                    supplied.add(heads[e])
                     frontier = True
         for e in sorted(edges):
-            edge = graph.edges[e]
-            if edge.tail not in supplied:
+            if tails[e] not in supplied:
                 violate("FLOW", info_id, f"edge {e}",
-                        f"activated edge {graph.vertex_label(edge.tail)}->"
-                        f"{graph.vertex_label(edge.head)} is never supplied "
+                        f"activated edge {label(tails[e])}->"
+                        f"{label(heads[e])} is never supplied "
                         f"with info {info_id}")
 
         for u in sorted(info.destinations):
@@ -225,13 +213,13 @@ def plan_cost(graph: AugmentedGraph, plan: Plan) -> float:
     to the last bit regardless of edge enumeration order.
     """
     _validate_structure(graph, plan)
+    kinds, tails, weights = graph.edge_kind, graph.edge_tail, graph.edge_weight
     vertex_max: dict[int, float] = {}
     for edges in plan.activations.values():
         for e in edges:
-            edge = graph.edges[e]
-            if edge.kind == CONNECTIVITY:
-                prev = vertex_max.get(edge.tail, 0.0)
-                vertex_max[edge.tail] = max(prev, edge.weight)
+            if kinds[e] == KIND_CONNECTIVITY:
+                vertex_max[tails[e]] = max(vertex_max.get(tails[e], 0.0),
+                                           weights[e])
     return math.fsum(vertex_max[v] for v in sorted(vertex_max))
 
 
@@ -241,10 +229,9 @@ def plan_to_dict(graph: AugmentedGraph, plan: Plan) -> dict:
     for info_id in sorted(plan.activations):
         rows = []
         for e in sorted(plan.activations[info_id]):
-            edge = graph.edges[e]
-            tu, tt = graph.vertex_uav_time(edge.tail)
-            hu, ht = graph.vertex_uav_time(edge.head)
-            rows.append([tu, tt, hu, ht, edge.kind])
+            tu, tt = graph.vertex_uav_time(graph.edge_tail[e])
+            hu, ht = graph.vertex_uav_time(graph.edge_head[e])
+            rows.append([tu, tt, hu, ht, KIND_NAMES[graph.edge_kind[e]]])
         activations[str(info_id)] = rows
     return {"format": PLAN_FORMAT, "activations": activations}
 
@@ -256,11 +243,8 @@ def plan_from_dict(graph: AugmentedGraph, doc: dict) -> Plan:
     known = {info.id for info in graph.infos}
     activations = {}
     for info_key, rows in rows_by_info.items():
-        try:
-            info_id = int(info_key)
-        except (TypeError, ValueError):
-            info_id = None
-        if info_id is None or str(info_id) != info_key:
+        info_id = _int_key(info_key)
+        if info_id is None:
             raise FormatError(f"plan info key {info_key!r} is not an integer")
         if info_id not in known:
             raise PlanStructureError(f"plan references unknown info {info_id}")
@@ -278,10 +262,8 @@ def plan_from_dict(graph: AugmentedGraph, doc: dict) -> Plan:
                 if not (0 <= u < graph.uav_count and 0 <= t < graph.horizon):
                     raise PlanStructureError(
                         f"plan vertex ({u},{t}) lies outside the graph")
-            tail = graph.vertex_id(tu, tt)
-            head = graph.vertex_id(hu, ht)
-            e = graph.edge_index_by_pair.get((tail, head))
-            if e is None or graph.edges[e].kind != kind:
+            e = graph.edge_index(graph.vertex_id(tu, tt), graph.vertex_id(hu, ht))
+            if e is None or KIND_NAMES[graph.edge_kind[e]] != kind:
                 raise PlanStructureError(
                     f"plan edge ({tu},{tt})->({hu},{ht}) [{kind}] does not "
                     f"exist in the graph")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import FormatError
 from .graph import AugmentedGraph
 from .jsonio import _is_int, read_json, write_json
-from .plan import Plan, plan_from_dict, plan_to_dict
+from .plan import Plan, plan_cost, plan_from_dict, plan_to_dict
 
 REPORT_FORMAT = "fleetcast-report/1"
 
@@ -96,11 +96,23 @@ def load_report(graph: AugmentedGraph, path) -> SolveReport:
         if key in doc and not _is_int(doc[key]):
             raise FormatError(f"{path}: {key} {doc[key]!r} is not an integer")
     plan = doc.get("plan")
+    plan = None if plan is None else plan_from_dict(graph, plan)
+    if status in SOLVED_STATUSES:
+        if plan is None or objective is None:
+            raise FormatError(f"{path}: a {status} report needs a plan and "
+                              "an objective")
+        cost = plan_cost(graph, plan)
+        if objective != cost:
+            raise FormatError(f"{path}: objective_joules {objective!r} is not "
+                              f"the plan's cost {cost!r}")
+    elif plan is not None or objective is not None:
+        raise FormatError(f"{path}: a {status} report has no plan and no "
+                          "objective, both must be null")
     return SolveReport(
         method=method,
         status=status,
         objective=objective,
-        plan=None if plan is None else plan_from_dict(graph, plan),
+        plan=plan,
         nodes=doc.get("nodes"),
         restarts=doc.get("restarts"),
         seed=doc.get("seed"),

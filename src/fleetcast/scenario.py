@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import FormatError, ScenarioError
-from .jsonio import _is_int, read_json, write_json
+from .jsonio import _int_key, _is_int, read_json, write_json
 from .radio import RadioParams
 
 SCENARIO_FORMAT = "fleetcast-scenario/1"
@@ -78,6 +78,10 @@ class Scenario:
             _float(r, "subrange radius") for r in self.subrange_radii))
         object.__setattr__(self, "infos", tuple(self.infos))
         if self.per_uav_radii is not None:
+            for u in self.per_uav_radii:
+                if not _is_int(u):
+                    raise ScenarioError(
+                        f"per_uav_radii key {u!r} must be an integer UAV id")
             object.__setattr__(self, "per_uav_radii", {
                 int(u): tuple(_float(r, f"radius of UAV {u}") for r in radii)
                 for u, radii in self.per_uav_radii.items()})
@@ -202,7 +206,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
         per_uav = doc.get("per_uav_radii")
         if per_uav is not None:
-            per_uav = {int(u): tuple(radii) for u, radii in per_uav.items()}
+            per_uav = {_uav_key(u): tuple(radii) for u, radii in per_uav.items()}
         return Scenario(
             uav_count=doc["uav_count"],
             horizon=doc["horizon"],
@@ -221,6 +225,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed scenario document: {exc!r}") from None
+
+
+def _uav_key(key) -> int:
+    """A per_uav_radii document key: a UAV id in canonical decimal text."""
+    uav = _int_key(key)
+    if uav is None:
+        raise FormatError(f"per_uav_radii key {key!r} is not a UAV id in "
+                          "canonical decimal form")
+    return uav
 
 
 def save_scenario(scenario: Scenario, path) -> None:

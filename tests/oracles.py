@@ -294,8 +294,8 @@ def enumerate_optimum(graph, infos=None):
                 carried = [] if held_info is None else (
                     [held_info] if single else sorted(held_info))
                 for info_id in carried:
-                    e = graph.edge_index_by_pair[
-                        (graph.vertex_id(u, t), graph.vertex_id(u, t + 1))]
+                    e = graph.edge_index(graph.vertex_id(u, t),
+                                         graph.vertex_id(u, t + 1))
                     activations[info_id].add(e)
         key = prev_key
         states = trail[t]

@@ -1,20 +1,32 @@
 """Time-expanded graph construction, augmentation, and collision sets."""
 
+import copy
+import dataclasses
 import math
 import random
+from bisect import bisect_left
 from heapq import heapify, heappop, heappush
+from types import SimpleNamespace
 
 import pytest
 
+import fleetcast.graph
 import instances
+from fleetcast import cli
 from fleetcast.errors import GenerationError, ScenarioError
+from fleetcast.exact import solve_exact
 from fleetcast.gen import generate_scenario, make_config
-from fleetcast.graph import (CACHING, CONNECTIVITY, VIRTUAL, _shortest_paths,
-                             augment, build_time_expanded_graph,
-                             collision_set)
-from fleetcast.heuristic import ResidualState, _walk_back, build_tree
+from fleetcast.graph import (CACHING, CONNECTIVITY, VIRTUAL, Edge,
+                             _shortest_paths, augment,
+                             build_time_expanded_graph, collision_set)
+from fleetcast.heuristic import (HEURISTIC_KINDS, RANDOM_KIND, HeuristicKind,
+                                 ResidualState, _walk_back, build_tree,
+                                 greedy_plan)
+from fleetcast.lp import export_lp, lint_lp
+from fleetcast.plan import Plan, check_feasibility, plan_cost
 from fleetcast.radio import subrange_weight
-from fleetcast.scenario import InfoSpec, Scenario
+from fleetcast.report import load_report, save_report
+from fleetcast.scenario import InfoSpec, Scenario, save_scenario
 
 
 def test_single_uav_only_caches():
@@ -359,7 +371,7 @@ def _random_residual(graph, rng):
     for v in range(graph.real_vertex_count):
         if v not in seeds and rng.random() < 0.1:
             deleted.add(v)
-    power = dict(state.vertex_power)
+    power = {}
     for v in range(graph.real_vertex_count):
         conn = [graph.edge_weight[e] for e in graph.out_edges[v]
                 if graph.edge_kind[e] == 0]
@@ -403,3 +415,259 @@ def test_shortest_paths_match_reference_kernel():
             assert _shortest_paths(*backward) \
                 == _reference_shortest_paths(*backward)
     assert early_stops > 0  # the early stop really left work undone
+
+
+# --- the flat-list builder against the Edge-record builder ---------------
+
+# The builder and augmentation as they were when every edge was an Edge
+# record: the flat lists were derived from the records afterwards, and a
+# dict mapped each (tail, head) pair to its index.
+_KIND_CODE = {CONNECTIVITY: 0, CACHING: 1, VIRTUAL: 2}
+
+
+def _reference_view(scenario, edges, out_edges, in_edges, conn_by_time):
+    return SimpleNamespace(
+        scenario=scenario, uav_count=scenario.uav_count,
+        horizon=scenario.horizon, edges=edges, out_edges=out_edges,
+        in_edges=in_edges, conn_by_time=conn_by_time,
+        real_vertex_count=scenario.uav_count * scenario.horizon,
+        vertex_count=scenario.uav_count * scenario.horizon,
+        real_edge_count=len(edges),
+        edge_index_by_pair={(e.tail, e.head): e.index for e in edges},
+        edge_tail=[e.tail for e in edges],
+        edge_head=[e.head for e in edges],
+        edge_kind=[_KIND_CODE[e.kind] for e in edges],
+        edge_weight=[e.weight for e in edges],
+        edge_time=[-1 if e.time is None else e.time for e in edges],
+        vertex_id=lambda uav, time: uav * scenario.horizon + time)
+
+
+def _reference_build(scenario):
+    horizon = scenario.horizon
+    uav_count = scenario.uav_count
+    vertex_count = uav_count * horizon
+    edges: list[Edge] = []
+    out_edges = [[] for _ in range(vertex_count)]
+    in_edges = [[] for _ in range(vertex_count)]
+    conn_by_time = [[] for _ in range(horizon)]
+
+    radii = [scenario.radii_for(u) for u in range(uav_count)]
+    weights = [
+        tuple(subrange_weight(scenario.radio, r) for r in radii[u])
+        for u in range(uav_count)
+    ]
+
+    for t in range(horizon):
+        layer = [scenario.trajectories[u][t] for u in range(uav_count)]
+        for u in range(uav_count):
+            tail = u * horizon + t
+            for u2 in range(uav_count):
+                if u2 == u:
+                    if t + 1 < horizon:
+                        head = u * horizon + t + 1
+                        edge = Edge(len(edges), tail, head, CACHING, 0.0, t, None)
+                        edges.append(edge)
+                        out_edges[tail].append(edge.index)
+                        in_edges[head].append(edge.index)
+                    continue
+                dist = math.dist(layer[u], layer[u2])
+                r = radii[u]
+                if dist > r[-1]:
+                    continue
+                k = bisect_left(r, dist)
+                head = u2 * horizon + t
+                edge = Edge(len(edges), tail, head, CONNECTIVITY,
+                            weights[u][k], t, k + 1)
+                edges.append(edge)
+                out_edges[tail].append(edge.index)
+                in_edges[head].append(edge.index)
+                conn_by_time[t].append(edge.index)
+
+    return _reference_view(scenario, edges, out_edges, in_edges, conn_by_time)
+
+
+def _reference_augment(graph, infos):
+    infos = tuple(sorted(infos, key=lambda i: i.id))
+    edges = list(graph.edges)
+    out_edges = [list(adj) for adj in graph.out_edges]
+    in_edges = [list(adj) for adj in graph.in_edges]
+    source_vertex: dict[int, int] = {}
+    dest_vertex: dict[tuple[int, int], int] = {}
+    next_vertex = graph.real_vertex_count
+
+    def add_vertex():
+        nonlocal next_vertex
+        out_edges.append([])
+        in_edges.append([])
+        v = next_vertex
+        next_vertex += 1
+        return v
+
+    def add_edge(tail, head):
+        edge = Edge(len(edges), tail, head, VIRTUAL, 0.0, None, None)
+        edges.append(edge)
+        out_edges[tail].append(edge.index)
+        in_edges[head].append(edge.index)
+
+    for info in infos:
+        s = add_vertex()
+        source_vertex[info.id] = s
+        for u, t in sorted(info.sources):
+            add_edge(s, graph.vertex_id(u, t))
+    for info in infos:
+        for u in sorted(info.destinations):
+            d = add_vertex()
+            dest_vertex[(info.id, u)] = d
+            for t in range(graph.horizon):
+                add_edge(graph.vertex_id(u, t), d)
+
+    view = _reference_view(graph.scenario, edges, out_edges, in_edges,
+                           graph.conn_by_time)
+    view.edge_index_by_pair = graph.edge_index_by_pair
+    view.real_edge_count = graph.real_edge_count
+    view.vertex_count = next_vertex
+    view.infos = infos
+    view.source_vertex = source_vertex
+    view.dest_vertex = dest_vertex
+    return view
+
+
+def _reference_graph(scenario, info_sets=()):
+    """The reference base graph and one augmentation per info set."""
+    base = _reference_build(scenario)
+    return base, [_reference_augment(base, infos) for infos in info_sets]
+
+
+def _reference_label(ref, v):
+    if v < ref.real_vertex_count:
+        return "({},{})".format(*divmod(v, ref.horizon))
+    for info_id, s in getattr(ref, "source_vertex", {}).items():
+        if s == v:
+            return f"s_{info_id}"
+    for (info_id, u), d in getattr(ref, "dest_vertex", {}).items():
+        if d == v:
+            return f"d_{info_id}_{u}"
+    return f"v{v}"
+
+
+def _assert_same_graph(graph, ref, rng):
+    for name in ("edge_tail", "edge_head", "edge_kind", "edge_weight",
+                 "edge_time", "out_edges", "in_edges", "conn_by_time"):
+        assert getattr(graph, name) == getattr(ref, name), name
+    for name in ("real_vertex_count", "vertex_count", "real_edge_count"):
+        assert getattr(graph, name) == getattr(ref, name), name
+    assert len(graph.edges) == len(ref.edges)
+    assert list(graph.edges) == ref.edges      # every field, subrange too
+    assert all(e.time is None for e in graph.edges if e.kind == VIRTUAL)
+    for (tail, head), e in ref.edge_index_by_pair.items():
+        assert graph.edge_index(tail, head) == e
+    for _ in range(50):
+        tail = rng.randrange(ref.real_vertex_count)
+        head = rng.randrange(ref.real_vertex_count)
+        if (tail, head) not in ref.edge_index_by_pair:
+            assert graph.edge_index(tail, head) is None
+    assert [graph.vertex_label(v) for v in range(graph.vertex_count)] \
+        == [_reference_label(ref, v) for v in range(ref.vertex_count)]
+    if hasattr(ref, "infos"):
+        assert graph.infos == ref.infos
+        assert graph.source_vertex == ref.source_vertex
+        assert graph.dest_vertex == ref.dest_vertex
+
+
+def _builder_scenarios():
+    yield from (instances.chain3(), instances.star4(),
+                instances.crossing_pair(1), instances.crossing_pair(2),
+                instances.self_delivery(), instances.disjoint_pairs(),
+                instances.cheap_and_expensive(), instances.asymmetric_pair())
+    for seed in range(1, 40):
+        try:
+            yield generate_scenario(make_config("micro", seed))
+        except (GenerationError, ValueError):
+            continue
+    for seed in range(1, 26):
+        yield generate_scenario(make_config("paper", seed))
+    # per-UAV radii with several subranges each, and one UAV on the default
+    scenario = generate_scenario(make_config("paper", 4))
+    yield dataclasses.replace(scenario, per_uav_radii={
+        0: (20.0, 45.0, 90.0), 2: (5.0, 200.0), 3: (60.0,)})
+
+
+def test_builder_matches_reference_builder():
+    rng = random.Random(6)
+    count = 0
+    for scenario in _builder_scenarios():
+        ref_base, (ref_graph,) = _reference_graph(scenario, [scenario.infos])
+        base = build_time_expanded_graph(scenario)
+        _assert_same_graph(base, ref_base, rng)
+        _assert_same_graph(augment(base, scenario.infos), ref_graph, rng)
+        count += 1
+    assert count > 60
+
+
+def test_one_base_augmented_twice_is_left_unchanged():
+    rng = random.Random(8)
+    scenario = generate_scenario(make_config(
+        "paper", 3, uav_count=10, info_count=4, horizon=60, channels=2,
+        area_side=200.0, gather_radius=20.0, destinations_per_info=(2, 4)))
+    first, second = scenario.infos[:2], scenario.infos[1:]
+    ref_base, ref_graphs = _reference_graph(scenario, [first, second])
+    base = build_time_expanded_graph(scenario)
+    before = copy.deepcopy({name: getattr(base, name) for name in (
+        "edge_tail", "edge_head", "edge_kind", "edge_weight", "edge_time",
+        "out_edges", "in_edges", "conn_by_time")})
+    g1 = augment(base, first)
+    g2 = augment(base, second)
+    for graph, ref in zip((g1, g2), ref_graphs):
+        _assert_same_graph(graph, ref, rng)
+    _assert_same_graph(base, ref_base, rng)
+    for name, value in before.items():
+        assert getattr(base, name) == value, name
+    for graph in (g1, g2):      # an adjacency list is shared iff unchanged
+        for adjacency, base_adjacency in ((graph.out_edges, base.out_edges),
+                                          (graph.in_edges, base.in_edges)):
+            for v in range(base.real_vertex_count):
+                assert (adjacency[v] is base_adjacency[v]) \
+                    == (adjacency[v] == base_adjacency[v])
+
+
+# --- the solve path never builds the Edge view -----------------------------
+
+def test_solve_path_builds_no_edge_records(monkeypatch, tmp_path):
+    def no_records(*args, **kwargs):
+        raise AssertionError("an Edge record was built")
+
+    monkeypatch.setattr(fleetcast.graph, "Edge", no_records)
+    config = dict(uav_count=4, info_count=2, horizon=6, channels=2,
+                  gather_radius=18.0, area_side=55.0,
+                  destinations_per_info=(1, 2))
+    served = generate_scenario(make_config("micro", 15, **config))
+    restarted = generate_scenario(make_config("micro", 20, **config))
+    for scenario, status in ((served, "FEASIBLE"),
+                             (restarted, "INFEASIBLE_HEURISTIC")):
+        graph = augment(build_time_expanded_graph(scenario), scenario.infos)
+        for kind in HEURISTIC_KINDS:
+            seed = 1 if kind == RANDOM_KIND else None
+            report = greedy_plan(graph, graph.infos, HeuristicKind(kind, seed))
+            assert report.status == status
+    graph = augment(build_time_expanded_graph(served), served.infos)
+    report = solve_exact(graph)
+    assert report.status == "OPTIMAL"
+    assert check_feasibility(graph, report.plan).feasible
+    assert plan_cost(graph, report.plan) == report.objective
+    everything = frozenset(range(graph.real_edge_count))
+    verdict = check_feasibility(graph, Plan({i.id: everything
+                                             for i in graph.infos}))
+    assert {"EDGE", "C3", "C7", "C9"} <= verdict.constraint_ids()
+    assert all(v.message for v in verdict.violations)
+    path = tmp_path / "report.json"
+    save_report(graph, report, path)
+    assert load_report(graph, path).plan == report.plan
+    assert lint_lp(export_lp(graph)) == []
+    scenario_path = tmp_path / "scenario.json"
+    save_scenario(served, scenario_path)
+    assert cli.main(["solve", str(scenario_path), "--method", "mpf",
+                     "--out", str(tmp_path / "mpf.json")]) == 0
+    assert cli.main(["lp", str(scenario_path),
+                     "--out", str(tmp_path / "s.lp")]) == 0
+    with pytest.raises(AssertionError):     # the stub is really in place
+        graph.edges[0]

@@ -211,6 +211,9 @@ _REF_TOKEN_RE = re.compile(
     r"|[-+]"                                      # sign
     r"|\S")                                       # anything else: flagged
 _REF_RHS_RE = re.compile(rf"[-+]?{_REF_NUMBER}")
+_REF_BOUND_FORMS = (("num", "<=", "name"), ("num", "<=", "name", "<=", "num"),
+                    ("name", ">=", "num"), ("name", "<=", "num"),
+                    ("name", "free"))
 _REF_SENSES = ("<=", ">=", "=")
 
 
@@ -218,7 +221,8 @@ def _reference_lint_lp(text):
     """The token-by-token lint that predates the row grammar fast path.
 
     Kept as it was, except that a right-hand side must be an optionally
-    signed LP number rather than anything `float` accepts.
+    signed LP number rather than anything `float` accepts, and that a bound
+    line must take one of the forms in _REF_BOUND_FORMS.
     """
     errors = []
     lines = [ln.strip() for ln in text.splitlines()]
@@ -317,12 +321,60 @@ def _reference_lint_lp(text):
         names = [tok for tok in tokens if _REF_NAME_RE.match(tok) and tok != "free"]
         if not names:
             errors.append(f"bound line without a variable: {ln!r}")
+        elif not any(_ref_bound_form(tokens, form) for form in _REF_BOUND_FORMS):
+            errors.append(f"malformed bound line: {ln!r}")
         for tok in names:
             declared.add(tok)
 
     for var in sorted(referenced - declared):
         errors.append(f"variable {var} is never declared binary or bounded")
     return errors
+
+
+def _ref_bound_form(tokens, form):
+    if len(tokens) != len(form):
+        return False
+    for tok, want in zip(tokens, form):
+        if want == "num":
+            ok = _REF_RHS_RE.fullmatch(tok)
+        elif want == "name":
+            ok = _REF_NAME_RE.match(tok)
+        else:
+            ok = tok == want
+        if not ok:
+            return False
+    return True
+
+
+def one_bound(line):
+    return (f"Minimize\n obj: P_0\nSubject To\n c1: P_0 >= 0\n"
+            f"Binaries\nBounds\n {line}\nEnd\n")
+
+
+@pytest.mark.parametrize("line", [
+    "nan <= P_0 <= 1_000 * ?", "0 <= P_0 <= inf", "-inf <= P_0", "P_0",
+    "0 <= P_0 <=", "P_0 >= 1_0", "P_0 <= x", "0 >= P_0", "P_0 = 1",
+    "0 < P_0", "P_0 free 1", "free P_0", "- 1 <= P_0", "0 <= 2 P_0",
+    "\u0663 <= P_0", "0 <= P_0 P_1", "0 <= P_0 >= 1", "P_0 >= 0 <= 1",
+])
+def test_lint_rejects_malformed_bound_lines(line):
+    assert lint_lp(one_bound(line)) == [f"malformed bound line: {line!r}"]
+    assert _reference_lint_lp(one_bound(line)) == lint_lp(one_bound(line))
+
+
+@pytest.mark.parametrize("line", [
+    "0 <= P_0", "-1.5 <= P_0 <= 2e3", "P_0 >= +1", "P_0 <= .5", "P_0 free",
+    "0  <=\tP_0",
+])
+def test_lint_accepts_bound_lines_of_the_exporter_grammar(line):
+    assert lint_lp(one_bound(line)) == _reference_lint_lp(one_bound(line)) == []
+
+
+def test_lint_keeps_the_message_for_bound_lines_without_a_variable():
+    for line in ("0 <= 1", "free", "<= 3"):
+        assert lint_lp(one_bound(line)) == [
+            f"bound line without a variable: {line!r}",
+            "variable P_0 is never declared binary or bounded"]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))

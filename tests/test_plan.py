@@ -14,16 +14,17 @@ from fleetcast.graph import CONNECTIVITY
 from fleetcast.jsonio import write_json
 from fleetcast.plan import (Plan, check_feasibility, load_plan, plan_cost,
                             plan_from_dict, plan_to_dict, save_plan)
-from fleetcast.heuristic import HeuristicKind
+from fleetcast.exact import solve_exact
+from fleetcast.heuristic import HeuristicKind, greedy_plan
 from fleetcast.report import (HEURISTIC_KINDS, METHOD_EXACT, RANDOM_KIND,
-                              STATUSES, SolveReport, load_report,
-                              report_to_dict, save_report)
+                              SOLVED_STATUSES, STATUSES, SolveReport,
+                              load_report, report_to_dict, save_report)
 from fleetcast.scenario import InfoSpec
 
 
 def edge_by_route(graph, tail_uav, tail_t, head_uav, head_t):
-    return graph.edge_index_by_pair[
-        (graph.vertex_id(tail_uav, tail_t), graph.vertex_id(head_uav, head_t))]
+    return graph.edge_index(graph.vertex_id(tail_uav, tail_t),
+                            graph.vertex_id(head_uav, head_t))
 
 
 @pytest.fixture
@@ -280,14 +281,71 @@ def test_load_report_round_trips_every_method_and_status(chain, tmp_path):
     kinds = [HeuristicKind(RANDOM_KIND, seed) for seed in (0, 7, -3)] + [
         HeuristicKind(kind) for kind in HEURISTIC_KINDS if kind != RANDOM_KIND]
     methods = [(METHOD_EXACT, None)] + [(k.label(), k.seed) for k in kinds]
+    plan = load_report(chain, _write_report(chain_report_doc(chain),
+                                            tmp_path)).plan
     path = tmp_path / "report.json"
     for label, seed in methods:
         for status in STATUSES:
-            save_report(chain, SolveReport(label, status, None, None, nodes=12,
-                                           seed=seed), path)
+            solved = status in SOLVED_STATUSES
+            save_report(chain, SolveReport(
+                label, status, 20.0 if solved else None,
+                plan if solved else None, nodes=12, seed=seed), path)
             text = path.read_text()
             save_report(chain, load_report(chain, path), path)
             assert path.read_text() == text
+
+
+def _write_report(doc, tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    return path
+
+
+@pytest.mark.parametrize("status, objective, has_plan", [
+    ("INFEASIBLE", -5.0, True),
+    ("INFEASIBLE", None, True),
+    ("INFEASIBLE", 20.0, False),
+    ("INFEASIBLE_HEURISTIC", 20.0, True),
+    ("INFEASIBLE_HEURISTIC", 0.0, False),
+    ("TIMEOUT_NO_SOLUTION", None, True),
+    ("OPTIMAL", None, False),
+    ("OPTIMAL", 20.0, False),
+    ("OPTIMAL", None, True),
+    ("FEASIBLE", None, True),
+    ("FEASIBLE", -5.0, True),
+    ("FEASIBLE", 19.999999999999996, True),
+    ("FEASIBLE", 0.0, True),
+])
+def test_load_report_rejects_status_objective_plan_mismatch(
+        chain, tmp_path, status, objective, has_plan):
+    doc = chain_report_doc(chain)       # FEASIBLE, 20.0 J, a two-hop plan
+    doc.update(status=status, objective_joules=objective)
+    if not has_plan:
+        doc["plan"] = None
+    with pytest.raises(FormatError):
+        load_report(chain, _write_report(doc, tmp_path))
+
+
+@pytest.mark.parametrize("make", [
+    instances.chain3, instances.star4, lambda: instances.crossing_pair(1),
+    lambda: instances.crossing_pair(2), instances.self_delivery,
+    instances.cheap_and_expensive, instances.asymmetric_pair,
+])
+def test_load_report_round_trips_real_solver_reports(make, tmp_path):
+    graph = instances.augmented(make())
+    kinds = [HeuristicKind(k) for k in HEURISTIC_KINDS if k != RANDOM_KIND]
+    reports = [greedy_plan(graph, graph.infos, k)
+               for k in kinds + [HeuristicKind(RANDOM_KIND, 3)]]
+    reports.append(solve_exact(graph))
+    path = tmp_path / "report.json"
+    for report in reports:
+        save_report(graph, report, path)
+        text = path.read_text()
+        loaded = load_report(graph, path)
+        assert (loaded.status, loaded.objective, loaded.plan) \
+            == (report.status, report.objective, report.plan)
+        save_report(graph, loaded, path)
+        assert path.read_text() == text
 
 
 # -- checker completeness against the independent evaluator ----------------

@@ -137,6 +137,42 @@ def test_positions_and_radii_accept_json_integers(where, value, loaded):
     assert all(type(x) is float for x in found)
 
 
+@pytest.mark.parametrize("key", ["01", " 1", "1 ", "+1", "1.0", "1_0", "\u0661",
+                                 "one", ""])
+def test_per_uav_radii_document_keys_must_be_canonical(key):
+    doc = scenario_to_dict(instances.chain3())
+    doc["per_uav_radii"] = {key: [4.0]}
+    with pytest.raises(FormatError):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("key, error", [
+    ("-1", ScenarioError), ("3", ScenarioError)])
+def test_per_uav_radii_canonical_keys_of_missing_uavs(key, error):
+    doc = scenario_to_dict(instances.chain3())
+    doc["per_uav_radii"] = {key: [4.0]}
+    with pytest.raises(error):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("key", [True, "1", 1.0, None])
+def test_in_memory_per_uav_radii_keys_must_be_ints(key):
+    with pytest.raises(ScenarioError):
+        instances.static_scenario(
+            positions=[(0, 0), (10, 0)], per_uav_radii={key: (1.0,)},
+            infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1})])
+
+
+def test_per_uav_radii_int_keys_round_trip(tmp_path):
+    scen = instances.static_scenario(
+        positions=[(0, 0), (10, 0), (20, 0)], per_uav_radii={2: (4.0, 8.0)},
+        infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1})])
+    path = tmp_path / "scenario.json"
+    save_scenario(scen, path)
+    assert load_scenario(path) == scen
+    assert load_scenario(path).per_uav_radii == {2: (4.0, 8.0)}
+
+
 def test_validation_catches_dangling_infos():
     base = instances.chain3()
     with pytest.raises(ScenarioError):
