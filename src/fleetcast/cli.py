@@ -19,12 +19,12 @@ import click
 
 from .errors import FleetcastError, InternalError
 from .exact import SearchBudget, solve_exact
-from .gen import PROFILES, generate_scenario, make_config
+from .gen import PROFILES, GenConfig, generate_scenario, make_config
 from .graph import augment, build_time_expanded_graph
 from .heuristic import HeuristicKind, greedy_plan
 from .lp import export_lp, lint_lp
 from .report import HEURISTIC_KINDS, METHOD_EXACT, RANDOM_KIND, save_report
-from .scenario import load_scenario, save_scenario
+from .scenario import CACHE_CAPACITIES, load_scenario, save_scenario
 
 METHODS = (METHOD_EXACT, *HEURISTIC_KINDS)
 UNIT_FACTORS = {"J": 1.0, "mJ": 1e3, "uJ": 1e6, "nJ": 1e9}
@@ -47,14 +47,10 @@ class ExperimentRow:
     runtime_ms: float
 
 
-def _out_dir() -> Path:
-    return Path(os.environ.get("FLEETCAST_OUT_DIR", "."))
-
-
 def _resolve_out(out, default_name) -> Path:
     if out is not None:
         return Path(out)
-    base = _out_dir()
+    base = Path(os.environ.get("FLEETCAST_OUT_DIR", "."))
     base.mkdir(parents=True, exist_ok=True)
     return base / default_name
 
@@ -65,133 +61,136 @@ def _parse_seeds(spec: str) -> list[int]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "-" in chunk[1:]:
-            lo, hi = chunk.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        else:
-            seeds.append(int(chunk))
+        try:
+            if "-" in chunk[1:]:
+                lo, hi = chunk.split("-", 1)
+                seeds.extend(range(int(lo), int(hi) + 1))
+            else:
+                seeds.append(int(chunk))
+        except ValueError:
+            raise click.UsageError(f"bad seed {chunk!r} in --seeds") from None
     if not seeds:
         raise click.UsageError(f"no seeds in {spec!r}")
     return seeds
 
 
-def _gen_options(fn):
-    options = [
-        click.option("--uavs", "uav_count", type=int, default=None,
-                     help="Fleet size."),
-        click.option("--infos", "info_count", type=int, default=None,
-                     help="Number of informations to disseminate."),
-        click.option("--horizon", "-T", "horizon", type=int, default=None,
-                     help="Number of time units."),
-        click.option("--channels", type=int, default=None,
-                     help="Channel budget per time unit."),
-        click.option("--area", "area_side", type=float, default=None,
-                     help="Side of the square operating area (m)."),
-        click.option("--speed", type=float, default=None,
-                     help="Max UAV displacement per time unit (m)."),
-        click.option("--gather-radius", type=float, default=None,
-                     help="Pickup radius around an information's location (m)."),
-        click.option("--subranges", "subrange_count", type=int, default=None,
-                     help="Number of nested power subranges."),
-        click.option("--max-range", type=float, default=None,
-                     help="Outermost communication radius (m)."),
-        click.option("--dest-min", type=int, default=None,
-                     help="Min destination UAVs per information."),
-        click.option("--dest-max", type=int, default=None,
-                     help="Max destination UAVs per information."),
-        click.option("--packet-kb", type=float, default=None,
-                     help="Packet size in KB (1 KB = 1000 bytes)."),
-        click.option("--bandwidth-mhz", type=float, default=None,
-                     help="Channel bandwidth in MHz."),
-        click.option("--alpha", type=float, default=None,
-                     help="Path-loss exponent."),
-        click.option("--noise-density", type=float, default=None,
-                     help="Noise spectral density (W/Hz)."),
-        click.option("--slot-seconds", type=float, default=None,
-                     help="Length of one time unit (s)."),
-        click.option("--cache", "cache_capacity",
-                     type=click.Choice(["single", "unlimited"]), default=None,
-                     help="How many informations a UAV may cache across a step."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+def _options(*options):
+    """One decorator applying click options in the order listed."""
+    def apply(fn):
+        for option in reversed(options):
+            fn = option(fn)
+        return fn
+    return apply
 
 
-def _config_overrides(params: dict) -> dict:
-    overrides = {}
-    direct = ("uav_count", "info_count", "horizon", "channels", "area_side",
-              "speed", "gather_radius", "subrange_count", "max_range",
-              "cache_capacity")
-    for key in direct:
-        if params.get(key) is not None:
-            overrides[key] = params[key]
-    if params.get("dest_min") is not None or params.get("dest_max") is not None:
-        lo = params.get("dest_min") or 1
-        hi = params.get("dest_max") or max(lo, 1)
-        overrides["destinations_per_info"] = (lo, hi)
-    if params.get("packet_kb") is not None:
-        overrides["packet_bits"] = int(round(params["packet_kb"] * 8000))
-    if params.get("bandwidth_mhz") is not None:
-        overrides["bandwidth_hz"] = params["bandwidth_mhz"] * 1e6
-    if params.get("alpha") is not None:
-        overrides["path_loss_exponent"] = params["alpha"]
-    if params.get("noise_density") is not None:
-        overrides["noise_density"] = params["noise_density"]
-    if params.get("slot_seconds") is not None:
-        overrides["slot_seconds"] = params["slot_seconds"]
-    return overrides
+#: Each generator flag: its GenConfig or radio field, click type, conversion
+#: from the flag's unit to the field's (or None), and help text. The two
+#: destination bounds are the ends of `destinations_per_info`.
+GEN_FLAGS = {
+    "--uavs": ("uav_count", click.INT, None, "Fleet size."),
+    "--infos": ("info_count", click.INT, None,
+                "Number of informations to disseminate."),
+    "--horizon": ("horizon", click.INT, None, "Number of time units."),
+    "--channels": ("channels", click.INT, None,
+                   "Channel budget per time unit."),
+    "--area": ("area_side", click.FLOAT, None,
+               "Side of the square operating area (m)."),
+    "--speed": ("speed", click.FLOAT, None,
+                "Max UAV displacement per time unit (m)."),
+    "--gather-radius": ("gather_radius", click.FLOAT, None,
+                        "Pickup radius around an information's location (m)."),
+    "--subranges": ("subrange_count", click.INT, None,
+                    "Number of nested power subranges."),
+    "--max-range": ("max_range", click.FLOAT, None,
+                    "Outermost communication radius (m)."),
+    "--dest-min": ("dest_min", click.INT, None,
+                   "Min destination UAVs per information."),
+    "--dest-max": ("dest_max", click.INT, None,
+                   "Max destination UAVs per information."),
+    "--packet-kb": ("packet_bits", click.FLOAT, lambda kb: int(round(kb * 8000)),
+                    "Packet size in KB (1 KB = 1000 bytes)."),
+    "--bandwidth-mhz": ("bandwidth_hz", click.FLOAT, lambda mhz: mhz * 1e6,
+                        "Channel bandwidth in MHz."),
+    "--alpha": ("path_loss_exponent", click.FLOAT, None, "Path-loss exponent."),
+    "--noise-density": ("noise_density", click.FLOAT, None,
+                        "Noise spectral density (W/Hz)."),
+    "--slot-seconds": ("slot_seconds", click.FLOAT, None,
+                       "Length of one time unit (s)."),
+    "--cache": ("cache_capacity", click.Choice(CACHE_CAPACITIES), None,
+                "How many informations a UAV may cache across a step."),
+}
+
+#: `sweep --variable` name -> the generator flag whose field it sweeps
+SWEEP_FLAGS = {"packet_size": "--packet-kb", "bandwidth": "--bandwidth-mhz",
+               "uav_count": "--uavs", "info_count": "--infos"}
+
+_gen_options = _options(*(
+    click.option(flag, *(("-T",) if flag == "--horizon" else ()), field,
+                 type=kind, default=None, help=help_text)
+    for flag, (field, kind, _, help_text) in GEN_FLAGS.items()))
+
+_solver_options = _options(
+    click.option("--seed", "r_seed", type=int, default=0, show_default=True,
+                 help="Shuffle seed for the random ordering."),
+    click.option("--budget-nodes", type=click.IntRange(min=1),
+                 default=5_000_000, show_default=True),
+    click.option("--budget-seconds", type=click.FloatRange(min=0, min_open=True),
+                 default=300.0, show_default=True),
+    click.option("--max-restarts", type=click.IntRange(min=0), default=None,
+                 help="Greedy restart cap (default: one per information)."))
+
+_jobs_option = click.option("--jobs", type=click.IntRange(min=1), default=1,
+                            show_default=True)
 
 
-def _build_graph(scenario):
-    return augment(build_time_expanded_graph(scenario), scenario.infos)
+def _make_config(profile, seed, params: dict) -> GenConfig:
+    """The config asked for by the flag values in `params`, keyed by field.
+    An omitted destination bound is the profile's; a bad value is a usage error.
+    """
+    lo, hi = PROFILES[profile]["destinations_per_info"]
+    fields = {"dest_min": lo, "dest_max": hi}
+    where = ""
+    try:
+        for flag, (field, _, convert, _) in GEN_FLAGS.items():
+            value = params.get(field)
+            if value is not None:
+                where = f"{flag} {value!r}: "
+                fields[field] = value if convert is None else convert(value)
+        where = ""
+        fields["destinations_per_info"] = (fields.pop("dest_min"),
+                                           fields.pop("dest_max"))
+        return make_config(profile, seed, **fields)
+    except (ValueError, OverflowError) as exc:
+        raise click.UsageError(f"{where}{exc}") from None
 
 
-def _run_method(graph, method, r_seed, budget_nodes, budget_seconds,
-                max_restarts):
+def _solve(task):
+    """Run one method on a scenario file or a generator config.
+
+    Returns (scenario, graph, report). Top level, so that `--jobs` can send
+    it to worker processes.
+    """
+    source, method, r_seed, budget_nodes, budget_seconds, max_restarts = task
+    scenario = (generate_scenario(source) if isinstance(source, GenConfig)
+                else load_scenario(source))
+    graph = augment(build_time_expanded_graph(scenario), scenario.infos)
     if method == METHOD_EXACT:
         budget = SearchBudget(max_nodes=budget_nodes,
                               time_limit_seconds=budget_seconds)
-        return solve_exact(graph, graph.infos, budget)
-    kind = HeuristicKind(method, r_seed if method == RANDOM_KIND else None)
-    return greedy_plan(graph, graph.infos, kind, max_restarts)
+        report = solve_exact(graph, graph.infos, budget)
+    else:
+        kind = HeuristicKind(method, r_seed if method == RANDOM_KIND else None)
+        report = greedy_plan(graph, graph.infos, kind, max_restarts)
+    return scenario, graph, report
 
 
-def _solve_scenario_file(task):
-    path, method, r_seed, budget_nodes, budget_seconds, max_restarts = task
-    scenario = load_scenario(path)
-    graph = _build_graph(scenario)
-    report = _run_method(graph, method, r_seed, budget_nodes, budget_seconds,
-                         max_restarts)
-    return {
-        "instance": Path(path).stem,
-        "uavs": scenario.uav_count,
-        "infos": len(scenario.infos),
-        "horizon": scenario.horizon,
-        "method": method,
-        "status": report.status,
-        "objective": report.objective,
-        "runtime_ms": report.runtime_ms,
-    }
-
-
-def _solve_generated(task):
-    (profile, seed, overrides, method, r_seed, budget_nodes, budget_seconds,
-     max_restarts) = task
-    config = make_config(profile, seed, **overrides)
-    scenario = generate_scenario(config)
-    graph = _build_graph(scenario)
-    report = _run_method(graph, method, r_seed, budget_nodes, budget_seconds,
-                         max_restarts)
-    return {"seed": seed, "status": report.status,
-            "objective": report.objective, "runtime_ms": report.runtime_ms}
-
-
-def _map_tasks(worker, tasks, jobs):
-    if jobs <= 1:
-        return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
+def _solve_all(tasks, jobs):
+    """`_solve` of each task in order, one graph alive at a time if serial."""
+    if jobs == 1:
+        yield from map(_solve, tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(_solve, tasks)
 
 
 @click.group()
@@ -208,10 +207,7 @@ def cli():
 @_gen_options
 def cmd_gen(profile, seed, out, **params):
     """Generate a seeded scenario file."""
-    try:
-        config = make_config(profile, seed, **_config_overrides(params))
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    config = _make_config(profile, seed, params)
     scenario = generate_scenario(config, extra_provenance={"profile": profile})
     path = _resolve_out(out, f"scenario-{profile}-s{seed}.json")
     save_scenario(scenario, path)
@@ -222,12 +218,7 @@ def cmd_gen(profile, seed, out, **params):
 @cli.command("solve")
 @click.argument("scenario_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", type=click.Choice(METHODS), required=True)
-@click.option("--seed", "r_seed", type=int, default=0, show_default=True,
-              help="Shuffle seed for the random ordering.")
-@click.option("--budget-nodes", type=int, default=5_000_000, show_default=True)
-@click.option("--budget-seconds", type=float, default=300.0, show_default=True)
-@click.option("--max-restarts", type=int, default=None,
-              help="Greedy restart cap (default: one per information).")
+@_solver_options
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Report file to write.")
 @click.option("--unit", type=click.Choice(sorted(UNIT_FACTORS)), default="J",
@@ -236,17 +227,12 @@ def cmd_gen(profile, seed, out, **params):
 def cmd_solve(ctx, scenario_file, method, r_seed, budget_nodes, budget_seconds,
               max_restarts, out, unit):
     """Solve a scenario with one method and write a report file."""
-    scenario = load_scenario(scenario_file)
-    graph = _build_graph(scenario)
-    report = _run_method(graph, method, r_seed, budget_nodes, budget_seconds,
-                         max_restarts)
-    stem = Path(scenario_file).stem
-    path = _resolve_out(out, f"report-{method}-{stem}.json")
+    _, graph, report = _solve((scenario_file, method, r_seed, budget_nodes,
+                               budget_seconds, max_restarts))
+    path = _resolve_out(out, f"report-{method}-{Path(scenario_file).stem}.json")
     save_report(graph, report, path)
-    if report.objective is None:
-        shown = "-"
-    else:
-        shown = f"{report.objective * UNIT_FACTORS[unit]:.6g} {unit}"
+    shown = ("-" if report.objective is None
+             else f"{report.objective * UNIT_FACTORS[unit]:.6g} {unit}")
     click.echo(f"method={report.method} status={report.status} "
                f"objective={shown} runtime={report.runtime_ms:.2f}ms "
                f"report={path}")
@@ -262,7 +248,7 @@ def cmd_solve(ctx, scenario_file, method, r_seed, budget_nodes, budget_seconds,
 def cmd_lp(scenario_file, out, max_variables):
     """Export the instance as a solver-neutral LP document."""
     scenario = load_scenario(scenario_file)
-    graph = _build_graph(scenario)
+    graph = augment(build_time_expanded_graph(scenario), scenario.infos)
     text = export_lp(graph, max_variables=max_variables)
     problems = lint_lp(text)
     if problems:
@@ -278,11 +264,8 @@ def cmd_lp(scenario_file, out, max_variables):
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--methods", default="exact,mpf,lpf,muf,r", show_default=True,
               help="Comma-separated method list.")
-@click.option("--seed", "r_seed", type=int, default=0, show_default=True)
-@click.option("--budget-nodes", type=int, default=5_000_000, show_default=True)
-@click.option("--budget-seconds", type=float, default=300.0, show_default=True)
-@click.option("--max-restarts", type=int, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@_solver_options
+@_jobs_option
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="CSV file to write.")
 @click.option("--markdown/--no-markdown", default=True, show_default=True,
@@ -300,27 +283,24 @@ def cmd_compare(scenario_files, methods, r_seed, budget_nodes, budget_seconds,
 
     tasks = [(path, method, r_seed, budget_nodes, budget_seconds, max_restarts)
              for path in scenario_files for method in method_list]
-    results = _map_tasks(_solve_scenario_file, tasks, jobs)
+    rows = [ExperimentRow(Path(path).stem, scenario.uav_count,
+                          len(scenario.infos), scenario.horizon, method,
+                          report.status, report.objective, None,
+                          report.runtime_ms)
+            for (scenario, _, report), (path, method, *_)
+            in zip(_solve_all(tasks, jobs), tasks)]
+    rows.sort(key=lambda r: (r.instance, method_list.index(r.method)))
 
-    exact_optimal = {
-        r["instance"]: r["objective"] for r in results
-        if r["method"] == METHOD_EXACT and r["status"] == "OPTIMAL"}
-    rows = []
-    for r in sorted(results, key=lambda r: (r["instance"],
-                                            method_list.index(r["method"]))):
-        deviation = None
-        best = exact_optimal.get(r["instance"])
-        if (r["method"] != METHOD_EXACT and best is not None
-                and r["objective"] is not None and best > 0):
-            deviation = (r["objective"] - best) / best * 100.0
-        elif (r["method"] != METHOD_EXACT and best == 0.0
-              and r["objective"] == 0.0):
-            deviation = 0.0
-        rows.append(ExperimentRow(
-            instance=r["instance"], uavs=r["uavs"], infos=r["infos"],
-            horizon=r["horizon"], method=r["method"], status=r["status"],
-            objective=r["objective"], deviation_pct=deviation,
-            runtime_ms=r["runtime_ms"]))
+    exact_optimal = {r.instance: r.objective for r in rows
+                     if r.method == METHOD_EXACT and r.status == "OPTIMAL"}
+    for r in rows:
+        best = exact_optimal.get(r.instance)
+        if r.method == METHOD_EXACT or best is None or r.objective is None:
+            continue
+        if best > 0:
+            r.deviation_pct = (r.objective - best) / best * 100.0
+        elif r.objective == 0.0:
+            r.deviation_pct = 0.0
     rows.extend(_mean_rows(rows, method_list))
 
     path = _resolve_out(out, "compare.csv")
@@ -330,22 +310,22 @@ def cmd_compare(scenario_files, methods, r_seed, budget_nodes, budget_seconds,
         click.echo(_markdown_table(rows))
 
 
+def _mean(values):
+    """The mean of the values that are not None, or None if there are none."""
+    values = [v for v in values if v is not None]
+    return sum(values) / len(values) if values else None
+
+
 def _mean_rows(rows, method_list):
     means = []
     for method in method_list:
         subset = [r for r in rows if r.method == method]
-        if not subset:
-            continue
-        objectives = [r.objective for r in subset if r.objective is not None]
-        deviations = [r.deviation_pct for r in subset
-                      if r.deviation_pct is not None]
-        means.append(ExperimentRow(
-            instance="mean", uavs=0, infos=0, horizon=0, method=method,
-            status="",
-            objective=sum(objectives) / len(objectives) if objectives else None,
-            deviation_pct=(sum(deviations) / len(deviations)
-                           if deviations else None),
-            runtime_ms=sum(r.runtime_ms for r in subset) / len(subset)))
+        if subset:
+            means.append(ExperimentRow(
+                "mean", 0, 0, 0, method, "",
+                _mean(r.objective for r in subset),
+                _mean(r.deviation_pct for r in subset),
+                _mean(r.runtime_ms for r in subset)))
     return means
 
 
@@ -379,8 +359,7 @@ def _markdown_table(rows):
 
 @cli.command("sweep")
 @click.option("--variable", required=True,
-              type=click.Choice(["packet_size", "bandwidth", "uav_count",
-                                 "info_count"]))
+              type=click.Choice(list(SWEEP_FLAGS)))
 @click.option("--values", required=True,
               help="Comma-separated sweep values (KB, MHz, or counts).")
 @click.option("--seeds", required=True,
@@ -389,44 +368,22 @@ def _markdown_table(rows):
               show_default=True)
 @click.option("--profile", type=click.Choice(sorted(PROFILES)),
               default="paper", show_default=True)
-@click.option("--seed", "r_seed", type=int, default=0, show_default=True)
-@click.option("--budget-nodes", type=int, default=5_000_000, show_default=True)
-@click.option("--budget-seconds", type=float, default=300.0, show_default=True)
-@click.option("--max-restarts", type=int, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@_solver_options
+@_jobs_option
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_gen_options
 def cmd_sweep(variable, values, seeds, method, profile, r_seed, budget_nodes,
               budget_seconds, max_restarts, jobs, out, **params):
     """Sweep one variable over seeded instances; emit mean objectives."""
-    try:
-        value_list = [float(v) for v in values.split(",") if v.strip()]
-    except ValueError as exc:
-        raise click.UsageError(f"bad --values: {exc}") from None
+    field, kind, _, _ = GEN_FLAGS[SWEEP_FLAGS[variable]]
+    value_list = [kind(v) for v in values.split(",") if v.strip()]
     if not value_list:
         raise click.UsageError("no sweep values given")
     seed_list = _parse_seeds(seeds)
-    base_overrides = _config_overrides(params)
-
-    tasks = []
-    for value in value_list:
-        overrides = dict(base_overrides)
-        if variable == "packet_size":
-            overrides["packet_bits"] = int(round(value * 8000))
-        elif variable == "bandwidth":
-            overrides["bandwidth_hz"] = value * 1e6
-        elif variable == "uav_count":
-            overrides["uav_count"] = int(value)
-        else:
-            overrides["info_count"] = int(value)
-        for seed in seed_list:
-            try:
-                make_config(profile, seed, **overrides)
-            except ValueError as exc:
-                raise click.UsageError(str(exc)) from None
-            tasks.append((profile, seed, overrides, method, r_seed,
-                          budget_nodes, budget_seconds, max_restarts))
-    results = _map_tasks(_solve_generated, tasks, jobs)
+    tasks = [(_make_config(profile, seed, {**params, field: value}), method,
+              r_seed, budget_nodes, budget_seconds, max_restarts)
+             for value in value_list for seed in seed_list]
+    objectives = [report.objective for _, _, report in _solve_all(tasks, jobs)]
 
     path = _resolve_out(out, f"sweep-{variable}.csv")
     with open(path, "w", newline="", encoding="utf-8") as handle:
@@ -435,13 +392,11 @@ def cmd_sweep(variable, values, seeds, method, profile, r_seed, budget_nodes,
         writer.writerow(["variable", "value", "method",
                          "mean_objective_joules", "solved", "seeds"])
         for k, value in enumerate(value_list):
-            chunk = results[k * len(seed_list):(k + 1) * len(seed_list)]
-            solved = [r["objective"] for r in chunk
-                      if r["objective"] is not None]
-            mean = sum(solved) / len(solved) if solved else ""
-            writer.writerow([variable, value, method,
-                             repr(mean) if solved else "",
-                             len(solved), len(seed_list)])
+            chunk = objectives[k * len(seed_list):(k + 1) * len(seed_list)]
+            mean = _mean(chunk)
+            writer.writerow([variable, float(value), method,
+                             "" if mean is None else repr(mean),
+                             len(chunk) - chunk.count(None), len(seed_list)])
     click.echo(f"wrote {path}")
 
 

@@ -45,14 +45,17 @@ class GenConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         for name in ("area_side", "speed", "gather_radius", "max_range"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value!r}")
         if self.gather_radius > self.max_range:
             raise ValueError("gather_radius must not exceed max_range")
         lo, hi = self.destinations_per_info
         if not 1 <= lo <= hi <= self.uav_count:
             raise ValueError("destinations_per_info must satisfy "
-                             "1 <= lo <= hi <= uav_count")
+                             "1 <= lo <= hi <= uav_count, got "
+                             f"({lo}, {hi}) with uav_count {self.uav_count}")
         if self.cache_capacity not in CACHE_CAPACITIES:
             raise ValueError(f"cache_capacity must be one of {CACHE_CAPACITIES}")
 

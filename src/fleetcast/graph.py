@@ -121,13 +121,16 @@ class _EdgeView(Sequence):
 
 
 class AugmentedGraph(TimeExpandedGraph):
-    """A time-expanded graph extended with virtual sources and destinations."""
+    """A time-expanded graph extended with virtual sources and destinations.
+
+    It shares the base graph's unchanged lists but keeps no reference to the
+    base object, so a caller that drops the base frees the rest of it.
+    """
 
     def __init__(self, base: TimeExpandedGraph, infos, arrays, out_edges,
                  in_edges, source_vertex, dest_vertex, vertex_count):
         super().__init__(base.scenario, arrays, out_edges, in_edges,
                          base.conn_by_time)
-        self.base = base
         self.vertex_count = vertex_count
         self.real_edge_count = base.real_edge_count
         self.infos = infos

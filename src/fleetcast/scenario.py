@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import FormatError, ScenarioError
 from .jsonio import _int_key, _is_int, read_json, write_json
-from .radio import RadioParams
+from .radio import RadioParams, subrange_weight
 
 SCENARIO_FORMAT = "fleetcast-scenario/1"
 
@@ -115,6 +115,16 @@ class Scenario:
                 if not 0 <= u < self.uav_count:
                     raise ScenarioError(f"per_uav_radii references unknown UAV {u}")
                 _check_radii(radii, f"per_uav_radii[{u}]")
+        # a plan spends at most the outermost energy at each of the U*T
+        # vertices, so this bound keeps every objective a finite float
+        outer = max(self.radii_for(u)[-1] for u in range(self.uav_count))
+        try:
+            energy = subrange_weight(self.radio, outer)
+        except OverflowError:
+            energy = math.inf
+        if not math.isfinite(energy * self.uav_count * self.horizon):
+            raise ScenarioError(f"the transmit energy for {outer} m overflows "
+                                "a float; check the radio constants")
         if self.cache_capacity not in CACHE_CAPACITIES:
             raise ScenarioError(
                 f"cache_capacity must be one of {CACHE_CAPACITIES}, "

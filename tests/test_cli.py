@@ -1,12 +1,13 @@
 """End-to-end CLI flows: exit codes, file outputs, determinism."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from fleetcast.cli import main
+from fleetcast.cli import cli, main
 from fleetcast.lp import lint_lp
 
 
@@ -232,3 +233,102 @@ def test_jobs_flag_matches_serial_results(micro_scenario, tmp_path):
                  r["objective_joules"], r["deviation_pct"]) for r in rows]
 
     assert stable_columns(serial) == stable_columns(parallel)
+
+
+# Output pins, recorded before the flag table and the single solve worker
+# replaced the per-command code; valid invocations must keep these bytes.
+
+ALL_GEN_FLAGS = ("--uavs", "4", "--infos", "2", "--horizon", "7",
+                 "--channels", "1", "--area", "60", "--speed", "5",
+                 "--gather-radius", "20", "--subranges", "4",
+                 "--max-range", "30", "--dest-min", "1", "--dest-max", "2",
+                 "--packet-kb", "150", "--bandwidth-mhz", "20",
+                 "--alpha", "2.5", "--noise-density", "2e-9",
+                 "--slot-seconds", "0.02", "--cache", "unlimited")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--profile", "micro", "--seed", "5") + ALL_GEN_FLAGS,
+     "bdcc9881503ea44fb42d18a38b918e085df03c294a4fbbaeebaadc986b9e2c0f"),
+    (("--profile", "paper", "--seed", "3", "-T", "12"),
+     "8da2570ee2059a16b5520f343534b5de9483319c600cbd558da0d2583a8856f1"),
+])
+def test_gen_bytes_are_pinned(tmp_path, argv, digest):
+    out = tmp_path / "scenario.json"
+    assert run("gen", *argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+SWEEP_HEAD = ("# format: fleetcast-sweep-csv/1 (objectives in joules)\n"
+              "variable,value,method,mean_objective_joules,solved,seeds\n")
+
+
+@pytest.mark.parametrize("argv, body", [
+    (("packet_size", "--values", "100,400", "--seeds", "0-2"),
+     "packet_size,100.0,mpf,0.25,3,3\npacket_size,400.0,mpf,21.25,3,3\n"),
+    (("bandwidth", "--values", "20,40", "--seeds", "0-2"),
+     "bandwidth,20.0,mpf,10.625,3,3\nbandwidth,40.0,mpf,1.2500000000000002,3,3\n"),
+    (("uav_count", "--values", "3,4", "--seeds", "0-1", "--method", "exact"),
+     "uav_count,3.0,exact,0.0,2,2\nuav_count,4.0,exact,1.041666666666667,2,2\n"),
+    (("info_count", "--values", "1,2", "--seeds", "0,1", "--method", "r",
+      "--seed", "3"),
+     "info_count,1.0,r,0.0,2,2\ninfo_count,2.0,r,1.8750000000000002,2,2\n"),
+])
+def test_sweep_bytes_are_pinned(tmp_path, argv, body):
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--profile", "micro", "--variable", *argv,
+               "--out", str(out)) == 0
+    assert out.read_text() == SWEEP_HEAD + body
+
+
+COMPARE_PIN = [
+    ["instance", "uavs", "infos", "horizon", "method", "status",
+     "objective_joules", "deviation_pct"],
+    ["s12", "4", "3", "8", "exact", "OPTIMAL", "0.0", ""],
+    ["s12", "4", "3", "8", "mpf", "FEASIBLE", "0.0", "0.0"],
+    ["s12", "4", "3", "8", "r", "FEASIBLE", "0.0", "0.0"],
+    ["s9", "4", "3", "8", "exact", "OPTIMAL", "12.500000000000002", ""],
+    ["s9", "4", "3", "8", "mpf", "FEASIBLE", "18.333333333333336",
+     "46.666666666666664"],
+    ["s9", "4", "3", "8", "r", "FEASIBLE", "14.583333333333336",
+     "16.666666666666668"],
+    ["mean", "0", "0", "0", "exact", "", "6.250000000000001", ""],
+    ["mean", "0", "0", "0", "mpf", "", "9.166666666666668",
+     "23.333333333333332"],
+    ["mean", "0", "0", "0", "r", "", "7.291666666666668", "8.333333333333334"],
+]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_compare_columns_are_pinned(tmp_path, jobs):
+    paths = []
+    for seed in ("9", "12"):
+        paths.append(str(tmp_path / f"s{seed}.json"))
+        assert run("gen", "--profile", "micro", "--seed", seed, "--uavs", "4",
+                   "--infos", "3", "--dest-max", "2", "--horizon", "8",
+                   "--out", paths[-1]) == 0
+    out = tmp_path / "compare.csv"
+    assert run("compare", *paths, "--methods", "exact,mpf,r", "--jobs", jobs,
+               "--out", str(out), "--no-markdown") == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "# format: fleetcast-compare-csv/1 (objectives in joules)"
+    rows = list(csv.reader(lines[1:]))
+    assert rows[0][-1] == "runtime_ms"
+    assert [row[:-1] for row in rows] == COMPARE_PIN
+
+
+def _flags(command, skip=()):
+    return {tuple(p.opts): (repr(p.type), p.default)
+            for p in command.params if not set(p.opts) & set(skip)}
+
+
+def test_commands_share_generator_and_solver_flags():
+    gen_flags = _flags(cli.commands["gen"], skip=("--profile", "--seed", "--out"))
+    assert len(gen_flags) == 17
+    assert gen_flags.items() <= _flags(cli.commands["sweep"]).items()
+    solver = ("--seed", "--budget-nodes", "--budget-seconds", "--max-restarts")
+    solve_flags = {opts: spec for opts, spec in _flags(cli.commands["solve"]).items()
+                   if set(opts) & set(solver)}
+    assert len(solve_flags) == len(solver)
+    for name in ("compare", "sweep"):
+        assert solve_flags.items() <= _flags(cli.commands[name]).items()

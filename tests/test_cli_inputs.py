@@ -1,0 +1,126 @@
+"""Bad command-line values are usage errors (exit 1), never internal errors.
+
+Exit code 3 is reserved for bugs, so no argv a user can type may reach it.
+Counts, horizons, subrange counts and seed ranges are drawn only from tiny
+values: the generator allocates memory in proportion to them.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fleetcast.cli import main
+
+BAD_NUMBERS = ["-1", "0", "2.7", "nan", "inf", "-inf", "1e308", "x", ""]
+# half of all draws are small valid values, so that later stages run too
+NUMBERS = st.sampled_from(["1", "2", "2.7"]) | st.sampled_from(BAD_NUMBERS)
+GEN_FLAGS = ("--uavs", "--infos", "--horizon", "--channels", "--area",
+             "--speed", "--gather-radius", "--subranges", "--max-range",
+             "--dest-min", "--dest-max", "--packet-kb", "--bandwidth-mhz",
+             "--alpha", "--noise-density", "--slot-seconds")
+SOLVER_FLAGS = ("--seed", "--budget-nodes", "--budget-seconds",
+                "--max-restarts")
+SEED_SPECS = (st.sampled_from(["0", "0-1", "1,", "-1", "2,3"])
+              | st.sampled_from(["x", "5-x", "1--2", "3-1", ",", "-", "1-",
+                                 " ", "0,x", "a-b"]))
+VARIABLES = ["packet_size", "bandwidth", "uav_count", "info_count"]
+METHODS = ["exact", "mpf", "lpf", "muf", "r"]
+
+
+def run(*argv):
+    return main(list(argv))
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli-inputs")
+    assert run("gen", "--profile", "micro", "--seed", "7",
+               "--out", str(path / "base.json")) == 0
+    return path
+
+
+def flags(draw, names, max_size=3):
+    chosen = draw(st.lists(st.sampled_from(names), unique=True,
+                           max_size=max_size))
+    return [arg for name in chosen for arg in (name, draw(NUMBERS))]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_no_command_line_exits_3(work, data):
+    draw = data.draw
+    gen_flags = flags(draw, GEN_FLAGS)
+    solver_flags = flags(draw, SOLVER_FLAGS, max_size=2)
+    scenario = work / "drawn.json"
+    code = run("gen", "--profile", "micro", "--seed", draw(NUMBERS),
+               *gen_flags, "--out", str(scenario))
+    assert code in (0, 1)
+    if code != 0:
+        scenario = work / "base.json"
+    method = draw(st.sampled_from(METHODS))
+    assert run("solve", str(scenario), "--method", method, *solver_flags,
+               "--out", str(work / "report.json")) in (0, 1, 2)
+    assert run("lp", str(scenario), *flags(draw, ["--max-variables"]),
+               "--out", str(work / "model.lp")) in (0, 1)
+    assert run("compare", str(scenario), "--methods", f"exact,{method}",
+               *solver_flags, *flags(draw, ["--jobs"]), "--no-markdown",
+               "--out", str(work / "compare.csv")) in (0, 1)
+    values = ",".join(draw(st.lists(NUMBERS, min_size=1, max_size=2)))
+    assert run("sweep", "--profile", "micro",
+               "--variable", draw(st.sampled_from(VARIABLES)),
+               "--values", values, "--seeds", draw(SEED_SPECS),
+               "--method", method, *flags(draw, SOLVER_FLAGS, max_size=1),
+               *flags(draw, GEN_FLAGS, max_size=1),
+               "--out", str(work / "sweep.csv")) in (0, 1)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("solve", "{base}", "--method", "exact", "--budget-nodes", "0"),
+     "--budget-nodes"),
+    (("solve", "{base}", "--method", "exact", "--budget-seconds", "-1"),
+     "--budget-seconds"),
+    (("solve", "{base}", "--method", "mpf", "--max-restarts", "-1"),
+     "--max-restarts"),
+    (("sweep", "--variable", "packet_size", "--values", "100",
+      "--seeds", "x"), "'x'"),
+    (("sweep", "--variable", "packet_size", "--values", "100",
+      "--seeds", "5-x"), "'5-x'"),
+    (("gen", "--seed", "1", "--packet-kb", "1e308"), "--packet-kb"),
+    (("sweep", "--profile", "micro", "--variable", "packet_size",
+      "--values", "nan", "--seeds", "0"), "nan"),
+    (("sweep", "--profile", "micro", "--variable", "uav_count",
+      "--values", "2.7", "--seeds", "0"), "2.7"),
+    (("gen", "--seed", "1", "--dest-max", "0"), "(1, 0)"),
+    (("gen", "--seed", "1", "--dest-min", "0"), "(0, 2)"),
+    (("compare", "{base}", "--methods", "mpf", "--jobs", "-3"), "--jobs"),
+    (("gen", "--profile", "micro", "--seed", "1", "--alpha", "1e308"),
+     "overflows"),
+    (("gen", "--profile", "micro", "--seed", "1", "--speed", "inf"),
+     "speed must be positive and finite"),
+])
+def test_bad_value_exits_1_and_names_it(work, capsys, argv, named):
+    out = work / "regression.out"
+    out.unlink(missing_ok=True)
+    argv = [arg.format(base=work / "base.json") for arg in argv]
+    assert run(*argv, "--out", str(out)) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_omitted_destination_bound_comes_from_the_profile(tmp_path):
+    out = tmp_path / "paper.json"
+    assert run("gen", "--profile", "paper", "--seed", "1", "--dest-min", "1",
+               "--horizon", "20", "--out", str(out)) == 0
+    config = json.loads(out.read_text())["provenance"]["config"]
+    assert config["destinations_per_info"] == [1, 2]
+
+
+def test_destination_bound_outside_the_profile_is_rejected(tmp_path, capsys):
+    out = tmp_path / "micro.json"
+    assert run("gen", "--profile", "micro", "--seed", "1", "--dest-min", "2",
+               "--out", str(out)) == 1
+    assert ("destinations_per_info must satisfy 1 <= lo <= hi <= uav_count"
+            in capsys.readouterr().err)
+    assert not out.exists()

@@ -2,8 +2,10 @@
 
 import copy
 import dataclasses
+import gc
 import math
 import random
+import weakref
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from types import SimpleNamespace
@@ -629,6 +631,16 @@ def test_one_base_augmented_twice_is_left_unchanged():
                 assert (adjacency[v] is base_adjacency[v]) \
                     == (adjacency[v] == base_adjacency[v])
 
+
+def test_augmented_graph_does_not_keep_its_base_alive():
+    scenario = generate_scenario(make_config("micro", 3))
+    base = build_time_expanded_graph(scenario)
+    base_ref = weakref.ref(base)
+    graph = augment(base, scenario.infos)
+    del base
+    gc.collect()
+    assert base_ref() is None
+    assert graph.vertex_count > graph.real_vertex_count
 
 # --- the solve path never builds the Edge view -----------------------------
 
