@@ -10,6 +10,7 @@ carry measured runtimes.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -129,13 +130,22 @@ _gen_options = _options(*(
                  type=kind, default=None, help=help_text)
     for flag, (field, kind, _, help_text) in GEN_FLAGS.items()))
 
+
+def _not_nan(ctx, param, value):
+    """`FloatRange` lets NaN through: every comparison with it is false."""
+    if math.isnan(value):
+        raise click.BadParameter(f"{value} is not a number")
+    return value
+
+
 _solver_options = _options(
     click.option("--seed", "r_seed", type=int, default=0, show_default=True,
                  help="Shuffle seed for the random ordering."),
     click.option("--budget-nodes", type=click.IntRange(min=1),
                  default=5_000_000, show_default=True),
     click.option("--budget-seconds", type=click.FloatRange(min=0, min_open=True),
-                 default=300.0, show_default=True),
+                 default=300.0, show_default=True, callback=_not_nan,
+                 help="Wall-clock limit for exact; inf means none."),
     click.option("--max-restarts", type=click.IntRange(min=0), default=None,
                  help="Greedy restart cap (default: one per information)."))
 

@@ -45,9 +45,9 @@ class SearchBudget:
     time_limit_seconds: float = 300.0
 
     def __post_init__(self):
-        if self.max_nodes <= 0:
+        if not self.max_nodes > 0:  # NaN fails too
             raise ValueError("max_nodes must be positive")
-        if self.time_limit_seconds <= 0:
+        if not self.time_limit_seconds > 0:
             raise ValueError("time_limit_seconds must be positive")
 
 

@@ -50,11 +50,13 @@ class TimeExpandedGraph:
     Edges are parallel flat lists over edge indices: `edge_tail`, `edge_head`,
     `edge_kind` (a KIND_* code), `edge_weight` and `edge_time` (the tail's
     layer, -1 for virtual edges), in a reproducible construction order: by
-    time layer, then tail UAV, then head UAV.
+    time layer, then tail UAV, then head UAV. `min_connectivity_weight` is
+    the smallest entry of the builder's subrange-weight table, a lower bound
+    on every connectivity weight (inf without UAVs).
     """
 
     def __init__(self, scenario: Scenario, arrays, out_edges, in_edges,
-                 conn_by_time):
+                 conn_by_time, min_connectivity_weight):
         self.scenario = scenario
         self.uav_count = scenario.uav_count
         self.horizon = scenario.horizon
@@ -64,6 +66,7 @@ class TimeExpandedGraph:
          self.edge_time) = arrays
         self.out_edges, self.in_edges = out_edges, in_edges
         self.conn_by_time = conn_by_time
+        self.min_connectivity_weight = min_connectivity_weight
         self.real_vertex_count = self.vertex_count = self.uav_count * self.horizon
         self.real_edge_count = len(self.edge_tail)
         self._edge_records = None
@@ -130,7 +133,7 @@ class AugmentedGraph(TimeExpandedGraph):
     def __init__(self, base: TimeExpandedGraph, infos, arrays, out_edges,
                  in_edges, source_vertex, dest_vertex, vertex_count):
         super().__init__(base.scenario, arrays, out_edges, in_edges,
-                         base.conn_by_time)
+                         base.conn_by_time, base.min_connectivity_weight)
         self.vertex_count = vertex_count
         self.real_edge_count = base.real_edge_count
         self.infos = infos
@@ -199,7 +202,9 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
                 out_edges[tail].append(e)
                 in_edges[head].append(e)
 
-    return TimeExpandedGraph(scenario, arrays, out_edges, in_edges, conn_by_time)
+    min_weight = min((w for ws in weight_of for w in ws), default=math.inf)
+    return TimeExpandedGraph(scenario, arrays, out_edges, in_edges, conn_by_time,
+                             min_weight)
 
 
 def augment(graph: TimeExpandedGraph, infos) -> AugmentedGraph:
@@ -296,6 +301,24 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     current tree reached through undeleted heads; backward callers pass no
     deletions).
 
+    Level-end relaxations: a step out of a vertex settled at distance d that
+    gives nd > d cannot change any pop at key d, so it waits in `pending`
+    and is relaxed just before the first pop above d (or when the heap runs
+    empty). Steps that give exactly d are relaxed at once. Pending steps are
+    relaxed in settle order, so among relaxations of equal value the order
+    is the plain Dijkstra's, and every distance and first-tight parent is
+    the same. A real vertex without a discount settled at d with
+    d + `min_connectivity_weight` > d has only steps above d, so its
+    connectivity edges are not even read until the level ends; any other
+    vertex tests each step.
+
+    Caching chains: when such a vertex v strictly improves its caching
+    neighbour h, h is settled next without touching the heap, because it is
+    what the heap would pop next. Every heap entry is above (d, v) and none
+    is (d, h); forward, h = v + 1 and no vertex id lies between them;
+    backward, h = v - 1 is below (d, v). v pushes nothing else at key d: a
+    real vertex's virtual edges lead only to terminals.
+
     Stop rule: the search ends when `target` is settled, or earlier, at the
     first zero-cost virtual edge into it. That edge leaves a vertex settled
     at distance d and gives `target` distance d; every later pop is at d or
@@ -322,36 +345,86 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     horizon = graph.horizon
     channels = graph.channels
     real_vertex_count = graph.real_vertex_count
-    while heap:
+    wmin = graph.min_connectivity_weight
+    pending = []  # vertices settled at `level` with steps above it
+    level = 0.0
+    while heap or pending:
+        if pending and (not heap or heap[0][0] > level):
+            for v in pending:
+                v_power = power.get(v, 0.0)
+                for e in adjacency[v]:
+                    if kinds[e]:
+                        continue
+                    head = ends[e]
+                    if done[head]:
+                        continue
+                    w = weights[e]
+                    nd = level + (w - v_power) if w > v_power else level
+                    if nd < dist[head]:
+                        dist[head] = nd
+                        parent[head] = e
+                        heappush(heap, (nd, head))
+            pending = []
+            continue
         d, v = heappop(heap)
         if done[v]:
             continue
-        done[v] = 1
-        if v == target:
-            break
-        t = v % horizon
-        layer_open = channel_used[t] + layer_delta.get(t, 0) < channels
-        v_power = power.get(v, 0.0)
-        for e in adjacency[v]:
-            head = ends[e]
-            if done[head]:
-                continue
-            kind = kinds[e]
-            if kind == 0:  # connectivity
-                if not layer_open:
-                    continue
-                w = weights[e]
-                nd = d + (w - v_power) if w > v_power else d
-            elif kind == 1 or head < real_vertex_count:  # caching, fan-out
-                nd = d
-            elif head == target and d < dist[head]:  # final, see stop rule
-                dist[head] = d
-                parent[head] = e
+        while True:  # v, then the caching chain it starts
+            done[v] = 1
+            if v == target:
                 return dist, parent
-            else:  # other virtual terminals are dead ends
-                continue
-            if nd < dist[head]:
-                dist[head] = nd
-                parent[head] = e
-                heappush(heap, (nd, head))
+            t = v % horizon
+            layer_open = channel_used[t] + layer_delta.get(t, 0) < channels
+            v_power = power.get(v, 0.0)
+            chain = -1
+            if v < real_vertex_count and not v_power and d + wmin > d:
+                if layer_open:
+                    pending.append(v)
+                    level = d
+                for e in adjacency[v]:
+                    kind = kinds[e]
+                    if not kind:  # connectivity: above d
+                        continue
+                    head = ends[e]
+                    if done[head] or not d < dist[head]:
+                        continue
+                    if kind == 1:
+                        dist[head] = d
+                        parent[head] = e
+                        chain = head
+                    elif head == target:  # final, see stop rule
+                        dist[head] = d
+                        parent[head] = e
+                        return dist, parent
+                    # other virtual terminals are dead ends
+            else:
+                later = False
+                for e in adjacency[v]:
+                    head = ends[e]
+                    if done[head]:
+                        continue
+                    kind = kinds[e]
+                    if kind == 0:  # connectivity
+                        if not layer_open:
+                            continue
+                        w = weights[e]
+                        if w > v_power and d + (w - v_power) > d:
+                            later = True
+                            continue
+                    elif kind == 2 and head >= real_vertex_count:
+                        if head == target and d < dist[head]:  # stop rule
+                            dist[head] = d
+                            parent[head] = e
+                            return dist, parent
+                        continue  # other virtual terminals are dead ends
+                    if d < dist[head]:
+                        dist[head] = d
+                        parent[head] = e
+                        heappush(heap, (d, head))
+                if later:
+                    pending.append(v)
+                    level = d
+            if chain < 0:
+                break
+            v = chain
     return dist, parent

@@ -99,6 +99,8 @@ def test_no_command_line_exits_3(work, data):
      "overflows"),
     (("gen", "--profile", "micro", "--seed", "1", "--speed", "inf"),
      "speed must be positive and finite"),
+    (("solve", "{base}", "--method", "exact", "--budget-seconds", "nan"),
+     "--budget-seconds"),
 ])
 def test_bad_value_exits_1_and_names_it(work, capsys, argv, named):
     out = work / "regression.out"
@@ -124,3 +126,10 @@ def test_destination_bound_outside_the_profile_is_rejected(tmp_path, capsys):
     assert ("destinations_per_info must satisfy 1 <= lo <= hi <= uav_count"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_infinite_budget_seconds_means_no_wall_clock_limit(work):
+    out = work / "unlimited.json"
+    assert run("solve", str(work / "base.json"), "--method", "exact",
+               "--budget-seconds", "inf", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["status"] in ("OPTIMAL", "INFEASIBLE")

@@ -21,6 +21,12 @@ def test_budget_validation():
         SearchBudget(max_nodes=0)
     with pytest.raises(ValueError):
         SearchBudget(time_limit_seconds=0.0)
+    with pytest.raises(ValueError):
+        SearchBudget(time_limit_seconds=math.nan)
+    with pytest.raises(ValueError):
+        SearchBudget(max_nodes=math.nan)
+    assert SearchBudget(time_limit_seconds=math.inf).time_limit_seconds \
+        == math.inf
 
 
 def test_self_delivery_costs_nothing():

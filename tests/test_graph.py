@@ -11,6 +11,8 @@ from heapq import heapify, heappop, heappush
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fleetcast.graph
 import instances
@@ -417,6 +419,196 @@ def test_shortest_paths_match_reference_kernel():
             assert _shortest_paths(*backward) \
                 == _reference_shortest_paths(*backward)
     assert early_stops > 0  # the early stop really left work undone
+
+
+# --- the kernel's level-end relaxations and caching chains ---------------
+
+def _flat_graph(uav_count, horizon, conn, channels=1, sources=(),
+                dest_uavs=()):
+    """A hand-built graph in the builder's flat-list layout.
+
+    Vertex (u, t) is u * horizon + t and caches into (u, t + 1); `conn` maps
+    (tail uav, head uav, t) to a connectivity weight. One virtual source
+    fans out to the `sources` copies, and each of `dest_uavs` gets a virtual
+    destination fed by all its copies.
+    """
+    real = uav_count * horizon
+    edges = []  # (tail, head, kind, weight, time)
+
+    for t in range(horizon):
+        for u in range(uav_count):
+            v = u * horizon + t
+            for u2 in range(uav_count):
+                if u2 == u and t + 1 < horizon:
+                    edges.append((v, v + 1, 1, 0.0, t))
+                elif (u, u2, t) in conn:
+                    edges.append((v, u2 * horizon + t, 0, conn[(u, u2, t)], t))
+    for u, t in sources:
+        edges.append((real, u * horizon + t, 2, 0.0, -1))
+    dests = []
+    for u in dest_uavs:
+        dests.append(real + 1 + len(dests))
+        for t in range(horizon):
+            edges.append((u * horizon + t, dests[-1], 2, 0.0, -1))
+    vertex_count = real + 1 + len(dests)
+    out_edges = [[] for _ in range(vertex_count)]
+    in_edges = [[] for _ in range(vertex_count)]
+    for e, (tail, head, _, _, _) in enumerate(edges):
+        out_edges[tail].append(e)
+        in_edges[head].append(e)
+    tails, heads, kinds, weights, times = (list(c) for c in zip(*edges))
+    return SimpleNamespace(
+        edge_tail=tails, edge_head=heads, edge_kind=kinds,
+        edge_weight=weights, edge_time=times,
+        uav_count=uav_count, horizon=horizon,
+        channels=channels, real_vertex_count=real, vertex_count=vertex_count,
+        out_edges=out_edges, in_edges=in_edges, source=real,
+        min_connectivity_weight=min(conn.values(), default=math.inf))
+
+
+def _assert_kernel_matches_reference(graph, seeds, deleted=(), power=None,
+                                     channel_used=None, layer_delta=None,
+                                     targets=None):
+    """Forward and backward, full arrays and early-stopped walks."""
+    power = {} if power is None else power
+    used = [0] * graph.horizon if channel_used is None else channel_used
+    delta = {} if layer_delta is None else layer_delta
+    if targets is None:
+        targets = range(graph.vertex_count)
+    for adjacency, ends, back, residual in (
+            (graph.out_edges, graph.edge_head, graph.edge_tail, power),
+            (graph.in_edges, graph.edge_tail, graph.edge_head, {})):
+        args = (graph, seeds, adjacency, ends, set(deleted), residual, used,
+                delta)
+        assert _shortest_paths(*args) == _reference_shortest_paths(*args)
+        for target in targets:
+            dist, parent = _shortest_paths(*args, target)
+            ref_dist, ref_parent = _reference_shortest_paths(*args, target)
+            assert dist[target] == ref_dist[target]
+            assert _walk(parent, back, target) == _walk(ref_parent, back,
+                                                        target)
+
+
+def _walk(parent, back, v):
+    path = []
+    while parent[v] >= 0:
+        path.append(parent[v])
+        v = back[parent[v]]
+    return path
+
+
+def test_kernel_step_that_rounds_to_its_level():
+    # 1e16 + 1.0 == 1e16: UAV 2 is reached at level 1e16 and must be settled
+    # there, before UAV 3, so its edge into UAV 4 wins the tie at 2e16
+    conn = {(0, 1, 0): 1e16, (0, 3, 0): 1e16, (1, 2, 0): 1.0,
+            (2, 4, 0): 1e16, (3, 4, 0): 1e16}
+    graph = _flat_graph(5, 1, conn)
+    assert 1e16 + graph.min_connectivity_weight == 1e16
+    dist, parent = _shortest_paths(graph, [0], graph.out_edges,
+                                   graph.edge_head, (), {}, [0], {})
+    assert dist[2] == 1e16 and graph.edge_tail[parent[4]] == 2
+    _assert_kernel_matches_reference(graph, [0])
+
+
+def test_kernel_all_weights_equal():
+    conn = {(u, u2, t): 1.0 for u in range(4) for u2 in range(4)
+            for t in range(3) if u != u2}
+    graph = _flat_graph(4, 3, conn, channels=2, sources=[(0, 0), (2, 1)],
+                        dest_uavs=[1, 3])
+    _assert_kernel_matches_reference(graph, [0])
+    _assert_kernel_matches_reference(graph, [graph.source])
+    _assert_kernel_matches_reference(graph, [1, 6, 11])
+
+
+def test_kernel_discount_that_zeroes_a_step():
+    # UAV 0's discount makes its step to UAV 1 free, so UAV 1 is settled at
+    # 0 before UAV 2 and its edge into UAV 3 wins the tie at 1.0
+    conn = {(0, 1, 0): 2.0, (1, 3, 0): 1.0, (2, 3, 0): 1.0}
+    graph = _flat_graph(4, 1, conn)
+    dist, parent = _shortest_paths(graph, [0, 2], graph.out_edges,
+                                   graph.edge_head, (), {0: 2.0}, [0], {})
+    assert dist[1] == 0.0 and graph.edge_tail[parent[3]] == 1
+    _assert_kernel_matches_reference(graph, [0, 2], power={0: 2.0})
+
+
+def test_kernel_discounted_positive_step_keeps_settle_order():
+    # UAV 0 (no discount) and UAV 1 (discount 1.0) both reach UAV 2 at 1.0;
+    # UAV 0 was settled first, so its edge is the parent
+    conn = {(0, 2, 0): 1.0, (1, 2, 0): 2.0}
+    graph = _flat_graph(3, 1, conn)
+    dist, parent = _shortest_paths(graph, [0, 1], graph.out_edges,
+                                   graph.edge_head, (), {1: 1.0}, [0], {})
+    assert dist[2] == 1.0 and graph.edge_tail[parent[2]] == 0
+    _assert_kernel_matches_reference(graph, [0, 1], power={1: 1.0})
+
+
+def test_kernel_deleted_caching_successor():
+    conn = {(0, 1, 0): 1.0, (1, 0, 2): 1.0, (0, 2, 1): 2.0, (2, 0, 3): 1.0,
+            (1, 2, 3): 1.0}
+    graph = _flat_graph(3, 4, conn, sources=[(0, 0)], dest_uavs=[0, 2])
+    # (0, 1) is deleted: UAV 0's chain breaks after t = 0
+    _assert_kernel_matches_reference(graph, [graph.source], deleted=[1])
+    _assert_kernel_matches_reference(graph, [0, 4], deleted=[2, 9])
+
+
+def test_kernel_closed_layer():
+    conn = {(0, 1, t): 1.0 for t in range(3)}
+    conn.update({(1, 2, t): 2.0 for t in range(3)})
+    graph = _flat_graph(3, 3, conn, channels=1, dest_uavs=[2])
+    _assert_kernel_matches_reference(graph, [0], channel_used=[1, 0, 0])
+    _assert_kernel_matches_reference(graph, [0], channel_used=[0, 0, 0],
+                                     layer_delta={0: 1, 1: 1})
+    _assert_kernel_matches_reference(graph, [0], power={0: 1.0, 3: 2.0},
+                                     layer_delta={0: 1})
+
+
+def test_kernel_backward_direction():
+    conn = {(1, 0, 0): 1.0, (2, 1, 0): 1.0, (2, 0, 1): 2.0, (1, 2, 1): 1.0,
+            (0, 2, 2): 1.0}
+    graph = _flat_graph(3, 3, conn)
+    copies = [0, 1, 2]  # UAV 0 at t = 0, 1, 2
+    dist, _ = _shortest_paths(graph, copies, graph.in_edges, graph.edge_tail,
+                              (), {}, [0] * 3, {})
+    # UAV 2 at t = 0 reaches UAV 0 through UAV 1 (2.0) or by caching to
+    # t = 1 and sending directly (2.0)
+    assert dist[6] == 2.0 and dist[3] == 1.0
+    _assert_kernel_matches_reference(graph, copies)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_kernel_matches_reference_on_small_graphs(data):
+    values = data.draw(st.sampled_from(
+        [(1.0, 2.0), (1.0, 2.0, 3.0), (0.5, 1.5, 2.0), (1.0, 1e16)]))
+    uav_count = data.draw(st.integers(2, 4))
+    horizon = data.draw(st.integers(1, 4))
+    real = uav_count * horizon
+    pairs = [(u, u2, t) for t in range(horizon) for u in range(uav_count)
+             for u2 in range(uav_count) if u != u2]
+    conn = {key: data.draw(st.sampled_from(values)) for key in pairs
+            if data.draw(st.booleans())}
+    vertices = st.integers(0, real - 1)
+    sources = data.draw(st.lists(st.tuples(
+        st.integers(0, uav_count - 1), st.integers(0, horizon - 1)),
+        min_size=1, max_size=3, unique=True))
+    dest_uavs = data.draw(st.lists(st.integers(0, uav_count - 1),
+                                   max_size=2, unique=True))
+    channels = data.draw(st.integers(1, 2))
+    graph = _flat_graph(uav_count, horizon, conn, channels, sources,
+                        dest_uavs)
+    seeds = sorted(data.draw(st.sets(vertices, min_size=1, max_size=3)))
+    if data.draw(st.booleans()):
+        seeds.append(graph.source)
+    deleted = data.draw(st.sets(vertices, max_size=3)) - set(seeds)
+    power = data.draw(st.dictionaries(
+        vertices, st.sampled_from(values + (0.5 * values[0],)), max_size=4))
+    used = data.draw(st.lists(st.integers(0, channels), min_size=horizon,
+                              max_size=horizon))
+    delta = data.draw(st.dictionaries(st.integers(0, horizon - 1),
+                                      st.integers(0, channels), max_size=2))
+    target = data.draw(st.integers(0, graph.vertex_count - 1))
+    _assert_kernel_matches_reference(graph, seeds, deleted, power, used,
+                                     delta, targets=[target])
 
 
 # --- the flat-list builder against the Edge-record builder ---------------
