@@ -177,8 +177,7 @@ def _make_config(profile, seed, params: dict) -> GenConfig:
 def _solve(task):
     """Run one method on a scenario file or a generator config.
 
-    Returns (scenario, graph, report). Top level, so that `--jobs` can send
-    it to worker processes.
+    Returns (scenario, graph, report).
     """
     source, method, r_seed, budget_nodes, budget_seconds, max_restarts = task
     scenario = (generate_scenario(source) if isinstance(source, GenConfig)
@@ -194,13 +193,22 @@ def _solve(task):
     return scenario, graph, report
 
 
+def _solve_row(task):
+    """`_solve`'s report and the scenario's (U, |I|, T): what a table row
+    reads. Top level and graph-free, so that `--jobs` can send it between
+    processes cheaply.
+    """
+    scenario, _, report = _solve(task)
+    return (scenario.uav_count, len(scenario.infos), scenario.horizon), report
+
+
 def _solve_all(tasks, jobs):
-    """`_solve` of each task in order, one graph alive at a time if serial."""
+    """`_solve_row` of each task, in order."""
     if jobs == 1:
-        yield from map(_solve, tasks)
+        yield from map(_solve_row, tasks)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(_solve, tasks)
+            yield from pool.map(_solve_row, tasks)
 
 
 @click.group()
@@ -293,11 +301,9 @@ def cmd_compare(scenario_files, methods, r_seed, budget_nodes, budget_seconds,
 
     tasks = [(path, method, r_seed, budget_nodes, budget_seconds, max_restarts)
              for path in scenario_files for method in method_list]
-    rows = [ExperimentRow(Path(path).stem, scenario.uav_count,
-                          len(scenario.infos), scenario.horizon, method,
-                          report.status, report.objective, None,
-                          report.runtime_ms)
-            for (scenario, _, report), (path, method, *_)
+    rows = [ExperimentRow(Path(path).stem, *counts, method, report.status,
+                          report.objective, None, report.runtime_ms)
+            for (counts, report), (path, method, *_)
             in zip(_solve_all(tasks, jobs), tasks)]
     rows.sort(key=lambda r: (r.instance, method_list.index(r.method)))
 
@@ -393,7 +399,7 @@ def cmd_sweep(variable, values, seeds, method, profile, r_seed, budget_nodes,
     tasks = [(_make_config(profile, seed, {**params, field: value}), method,
               r_seed, budget_nodes, budget_seconds, max_restarts)
              for value in value_list for seed in seed_list]
-    objectives = [report.objective for _, _, report in _solve_all(tasks, jobs)]
+    objectives = [report.objective for _, report in _solve_all(tasks, jobs)]
 
     path = _resolve_out(out, f"sweep-{variable}.csv")
     with open(path, "w", newline="", encoding="utf-8") as handle:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import GenerationError
+from .jsonio import check_int, check_number
 from .radio import RadioParams
 from .scenario import CACHE_CAPACITIES, CACHE_SINGLE, InfoSpec, Scenario
 
@@ -38,17 +39,14 @@ class GenConfig:
     cache_capacity: str = CACHE_SINGLE
 
     def __post_init__(self):
-        object.__setattr__(self, "destinations_per_info",
-                           tuple(int(v) for v in self.destinations_per_info))
+        object.__setattr__(self, "destinations_per_info", tuple(
+            check_int(v, "destinations_per_info", ValueError)
+            for v in self.destinations_per_info))
         for name in ("uav_count", "info_count", "horizon", "channels",
                      "subrange_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            check_int(getattr(self, name), name, ValueError, low=1)
         for name in ("area_side", "speed", "gather_radius", "max_range"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {value!r}")
+            check_number(getattr(self, name), name, ValueError, positive=True)
         if self.gather_radius > self.max_range:
             raise ValueError("gather_radius must not exceed max_range")
         lo, hi = self.destinations_per_info
@@ -84,20 +82,18 @@ def make_config(profile: str, seed: int, **overrides) -> GenConfig:
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of "
                          f"{sorted(PROFILES)}")
-    fields = dict(PROFILES[profile])
+    params = dict(PROFILES[profile])
     radio_overrides = {}
-    for key in ("bandwidth_hz", "path_loss_exponent", "noise_density",
-                "packet_bits", "slot_seconds"):
-        if key in overrides:
-            value = overrides.pop(key)
-            if value is not None:
-                radio_overrides[key] = value
+    for field in fields(RadioParams):
+        value = overrides.pop(field.name, None)
+        if value is not None:
+            radio_overrides[field.name] = value
     for key, value in overrides.items():
         if value is not None:
-            fields[key] = value
+            params[key] = value
     if radio_overrides:
-        fields["radio"] = replace(fields["radio"], **radio_overrides)
-    return GenConfig(seed=seed, **fields)
+        params["radio"] = replace(params["radio"], **radio_overrides)
+    return GenConfig(seed=seed, **params)
 
 
 def generate_scenario(config: GenConfig, extra_provenance: dict | None = None) -> Scenario:

@@ -18,9 +18,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .errors import ScenarioError
 from .radio import subrange_weight
-from .scenario import InfoSpec, Scenario
+from .scenario import InfoSpec, Scenario, check_infos
 
 CONNECTIVITY = "connectivity"
 CACHING = "caching"
@@ -212,20 +211,11 @@ def augment(graph: TimeExpandedGraph, infos) -> AugmentedGraph:
 
     Only the virtual edges are new: each flat list is the base's plus the
     virtual part, and only vertices that gain a virtual edge get their own
-    adjacency lists. The base graph is never changed.
+    adjacency lists. The base graph is never changed. The infos must pass
+    `check_infos` for the graph's fleet.
     """
     infos = tuple(sorted(infos, key=lambda i: i.id))
-    for k, info in enumerate(infos):
-        if k and info.id == infos[k - 1].id:
-            raise ScenarioError(f"duplicate info id {info.id}")
-        for u, t in info.sources:
-            if not (0 <= u < graph.uav_count and 0 <= t < graph.horizon):
-                raise ScenarioError(
-                    f"info {info.id}: source ({u},{t}) outside the graph")
-        for u in info.destinations:
-            if not 0 <= u < graph.uav_count:
-                raise ScenarioError(f"info {info.id}: destination UAV {u} "
-                                    "does not exist")
+    check_infos(infos, graph.uav_count, graph.horizon)
 
     tails, heads = [], []
     base_out, base_in = graph.out_edges, graph.in_edges

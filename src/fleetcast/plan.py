@@ -56,10 +56,6 @@ class Plan:
             (info_id, e) for info_id, edges in self.activations.items()
             for e in edges))
 
-    @staticmethod
-    def empty(info_ids=()):
-        return Plan({info_id: frozenset() for info_id in info_ids})
-
 
 @dataclass(frozen=True)
 class Violation:

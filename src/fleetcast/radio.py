@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .jsonio import check_int, check_number
+
 _LN2 = math.log(2.0)
 
 
@@ -34,15 +36,8 @@ class RadioParams:
     def __post_init__(self):
         for name in ("bandwidth_hz", "path_loss_exponent", "noise_density",
                      "slot_seconds"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                    isinstance(value, (int, float)) and math.isfinite(value)
-                    and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if isinstance(self.packet_bits, bool) or not (
-                isinstance(self.packet_bits, int) and self.packet_bits > 0):
-            raise ValueError(f"packet_bits must be a positive integer, got "
-                             f"{self.packet_bits!r}")
+            check_number(getattr(self, name), name, ValueError, positive=True)
+        check_int(self.packet_bits, "packet_bits", ValueError, low=1)
 
 
 def transmission_rate(params: RadioParams, power: float, distance: float) -> float:

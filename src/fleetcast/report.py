@@ -7,13 +7,12 @@ lives on the in-memory report and in the comparison CSVs.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
 from .errors import FormatError
 from .graph import AugmentedGraph
-from .jsonio import _is_int, read_json, write_json
+from .jsonio import check_int, check_number, read_json, write_json
 from .plan import Plan, plan_cost, plan_from_dict, plan_to_dict
 
 REPORT_FORMAT = "fleetcast-report/1"
@@ -88,13 +87,11 @@ def load_report(graph: AugmentedGraph, path) -> SolveReport:
     if not (isinstance(status, str) and status in STATUSES):
         raise FormatError(f"{path}: unknown status {status!r}")
     objective = doc["objective_joules"]
-    if not (objective is None or _is_int(objective)
-            or isinstance(objective, float) and math.isfinite(objective)):
-        raise FormatError(f"{path}: objective_joules {objective!r} is not "
-                          "a finite number")
+    if objective is not None:
+        check_number(objective, f"{path}: objective_joules", FormatError)
     for key in ("nodes", "restarts", "seed"):
-        if key in doc and not _is_int(doc[key]):
-            raise FormatError(f"{path}: {key} {doc[key]!r} is not an integer")
+        if key in doc:
+            check_int(doc[key], f"{path}: {key}", FormatError)
     plan = doc.get("plan")
     plan = None if plan is None else plan_from_dict(graph, plan)
     if status in SOLVED_STATUSES:

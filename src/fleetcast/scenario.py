@@ -9,10 +9,11 @@ information to disseminate (where each can be gathered, who needs it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import FormatError, ScenarioError
-from .jsonio import _int_key, _is_int, read_json, write_json
+from .jsonio import (_int_key, _is_int, check_int, check_number, read_json,
+                     write_json)
 from .radio import RadioParams, subrange_weight
 
 SCENARIO_FORMAT = "fleetcast-scenario/1"
@@ -36,8 +37,7 @@ class InfoSpec:
     destinations: frozenset
 
     def __post_init__(self):
-        if not _is_int(self.id) or self.id < 0:
-            raise ScenarioError(f"info id must be a nonnegative integer, got {self.id!r}")
+        check_int(self.id, "info id", ScenarioError, low=0)
         sources = [(u, t) for u, t in self.sources]
         for u, t in sources:
             if not (_is_int(u) and _is_int(t)):
@@ -71,33 +71,27 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "trajectories", tuple(
-            tuple((_float(x, "trajectory position"),
-                   _float(y, "trajectory position")) for x, y in traj)
+            tuple((check_number(x, "trajectory position", ScenarioError),
+                   check_number(y, "trajectory position", ScenarioError))
+                  for x, y in traj)
             for traj in self.trajectories))
         object.__setattr__(self, "subrange_radii", tuple(
-            _float(r, "subrange radius") for r in self.subrange_radii))
+            check_number(r, "subrange radius", ScenarioError)
+            for r in self.subrange_radii))
         object.__setattr__(self, "infos", tuple(self.infos))
         if self.per_uav_radii is not None:
             for u in self.per_uav_radii:
-                if not _is_int(u):
-                    raise ScenarioError(
-                        f"per_uav_radii key {u!r} must be an integer UAV id")
+                check_int(u, "per_uav_radii key", ScenarioError)
             object.__setattr__(self, "per_uav_radii", {
-                int(u): tuple(_float(r, f"radius of UAV {u}") for r in radii)
+                int(u): tuple(
+                    check_number(r, f"radius of UAV {u}", ScenarioError)
+                    for r in radii)
                 for u, radii in self.per_uav_radii.items()})
         self._validate()
 
     def _validate(self):
         for name in ("uav_count", "horizon", "channels"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ScenarioError(f"{name} must be an integer, got {value!r}")
-        if self.uav_count < 1:
-            raise ScenarioError("uav_count must be at least 1")
-        if self.horizon < 1:
-            raise ScenarioError("horizon must be at least 1")
-        if self.channels < 1:
-            raise ScenarioError("channels must be at least 1")
+            check_int(getattr(self, name), name, ScenarioError, low=1)
         if len(self.trajectories) != self.uav_count:
             raise ScenarioError(
                 f"expected {self.uav_count} trajectories, got {len(self.trajectories)}")
@@ -106,9 +100,6 @@ class Scenario:
                 raise ScenarioError(
                     f"trajectory of UAV {u} has {len(traj)} positions, "
                     f"expected horizon {self.horizon}")
-            for x, y in traj:
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ScenarioError(f"trajectory of UAV {u} has non-finite position")
         _check_radii(self.subrange_radii, "subrange_radii")
         if self.per_uav_radii is not None:
             for u, radii in self.per_uav_radii.items():
@@ -129,19 +120,7 @@ class Scenario:
             raise ScenarioError(
                 f"cache_capacity must be one of {CACHE_CAPACITIES}, "
                 f"got {self.cache_capacity!r}")
-        seen_ids = set()
-        for info in self.infos:
-            if info.id in seen_ids:
-                raise ScenarioError(f"duplicate info id {info.id}")
-            seen_ids.add(info.id)
-            for u, t in info.sources:
-                if not (0 <= u < self.uav_count and 0 <= t < self.horizon):
-                    raise ScenarioError(
-                        f"info {info.id}: source ({u}, {t}) outside the scenario")
-            for u in info.destinations:
-                if not 0 <= u < self.uav_count:
-                    raise ScenarioError(
-                        f"info {info.id}: destination UAV {u} does not exist")
+        check_infos(self.infos, self.uav_count, self.horizon)
 
     def radii_for(self, uav: int) -> tuple:
         """Subrange radii used when `uav` transmits."""
@@ -150,24 +129,32 @@ class Scenario:
         return self.subrange_radii
 
 
-def _float(value, label) -> float:
-    """A JSON int or float as a float; anything else is a ScenarioError."""
-    if type(value) is float:    # nearly every value: skip the checks below
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{label} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ScenarioError(f"{label} {value!r} is out of range") from None
+def check_infos(infos, uav_count: int, horizon: int) -> None:
+    """Raise ScenarioError unless the info ids are unique and every source
+    and destination lies in a fleet of `uav_count` UAVs over `horizon` units.
+    """
+    seen_ids = set()
+    for info in infos:
+        if info.id in seen_ids:
+            raise ScenarioError(f"duplicate info id {info.id}")
+        seen_ids.add(info.id)
+        for u, t in info.sources:
+            if not (0 <= u < uav_count and 0 <= t < horizon):
+                raise ScenarioError(
+                    f"info {info.id}: source ({u}, {t}) outside the scenario")
+        for u in info.destinations:
+            if not 0 <= u < uav_count:
+                raise ScenarioError(
+                    f"info {info.id}: destination UAV {u} does not exist")
 
 
 def _check_radii(radii, label):
+    """Radii are finite floats already: check count and order."""
     if len(radii) < 1:
         raise ScenarioError(f"{label} must contain at least one radius")
     prev = 0.0
     for r in radii:
-        if not (math.isfinite(r) and r > prev):
+        if not r > prev:
             raise ScenarioError(f"{label} must be strictly ascending and positive")
         prev = r
 
@@ -179,13 +166,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "horizon": scenario.horizon,
         "channels": scenario.channels,
         "cache_capacity": scenario.cache_capacity,
-        "radio": {
-            "bandwidth_hz": scenario.radio.bandwidth_hz,
-            "path_loss_exponent": scenario.radio.path_loss_exponent,
-            "noise_density": scenario.radio.noise_density,
-            "packet_bits": scenario.radio.packet_bits,
-            "slot_seconds": scenario.radio.slot_seconds,
-        },
+        "radio": asdict(scenario.radio),
         "subrange_radii": list(scenario.subrange_radii),
         "trajectories": [[[x, y] for x, y in traj] for traj in scenario.trajectories],
         "infos": [
@@ -207,15 +188,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
-        radio = RadioParams(
-            bandwidth_hz=doc["radio"]["bandwidth_hz"],
-            path_loss_exponent=doc["radio"]["path_loss_exponent"],
-            noise_density=doc["radio"]["noise_density"],
-            packet_bits=doc["radio"]["packet_bits"],
-            slot_seconds=doc["radio"]["slot_seconds"],
-        )
+        radio = RadioParams(**{f.name: doc["radio"][f.name]
+                               for f in fields(RadioParams)})
         per_uav = doc.get("per_uav_radii")
         if per_uav is not None:
+            if not isinstance(per_uav, dict):
+                raise FormatError(
+                    f"per_uav_radii must be an object, got {per_uav!r}")
             per_uav = {_uav_key(u): tuple(radii) for u, radii in per_uav.items()}
         return Scenario(
             uav_count=doc["uav_count"],

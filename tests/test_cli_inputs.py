@@ -111,6 +111,22 @@ def test_bad_value_exits_1_and_names_it(work, capsys, argv, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where, value", [
+    (("radio", "bandwidth_hz"), 10 ** 400), (("per_uav_radii",), True)],
+    ids=["huge-bandwidth", "boolean-per-uav-radii"])
+def test_bad_scenario_file_exits_1(work, capsys, where, value):
+    doc = json.loads((work / "base.json").read_text())
+    parent = doc["radio"] if len(where) == 2 else doc
+    parent[where[-1]] = value
+    scenario = work / "bad-scenario.json"
+    scenario.write_text(json.dumps(doc))
+    out = work / "bad-scenario-report.json"
+    assert run("solve", str(scenario), "--method", "mpf",
+               "--out", str(out)) == 1
+    assert where[-1] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_omitted_destination_bound_comes_from_the_profile(tmp_path):
     out = tmp_path / "paper.json"
     assert run("gen", "--profile", "paper", "--seed", "1", "--dest-min", "1",

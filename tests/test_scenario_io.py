@@ -98,6 +98,23 @@ def test_radio_fields_reject_booleans(field, value):
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("field", [
+    "bandwidth_hz", "path_loss_exponent", "noise_density", "slot_seconds"])
+def test_radio_fields_out_of_float_range_are_format_errors(field):
+    doc = scenario_to_dict(instances.chain3())
+    doc["radio"][field] = 10 ** 400
+    with pytest.raises(FormatError, match=field):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [True, [4.0], 3, "x"])
+def test_per_uav_radii_must_be_an_object(value):
+    doc = scenario_to_dict(instances.chain3())
+    doc["per_uav_radii"] = value
+    with pytest.raises(FormatError, match="per_uav_radii"):
+        scenario_from_dict(doc)
+
+
 def _with_value(doc, where, value):
     # where: "position", "radius" or "uav-radius", each chain3's first entry
     if where == "position":
@@ -203,4 +220,18 @@ def test_load_rejects_wrong_format(tmp_path):
         load_scenario(path)
     path.write_text('{"format": "fleetcast-scenario/1"}')
     with pytest.raises(FormatError):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("text", [
+    '{"format": "fleetcast-scenario/1", "horizon": ' + "1" * 5000 + "}",
+    '{"format": "fleetcast-scenario/1", "provenance": {"x": NaN}}',
+    '{"format": "fleetcast-scenario/1", "provenance": [-Infinity]}',
+], ids=["5000-digit-integer", "nan", "infinity"])
+def test_load_rejects_what_json_does_not_allow(tmp_path, text):
+    # Python's parser accepts NaN and Infinity, which no fleetcast file
+    # may hold, and raises a plain ValueError for an over-long integer
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="not valid JSON"):
         load_scenario(path)
