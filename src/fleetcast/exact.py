@@ -19,6 +19,14 @@ proves the instance infeasible. A greedy warm start provides the initial
 incumbent. Among equal-cost optima the lexicographically smallest activation
 set (by info id, then edge index) is returned, which keeps golden outputs
 stable.
+
+Until there is an incumbent, nothing bounds a level's path enumeration, so a
+demand that no admissible path can serve would cost a full enumeration that
+finds nothing. Each such level first runs one reachability sweep under the
+enumeration's step rules less the in-layer revisit rule, and returns at once
+when the sweep reaches no copy of the destination. The sweep admits a
+superset of the enumerated paths, so it skips only enumerations that would
+yield nothing, and it leaves node counts, plans and reports unchanged.
 """
 
 from __future__ import annotations
@@ -161,6 +169,8 @@ class _Search:
         if self.accrued + lb >= self.incumbent_cost + self.guard:
             return
         info, dest_uav = self.demands[level]
+        if self.incumbent_cost == INF and not self._reaches(info, dest_uav):
+            return  # the enumeration would yield nothing here
         for cost, edges in self._candidate_iter(info, dest_uav,
                                                 self.accrued, lb):
             self.nodes += 1
@@ -327,6 +337,78 @@ class _Search:
                 new_estimate = new_cost + remaining[h]
                 if new_estimate < budget:
                     heappush(heap, (new_estimate, edges + (e,), h, new_cost))
+
+    def _reaches(self, info, dest_uav):
+        """Whether the sweep reaches a copy of `dest_uav` for `info`.
+
+        One reachability sweep over states (vertex, connectivity hops the
+        path already made in the vertex's layer) that applies
+        `_candidate_iter`'s step rules with no incumbent, that is with an
+        infinite budget: it starts at the supplied vertices with a finite
+        remaining distance; every head is unsupplied with a finite remaining
+        distance; a caching step needs its edge unused under "single"
+        capacity and resets the hops to 0; a connectivity step needs its tail
+        to transmit nothing or this information, and `channel[t] + hops + 1
+        <= channels`. It drops only the rule that a path must not revisit a
+        vertex of its head's layer.
+
+        So it admits a superset of the enumerator's paths: the prefixes of
+        any path `_candidate_iter` yields map one by one onto states the
+        sweep reaches, the last of them a copy of `dest_uav`. A False answer
+        therefore proves that `_candidate_iter` with `incumbent_cost == inf`
+        yields nothing, and skipping it changes no yield, node count, plan or
+        report. A state with fewer hops allows every step that one with more
+        allows, so a vertex is pushed again only when reached with fewer.
+
+        The sweep costs up to |V|·(channels+1) steps and adds no `pulls`, so
+        it tests the deadline once itself.
+        """
+        supplied = self.supplied[info.id]
+        dest_copies = self.dest_copies[dest_uav]
+        if not dest_copies.isdisjoint(supplied):
+            return True
+        if time.perf_counter() > self.deadline:
+            raise _BudgetExhausted
+        remaining = self.h_to_dest[dest_uav]
+        cache_out = self.cache_out
+        conn_out = self.conn_out
+        horizon = self.graph.horizon
+        channels = self.graph.channels
+        channel = self.channel
+        transmit = self.transmit
+        cache_used = self.cache_used if self.single_cache else ()
+        info_id = info.id
+        # the least hops each vertex was reached with, channels + 1 if it
+        # was not; a supplied vertex is never a head, which -1 encodes, and
+        # it is a start if it can reach a copy
+        least = [channels + 1] * self.graph.real_vertex_count
+        for v in supplied:
+            least[v] = -1
+        stack = [(v, 0) for v in supplied if remaining[v] < INF]
+        while stack:
+            v, hops = stack.pop()
+            step = cache_out[v]
+            if step is not None:
+                e, h = step
+                if (least[h] > 0 and remaining[h] < INF
+                        and e not in cache_used):
+                    if h in dest_copies:
+                        return True
+                    least[h] = 0
+                    stack.append((h, 0))
+            if channel[v % horizon] + hops >= channels:
+                continue
+            owner = transmit.get(v)
+            if owner is not None and owner[0] != info_id:
+                continue
+            hops += 1
+            for _, h, _ in conn_out[v]:
+                if least[h] > hops and remaining[h] < INF:
+                    if h in dest_copies:
+                        return True
+                    least[h] = hops
+                    stack.append((h, hops))
+        return False
 
 
 def solve_exact(graph: AugmentedGraph, infos=None,

@@ -89,9 +89,17 @@ def load_report(graph: AugmentedGraph, path) -> SolveReport:
     objective = doc["objective_joules"]
     if objective is not None:
         check_number(objective, f"{path}: objective_joules", FormatError)
-    for key in ("nodes", "restarts", "seed"):
+    for key in ("nodes", "restarts"):
         if key in doc:
-            check_int(doc[key], f"{path}: {key}", FormatError)
+            check_int(doc[key], f"{path}: {key}", FormatError, low=0)
+    if "seed" in doc:
+        check_int(doc["seed"], f"{path}: seed", FormatError)
+    # an `r[k]` report carries seed k, and no other report has a seed
+    expected_seed = (int(method[len(RANDOM_KIND) + 1:-1])
+                     if method.startswith(RANDOM_KIND + "[") else None)
+    if doc.get("seed") != expected_seed:
+        raise FormatError(f"{path}: seed {doc.get('seed')!r} does not match "
+                          f"method {method!r}")
     plan = doc.get("plan")
     plan = None if plan is None else plan_from_dict(graph, plan)
     if status in SOLVED_STATUSES:

@@ -1,17 +1,21 @@
 """Branch-and-bound solver: worked optima, oracle agreement, budgets."""
 
+import hashlib
 import math
+import time
 
 import pytest
 
 import instances
 import oracles
 from fleetcast.errors import GenerationError
-from fleetcast.exact import SearchBudget, _Search, solve_exact
+from fleetcast.exact import (SearchBudget, _BudgetExhausted, _Search,
+                             solve_exact)
 from fleetcast.gen import generate_scenario, make_config
 from fleetcast.graph import (CONNECTIVITY, VIRTUAL, augment,
                              build_time_expanded_graph)
 from fleetcast.heuristic import HeuristicKind, greedy_plan
+from fleetcast.jsonio import canonical_dumps
 from fleetcast.plan import check_feasibility
 from fleetcast.report import report_to_dict
 
@@ -125,9 +129,9 @@ def micro_graphs(count, start_seed=1):
         yield seed, graph
 
 
-def test_matches_exhaustive_enumeration_on_micro_set():
+def _assert_matches_exhaustive_enumeration(warm_start):
     for seed, graph in micro_graphs(25):
-        report = solve_exact(graph)
+        report = solve_exact(graph, warm_start=warm_start)
         feasible, objective, _ = oracles.enumerate_optimum(graph)
         if feasible:
             assert report.status == "OPTIMAL", f"seed {seed}"
@@ -135,6 +139,57 @@ def test_matches_exhaustive_enumeration_on_micro_set():
             assert check_feasibility(graph, report.plan).feasible
         else:
             assert report.status == "INFEASIBLE", f"seed {seed}"
+
+
+def test_matches_exhaustive_enumeration_on_micro_set():
+    _assert_matches_exhaustive_enumeration(warm_start=True)
+
+
+def test_matches_exhaustive_enumeration_on_micro_set_without_warm_start():
+    # no incumbent: the reachability sweep decides which demands to skip
+    _assert_matches_exhaustive_enumeration(warm_start=False)
+
+
+def test_refuted_demands_have_no_candidate_path():
+    """Where the sweep refutes a demand, the enumeration yields nothing."""
+    refuted = 0
+    for seed, graph in micro_graphs(25):
+        search = _Search(graph, sorted(graph.infos, key=lambda i: i.id),
+                         SearchBudget())
+        reaches = search._reaches
+
+        def checked(info, dest_uav):
+            nonlocal refuted
+            found = reaches(info, dest_uav)
+            if not found:
+                refuted += 1
+                assert search.incumbent_cost == math.inf
+                assert not list(search._candidate_iter(
+                    info, dest_uav, search.accrued, 0.0)), f"seed {seed}"
+            return found
+
+        search._reaches = checked
+        search.run()
+    assert refuted >= 10
+
+
+@pytest.mark.parametrize("channels, reaches", [(1, False), (2, True)])
+def test_sweep_counts_transmissions_in_a_time_unit(channels, reaches):
+    # chain3 has one time unit, and 0 -> 1 -> 2 transmits twice in it
+    graph = instances.augmented(instances.chain3(channels))
+    search = _Search(graph, list(graph.infos), SearchBudget())
+    info, dest_uav = search.demands[0]
+    assert search._reaches(info, dest_uav) == reaches
+    paths = list(search._candidate_iter(info, dest_uav, 0.0, 0.0))
+    assert bool(paths) == reaches
+
+
+def test_sweep_steps_from_a_vertex_that_transmits_the_information():
+    # the second leaf is reached only from the hub, which the first leaf's
+    # path already makes transmit this information
+    graph = instances.augmented(instances.star4())
+    report = solve_exact(graph, warm_start=False)
+    assert (report.status, report.objective) == ("OPTIMAL", 20.0)
 
 
 def test_lower_bound_is_admissible_on_micro_set():
@@ -349,3 +404,52 @@ def test_candidate_paths_match_reference_enumeration():
         _assert_candidates_match_reference(search, f"seed {seed}, undone")
         checked += 1
     assert checked >= 30
+
+
+def comparison_graph(seed):
+    """The comparison-set configuration of tests/test_acceptance.py."""
+    scenario = generate_scenario(make_config(
+        "paper", seed, uav_count=4 + seed % 2,
+        horizon=20 if seed % 2 else 40, info_count=2, channels=1,
+        area_side=180.0, speed=4.0, gather_radius=45.0, max_range=55.0,
+        destinations_per_info=(1, 2)))
+    return augment(build_time_expanded_graph(scenario), scenario.infos)
+
+
+# sha256 of the canonical report, node count included; seed 9 has a greedy
+# warm start, seeds 11 and 30 have none and run out of nodes before any plan
+PINNED_REPORT_SHA256 = {
+    9: "8e76a9e7dd406cacf9a6725168b360ff02a22a2b1345f7288465adcd8dbee520",
+    11: "666938c2e25ad1a98e1179e9866c58c22b916465337adae92d2619a070411c8c",
+    30: "a72483b99ff0f73a4356511fd20142caef201b6ff60f27a53b256fabc6f61083",
+}
+
+
+@pytest.mark.parametrize("seed, max_nodes, status", [
+    (9, 20_000, "FEASIBLE"), (11, 2_000, "TIMEOUT_NO_SOLUTION"),
+    (30, 5_000, "TIMEOUT_NO_SOLUTION")])
+def test_exact_reports_pinned_on_comparison_seeds(seed, max_nodes, status):
+    graph = comparison_graph(seed)
+    report = solve_exact(graph, budget=SearchBudget(
+        max_nodes=max_nodes, time_limit_seconds=600))
+    assert (report.status, report.nodes) == (status, max_nodes + 1)
+    document = canonical_dumps(report_to_dict(graph, report))
+    digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
+    assert digest == PINNED_REPORT_SHA256[seed]
+
+
+def test_time_limit_binds_while_demands_are_refuted():
+    # seed 11 has no warm start, and nearly every node refutes its last
+    # demand with a sweep that makes no heap pops
+    graph = comparison_graph(11)
+    started = time.perf_counter()
+    report = solve_exact(graph, budget=SearchBudget(
+        max_nodes=5_000_000, time_limit_seconds=0.5))
+    assert report.status == "TIMEOUT_NO_SOLUTION"
+    assert time.perf_counter() - started < 5.0
+    # the sweep makes no heap pops, so it tests the deadline itself
+    graph = instances.augmented(instances.chain3(1))
+    search = _Search(graph, list(graph.infos),
+                     SearchBudget(time_limit_seconds=1e-9))
+    with pytest.raises(_BudgetExhausted):
+        search._reaches(*search.demands[0])

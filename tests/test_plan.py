@@ -268,6 +268,23 @@ def test_load_report_rejects_mistyped_fields(chain, tmp_path, key, value):
         load_report(chain, path)
 
 
+@pytest.mark.parametrize("changes", [
+    {"nodes": -5}, {"restarts": -1},
+    {"seed": 3},                            # mpf has no seed
+    {"method": "exact", "seed": 0},
+    {"method": "r[3]"},                     # r[3] without its seed
+    {"method": "r[3]", "seed": 0}, {"method": "r[3]", "seed": -3},
+    {"method": "r[0]", "seed": None},
+], ids=["negative-nodes", "negative-restarts", "mpf-seed", "exact-seed",
+        "r-no-seed", "r-other-seed", "r-negated-seed", "r-null-seed"])
+def test_load_report_rejects_inconsistent_counts_and_seeds(chain, tmp_path,
+                                                           changes):
+    doc = chain_report_doc(chain)       # mpf, restarts 0, no seed
+    doc.update(changes)
+    with pytest.raises(FormatError):
+        load_report(chain, _write_report(doc, tmp_path))
+
+
 def test_load_report_rejects_plan_for_unknown_info(chain, tmp_path):
     doc = chain_report_doc(chain)
     doc["plan"]["activations"]["7"] = []
