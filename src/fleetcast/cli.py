@@ -298,6 +298,18 @@ def cmd_compare(scenario_files, methods, r_seed, budget_nodes, budget_seconds,
                                    f"expected one of {METHODS}")
     if not method_list:
         raise click.UsageError("no methods given")
+    # rows are keyed by (file stem, method), so neither may repeat
+    for m in method_list:
+        if method_list.count(m) > 1:
+            raise click.UsageError(f"method {m!r} is listed twice in --methods")
+    stems = {}
+    for path in scenario_files:
+        stem = Path(path).stem
+        if stem in stems:
+            raise click.UsageError(
+                f"scenario files {stems[stem]} and {path} share the stem "
+                f"{stem!r}, which names their rows")
+        stems[stem] = path
 
     tasks = [(path, method, r_seed, budget_nodes, budget_seconds, max_restarts)
              for path in scenario_files for method in method_list]

@@ -13,6 +13,15 @@ Orderings:
   lpf  least power first    (same key, ascending)
   muf  most UAVs first      (destination count, descending)
   r    random               (seeded uniform shuffle)
+
+Standalone trees are reused. `mpf` and `lpf` build every information's tree
+on the pristine graph to order them, and keep each tree with the real
+vertices its walked paths touched (virtual edges' real endpoints included)
+and its connectivity-edge count per layer. A greedy pass, restarts included,
+takes the kept tree instead of building one when none of those vertices is
+deleted and every layer t has `channel_used[t]` plus the tree's count in t
+at most `channels`. That tree is exactly what `build_tree` would return; see
+`_reusable`.
 """
 
 from __future__ import annotations
@@ -86,16 +95,21 @@ class ResidualState:
                                 for u in range(graph.uav_count))
 
 
-def build_tree(graph: AugmentedGraph, info, state: ResidualState):
+def build_tree(graph: AugmentedGraph, info, state: ResidualState, *,
+               touched: set | None = None):
     """Grow a cheapest-path tree serving every destination of `info`.
 
     Destinations are visited in ascending UAV id. Each search runs from the
     whole current tree (merged edges are free), discounts connectivity edges
     by the power their tail already spends in this tree, skips deleted
     vertices, and skips connectivity edges in channel-saturated time units.
-    Returns None when some destination is unreachable, including the rare
-    case of a single path needing more channel slots in one time unit than
-    remain.
+    Returns None when some destination is unreachable, or when a single path
+    needs more channel slots in one time unit than remain. The second case
+    is common: on the comparison config of `tests/test_acceptance.py` it is
+    27 of `mpf`'s 55 failures over seeds 1-120.
+
+    If `touched` is a set, the real vertices of every walked path are added
+    to it, virtual edges' real endpoints included.
     """
     if info.id not in graph.source_vertex:
         raise PlanStructureError(f"info {info.id} is not part of the graph")
@@ -124,6 +138,10 @@ def build_tree(graph: AugmentedGraph, info, state: ResidualState):
         if any(state.channel_used[t] + layer_delta.get(t, 0) + extra
                > graph.channels for t, extra in added.items()):
             return None  # one path needs more slots than the unit has left
+        if touched is not None:
+            real = graph.real_vertex_count
+            touched.update(v for e in path for v in (tails[e], heads[e])
+                           if v < real)
         for e in path:
             kind = kinds[e]
             if kind == KIND_VIRTUAL or e in tree_edges:
@@ -152,8 +170,15 @@ def _walk_back(graph, parent, target):
     return path
 
 
-def order_information(graph: AugmentedGraph, infos, kind: HeuristicKind):
-    """Permutation of info ids in the order the greedy pass should serve them."""
+def order_information(graph: AugmentedGraph, infos, kind: HeuristicKind, *,
+                      standalone: dict | None = None):
+    """Permutation of info ids in the order the greedy pass should serve them.
+
+    `mpf` and `lpf` build each information's standalone tree. If
+    `standalone` is a dict, it receives info id -> (tree, touched vertices,
+    per-layer connectivity counts) for every information that has one, for
+    `_reusable`.
+    """
     infos = sorted(infos, key=lambda i: i.id)
     ids = [info.id for info in infos]
     if kind.kind == "muf":
@@ -162,18 +187,59 @@ def order_information(graph: AugmentedGraph, infos, kind: HeuristicKind):
     if kind.kind == RANDOM_KIND:
         random.Random(kind.seed).shuffle(ids)
         return ids
-    standalone = {}
+    kinds, times = graph.edge_kind, graph.edge_time
+    costs = {}
     for info in infos:
-        tree = build_tree(graph, info, ResidualState(graph))
-        standalone[info.id] = math.inf if tree is None else tree.cost
+        touched = set()
+        tree = build_tree(graph, info, ResidualState(graph), touched=touched)
+        costs[info.id] = math.inf if tree is None else tree.cost
+        if tree is not None and standalone is not None:
+            layers = Counter(times[e] for e in tree.edges
+                             if kinds[e] == KIND_CONNECTIVITY)
+            standalone[info.id] = (tree, frozenset(touched),
+                                   tuple(layers.items()))
     if kind.kind == "mpf":
-        return sorted(ids, key=lambda i: (-standalone[i], i))
-    return sorted(ids, key=lambda i: (standalone[i], i))
+        return sorted(ids, key=lambda i: (-costs[i], i))
+    return sorted(ids, key=lambda i: (costs[i], i))
+
+
+def _reusable(kept, state: ResidualState) -> bool:
+    """Whether `build_tree` would return the kept standalone tree on `state`.
+
+    `kept` is an `order_information` entry: the tree, the real vertices its
+    walked paths touched, and its connectivity-edge count per layer. The
+    answer is yes when none of those vertices is deleted and every layer t
+    has `channel_used[t]` plus the tree's count in t at most `channels`.
+
+    This is exact. The residual graph only takes steps away from the
+    pristine one: it deletes vertices and closes layers, and the tree's own
+    power discounts are the same, so every distance is at least its pristine
+    value. Destination by destination, each walked path is still there, so
+    its vertices keep their float distances (float addition is monotone).
+    Every tight in-neighbour in the residual was also tight on the pristine
+    graph, with a (distance, vertex id) key no smaller, and the pristine
+    parent keeps its key. The kernel's parent is the first tight tail in
+    (distance, id) settle order, so the paths, the power map and the fsum
+    cost come out unchanged. The channel condition implies the slot check
+    and every layer-open test along the paths: a path's new connectivity
+    edge in layer t sees at most the tree's count in t, less one, of the
+    tree's own edges there. A path that is only virtual edges (a source
+    copy that is a destination copy) leaves no tree edge, which is why the
+    rule reads the touched vertices and not the tree's edges.
+    """
+    _, touched, layers = kept
+    used, channels = state.channel_used, state.graph.channels
+    return (state.deleted.isdisjoint(touched)
+            and all(used[t] + n <= channels for t, n in layers))
 
 
 def greedy_plan(graph: AugmentedGraph, infos, kind: HeuristicKind,
                 max_restarts: int | None = None) -> SolveReport:
-    """Run the greedy driver; every FEASIBLE result passes the checker."""
+    """Run the greedy driver; every FEASIBLE result passes the checker.
+
+    Standalone trees from the ordering stand in for `build_tree` wherever
+    `_reusable` says the state leaves them unchanged.
+    """
     started = time.perf_counter()
     infos = sorted(infos, key=lambda i: i.id)
     by_id = {info.id: info for info in infos}
@@ -182,14 +248,19 @@ def greedy_plan(graph: AugmentedGraph, infos, kind: HeuristicKind,
     if max_restarts < 0:
         raise ValueError("max_restarts must be nonnegative")
 
-    queue = order_information(graph, infos, kind)
+    standalone = {}
+    queue = order_information(graph, infos, kind, standalone=standalone)
     restarts = 0
     while True:
         state = ResidualState(graph)
         activations: dict[int, frozenset] = {}
         failed = None
         for info_id in queue:
-            tree = build_tree(graph, by_id[info_id], state)
+            kept = standalone.get(info_id)
+            if kept is not None and _reusable(kept, state):
+                tree = kept[0]
+            else:
+                tree = build_tree(graph, by_id[info_id], state)
             if tree is None:
                 failed = info_id
                 break

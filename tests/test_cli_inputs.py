@@ -38,6 +38,9 @@ def work(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli-inputs")
     assert run("gen", "--profile", "micro", "--seed", "7",
                "--out", str(path / "base.json")) == 0
+    for folder in ("d1", "d2"):  # two scenario files with one stem
+        (path / folder).mkdir()
+        (path / folder / "s.json").write_bytes((path / "base.json").read_bytes())
     return path
 
 
@@ -101,11 +104,15 @@ def test_no_command_line_exits_3(work, data):
      "speed must be positive and finite"),
     (("solve", "{base}", "--method", "exact", "--budget-seconds", "nan"),
      "--budget-seconds"),
+    (("compare", "{work}/d1/s.json", "{work}/d2/s.json", "--methods",
+      "exact,mpf"), "the stem 's'"),
+    (("compare", "{base}", "--methods", "mpf,mpf"),
+     "method 'mpf' is listed twice"),
 ])
 def test_bad_value_exits_1_and_names_it(work, capsys, argv, named):
     out = work / "regression.out"
     out.unlink(missing_ok=True)
-    argv = [arg.format(base=work / "base.json") for arg in argv]
+    argv = [arg.format(base=work / "base.json", work=work) for arg in argv]
     assert run(*argv, "--out", str(out)) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()

@@ -16,7 +16,7 @@ from fleetcast.graph import (CONNECTIVITY, VIRTUAL, augment,
                              build_time_expanded_graph)
 from fleetcast.heuristic import HeuristicKind, greedy_plan
 from fleetcast.jsonio import canonical_dumps
-from fleetcast.plan import check_feasibility
+from fleetcast.plan import Plan, check_feasibility, plan_cost
 from fleetcast.report import report_to_dict
 
 
@@ -404,6 +404,53 @@ def test_candidate_paths_match_reference_enumeration():
         _assert_candidates_match_reference(search, f"seed {seed}, undone")
         checked += 1
     assert checked >= 30
+
+
+def _smallest_optimum(graph):
+    """The (plan_cost, lex_key)-smallest plan over every path decomposition.
+
+    Demands are served in the solver's order, each by every path
+    `_reference_paths` admits, with no bound and no pruning. Returns the
+    plan (None if no decomposition exists) and how many distinct plans
+    share the optimal cost.
+    """
+    search = _Search(graph, sorted(graph.infos, key=lambda i: i.id),
+                     SearchBudget())
+    plans = {}
+
+    def descend(level):
+        if level == len(search.demands):
+            plan = Plan({info_id: frozenset(edges)
+                         for info_id, edges in search.plan_edges.items()})
+            plans[plan.lex_key()] = (plan_cost(graph, plan), plan)
+            return
+        info, dest_uav = search.demands[level]
+        for _, path in _reference_paths(search, info, dest_uav):
+            undo = search._commit(info.id, path)
+            descend(level + 1)
+            search._undo(info.id, path, undo)
+
+    descend(0)
+    if not plans:
+        return None, 0
+    key = min((cost, lex) for lex, (cost, _) in plans.items())
+    ties = sum(cost == key[0] for cost, _ in plans.values())
+    return plans[key[1]][1], ties
+
+
+@pytest.mark.parametrize("warm_start", [True, False])
+def test_exact_returns_the_smallest_lex_key_among_optima(warm_start):
+    tied = 0
+    for seed, graph in [*micro_graphs(25), *multi_destination_graphs(12)]:
+        expected, ties = _smallest_optimum(graph)
+        report = solve_exact(graph, warm_start=warm_start)
+        if expected is None:
+            assert report.status == "INFEASIBLE", f"seed {seed}"
+            continue
+        assert report.status == "OPTIMAL", f"seed {seed}"
+        assert report.plan == expected, f"seed {seed}"
+        tied += ties > 1
+    assert tied >= 15
 
 
 def comparison_graph(seed):

@@ -1,17 +1,19 @@
 """Greedy orderings, channel-aware tree building, and the restart driver."""
 
 import hashlib
+import random
 
 import pytest
 
 import instances
 import oracles
-from fleetcast.errors import PlanStructureError
+from fleetcast.errors import GenerationError, PlanStructureError
 from fleetcast.gen import generate_scenario, make_config
 from fleetcast.graph import CONNECTIVITY, augment, build_time_expanded_graph
 from fleetcast.jsonio import canonical_dumps
-from fleetcast.heuristic import (HeuristicKind, ResidualState, build_tree,
-                                 greedy_plan, order_information)
+from fleetcast.heuristic import (HeuristicKind, ResidualState, Tree,
+                                 _reusable, build_tree, greedy_plan,
+                                 order_information)
 from fleetcast.plan import check_feasibility
 from fleetcast.report import report_to_dict
 from fleetcast.scenario import InfoSpec
@@ -210,3 +212,111 @@ def test_greedy_reports_pinned_on_generated_scenario():
         document = canonical_dumps(report_to_dict(graph, report))
         digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
         assert digest == PINNED_REPORT_SHA256[kind.label()], kind.label()
+
+
+def _standalone(graph, kind="mpf"):
+    kept = {}
+    order_information(graph, graph.infos, HeuristicKind(kind), standalone=kept)
+    return kept
+
+
+def test_order_information_keeps_each_standalone_tree():
+    graph = instances.augmented(instances.cheap_and_expensive())
+    kept = _standalone(graph)
+    assert sorted(kept) == [1, 2]
+    for info in graph.infos:
+        tree, touched, layers = kept[info.id]
+        assert tree == build_tree(graph, info, ResidualState(graph))
+        assert {graph.edge_tail[e] for e in tree.edges} <= touched
+        assert sum(n for _, n in layers) == len(tree.edges)
+    assert _standalone(graph, "muf") == {}
+
+
+def test_reuse_rejects_a_deleted_virtual_only_path():
+    # info 0's source copy (1,0) is a copy of its destination, so its
+    # standalone path is s_0 -> (1,0) -> d_0_1 and its tree has no edge;
+    # once (1,0) is deleted the rebuilt tree must hop from (0,1) instead
+    scen = instances.static_scenario(
+        positions=[(0, 0), (10, 0), (20, 0)], horizon=2, channels=2,
+        infos=[InfoSpec(id=0, sources={(1, 0), (0, 1)}, destinations={1}),
+               InfoSpec(id=1, sources={(2, 0)}, destinations={1})])
+    graph = instances.augmented(scen)
+    kept = _standalone(graph)[0]
+    tree, touched, _ = kept
+    assert tree == Tree(edges=frozenset(), cost=0.0)
+    assert touched == {graph.vertex_id(1, 0)}
+    state = ResidualState(graph)
+    hop = graph.edge_index(graph.vertex_id(2, 0), graph.vertex_id(1, 0))
+    state.commit(Tree(edges=frozenset({hop}), cost=10.0))
+    assert not _reusable(kept, state)
+    rebuilt = build_tree(graph, graph.info_by_id(0), state)
+    assert rebuilt == Tree(edges=frozenset({graph.edge_index(
+        graph.vertex_id(0, 1), graph.vertex_id(1, 1))}), cost=10.0)
+
+
+def test_reuse_rejects_a_layer_without_room_for_the_tree():
+    # chain3's tree sends twice in the only time unit; with one of its two
+    # channels taken by another tree, no vertex of it is deleted, yet the
+    # path no longer fits
+    graph = instances.augmented(instances.chain3(channels=2))
+    kept = _standalone(graph)[0]
+    state = ResidualState(graph)
+    state.channel_used[0] = 1
+    assert not _reusable(kept, state)
+    assert build_tree(graph, graph.info_by_id(0), state) is None
+    state.channel_used[0] = 0
+    assert _reusable(kept, state)
+
+
+def _reuse_graphs():
+    """Micro instances (both cache modes, 1-3 channels), then one mid-size."""
+    produced, seed = 0, 0
+    while produced < 60:
+        seed += 1
+        try:
+            scenario = generate_scenario(make_config(
+                "micro", seed, uav_count=3 + seed % 3, horizon=4 + seed % 5,
+                info_count=2 + seed % 2, channels=1 + seed % 3,
+                gather_radius=20.0, area_side=45.0, max_range=30.0,
+                destinations_per_info=(1, 3),
+                cache_capacity="single" if seed % 2 else "unlimited"))
+        except (GenerationError, ValueError):
+            continue
+        produced += 1
+        yield f"micro {seed}", augment(build_time_expanded_graph(scenario),
+                                      scenario.infos)
+    scenario = generate_scenario(make_config(
+        "paper", 0, uav_count=12, info_count=8, horizon=400, channels=2,
+        area_side=300.0, gather_radius=20.0, destinations_per_info=(2, 5)))
+    yield "paper 0", augment(build_time_expanded_graph(scenario),
+                             scenario.infos)
+
+
+def test_reused_tree_equals_the_tree_build_tree_returns():
+    """Property: wherever the rule accepts a standalone tree, a fresh build
+    on that residual state returns the same edges and cost bits."""
+    accepted = rejected = 0
+    for label, graph in _reuse_graphs():
+        kept = _standalone(graph)
+        rng = random.Random(label)
+        for _ in range(6):
+            state = ResidualState(graph)
+            infos = list(graph.infos)
+            rng.shuffle(infos)
+            for committed in infos:
+                for info in graph.infos:
+                    if info.id not in kept:
+                        continue
+                    if _reusable(kept[info.id], state):
+                        alone = kept[info.id][0]
+                        fresh = build_tree(graph, info, state)
+                        assert fresh is not None, (label, info.id)
+                        assert (fresh.edges, fresh.cost.hex()) \
+                            == (alone.edges, alone.cost.hex()), (label, info.id)
+                        accepted += 1
+                    else:
+                        rejected += 1
+                tree = build_tree(graph, committed, state)
+                if tree is not None:
+                    state.commit(tree)
+    assert accepted >= 1500 and rejected >= 500, (accepted, rejected)
