@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import filterfalse
 
+from .errors import PlanStructureError
 from .graph import (KIND_CACHING, KIND_CONNECTIVITY, AugmentedGraph,
                     _shortest_paths)
 from .heuristic import HeuristicKind, greedy_plan
@@ -78,7 +79,7 @@ class _Search:
         # caching edges in use; only "single" capacity needs them (see
         # _candidate_iter for why nothing else tracks edge users)
         self.cache_used: set[int] = set()
-        self.transmit: dict[int, tuple[int, int]] = {}
+        self.transmit: dict[int, int] = {}  # sending vertex -> its info
         self.channel = [0] * graph.horizon
         self.power: dict[int, float] = {}
         self.supplied = {
@@ -114,7 +115,7 @@ class _Search:
             self.dest_copies[uav] = frozenset(copies)
             self.h_to_dest[uav], _ = _shortest_paths(
                 graph, copies, graph.in_edges, graph.edge_tail, (), {},
-                [0] * graph.horizon, {})
+                [0] * graph.horizon)
 
         # admissible bound for informations not yet started: the largest
         # channel-free cheapest-path distance to any of their destinations
@@ -196,8 +197,9 @@ class _Search:
             weight = graph.edge_weight[e]
             t = graph.edge_time[e]
             channel[t] += 1
-            owner = transmit.get(tail)
-            transmit[tail] = (info_id, 1 if owner is None else owner[1] + 1)
+            new_sender = tail not in transmit
+            if new_sender:
+                transmit[tail] = info_id
             old_power = power.get(tail, 0.0)
             increment = weight - old_power
             if increment > 0.0:
@@ -205,7 +207,7 @@ class _Search:
                 self.accrued += increment
             else:
                 increment = 0.0
-            undo.append((tail, t, old_power, increment))
+            undo.append((tail, t, old_power, increment, new_sender))
         return undo
 
     def _undo(self, info_id, edges, undo):
@@ -218,13 +220,10 @@ class _Search:
         channel = self.channel
         transmit = self.transmit
         power = self.power
-        for tail, t, old_power, increment in reversed(undo):
+        for tail, t, old_power, increment, new_sender in reversed(undo):
             channel[t] -= 1
-            owner, count = transmit[tail]
-            if count == 1:
+            if new_sender:
                 del transmit[tail]
-            else:
-                transmit[tail] = (owner, count - 1)
             if increment > 0.0:
                 if old_power > 0.0:
                     power[tail] = old_power
@@ -319,8 +318,7 @@ class _Search:
                     new_estimate = cost + remaining[h]
                     if new_estimate < budget:
                         heappush(heap, (new_estimate, edges + (e,), h, cost))
-            owner = transmit.get(head)
-            if owner is not None and owner[0] != info_id:
+            if transmit.get(head, info_id) != info_id:
                 continue
             layer = {head}
             for e in reversed(edges):
@@ -398,8 +396,7 @@ class _Search:
                     stack.append((h, 0))
             if channel[v % horizon] + hops >= channels:
                 continue
-            owner = transmit.get(v)
-            if owner is not None and owner[0] != info_id:
+            if transmit.get(v, info_id) != info_id:
                 continue
             hops += 1
             for _, h, _ in conn_out[v]:
@@ -425,7 +422,7 @@ def solve_exact(graph: AugmentedGraph, infos=None,
     infos = sorted(graph.infos if infos is None else infos, key=lambda i: i.id)
     for info in infos:
         if info.id not in graph.source_vertex:
-            raise ValueError(f"info {info.id} is not part of the graph")
+            raise PlanStructureError(f"info {info.id} is not part of the graph")
 
     search = _Search(graph, infos, budget)
     if warm_start and infos:

@@ -268,7 +268,7 @@ def collision_set(graph: TimeExpandedGraph, t: int) -> frozenset[int]:
 
 
 def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
-                    layer_delta, target=None):
+                    target=None):
     """Cheapest paths between the zero-cost `seeds` and every other vertex.
 
     Direction is data: `out_edges` with `edge_head` walks forward from the
@@ -281,9 +281,11 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
 
     Channel budget: connectivity edges stay inside one time unit, so every
     connectivity edge in `adjacency[v]` lies in v's own layer, `v % horizon`,
-    in either direction. Whether that layer's `channel_used` plus
-    `layer_delta` leaves a free channel is therefore decided once per
-    settled vertex; if not, none of its connectivity edges is walked.
+    in either direction. `channel_used` is the one count of busy channels
+    per layer; a greedy caller's count includes its tree's own
+    transmissions. Whether v's layer has a free channel is therefore decided
+    once per settled vertex; if not, none of its connectivity edges is
+    walked.
 
     Deletions: `deleted` vertices are marked settled before the search, so
     no edge ever enters one. This is exact only if no seed is deleted, which
@@ -297,10 +299,13 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     empty). Steps that give exactly d are relaxed at once. Pending steps are
     relaxed in settle order, so among relaxations of equal value the order
     is the plain Dijkstra's, and every distance and first-tight parent is
-    the same. A real vertex without a discount settled at d with
-    d + `min_connectivity_weight` > d has only steps above d, so its
-    connectivity edges are not even read until the level ends; any other
-    vertex tests each step.
+    the same. Caching and virtual steps, which cost nothing, are relaxed in
+    one loop after the connectivity steps: a vertex has at most one edge per
+    head, and entries pushed at key d pop in key order, so the order of one
+    vertex's relaxations changes no pop. A real vertex without a discount
+    settled at d with d + `min_connectivity_weight` > d has only
+    connectivity steps above d, so its connectivity edges are not even read
+    until the level ends; any other vertex tests each step.
 
     Caching chains: when such a vertex v strictly improves its caching
     neighbour h, h is settled next without touching the heap, because it is
@@ -363,57 +368,50 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
             done[v] = 1
             if v == target:
                 return dist, parent
-            t = v % horizon
-            layer_open = channel_used[t] + layer_delta.get(t, 0) < channels
             v_power = power.get(v, 0.0)
-            chain = -1
-            if v < real_vertex_count and not v_power and d + wmin > d:
-                if layer_open:
+            fast = v < real_vertex_count and not v_power and d + wmin > d
+            if channel_used[v % horizon] < channels:
+                if fast:  # connectivity: above d
                     pending.append(v)
                     level = d
-                for e in adjacency[v]:
-                    kind = kinds[e]
-                    if not kind:  # connectivity: above d
-                        continue
-                    head = ends[e]
-                    if done[head] or not d < dist[head]:
-                        continue
-                    if kind == 1:
-                        dist[head] = d
-                        parent[head] = e
-                        chain = head
-                    elif head == target:  # final, see stop rule
-                        dist[head] = d
-                        parent[head] = e
-                        return dist, parent
-                    # other virtual terminals are dead ends
-            else:
-                later = False
-                for e in adjacency[v]:
-                    head = ends[e]
-                    if done[head]:
-                        continue
-                    kind = kinds[e]
-                    if kind == 0:  # connectivity
-                        if not layer_open:
+                else:
+                    later = False
+                    for e in adjacency[v]:
+                        if kinds[e]:
+                            continue
+                        head = ends[e]
+                        if done[head]:
                             continue
                         w = weights[e]
                         if w > v_power and d + (w - v_power) > d:
                             later = True
-                            continue
-                    elif kind == 2 and head >= real_vertex_count:
-                        if head == target and d < dist[head]:  # stop rule
+                        elif d < dist[head]:
                             dist[head] = d
                             parent[head] = e
-                            return dist, parent
-                        continue  # other virtual terminals are dead ends
-                    if d < dist[head]:
+                            heappush(heap, (d, head))
+                    if later:
+                        pending.append(v)
+                        level = d
+            chain = -1
+            for e in adjacency[v]:  # caching and virtual: zero cost
+                kind = kinds[e]
+                if not kind:
+                    continue
+                head = ends[e]
+                if done[head] or not d < dist[head]:
+                    continue
+                if head >= real_vertex_count:
+                    if head == target:  # final, see stop rule
                         dist[head] = d
                         parent[head] = e
-                        heappush(heap, (d, head))
-                if later:
-                    pending.append(v)
-                    level = d
+                        return dist, parent
+                    continue  # other virtual terminals are dead ends
+                dist[head] = d
+                parent[head] = e
+                if kind == 1 and fast:
+                    chain = head
+                else:
+                    heappush(heap, (d, head))
             if chain < 0:
                 break
             v = chain

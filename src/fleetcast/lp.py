@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import LpSizeError
+from .errors import LpSizeError, PlanStructureError
 from .graph import KIND_CACHING, KIND_CONNECTIVITY, AugmentedGraph
 from .scenario import CACHE_SINGLE
 
@@ -56,6 +56,9 @@ _SENSES = ("<=", ">=", "=")
 def export_lp(graph: AugmentedGraph, infos=None, max_variables: int = 500_000) -> str:
     """Serialize the instance as a minimize LP document."""
     infos = sorted(graph.infos if infos is None else infos, key=lambda i: i.id)
+    for info in infos:
+        if info.id not in graph.source_vertex:
+            raise PlanStructureError(f"info {info.id} is not part of the graph")
     n_vertices = graph.real_vertex_count
     n_edges = graph.real_edge_count     # virtual edges are numbered after these
     horizon = graph.horizon

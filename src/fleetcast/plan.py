@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .errors import FormatError, PlanStructureError
 from .graph import (KIND_CACHING, KIND_CONNECTIVITY, KIND_NAMES, KIND_VIRTUAL,
                     AugmentedGraph)
-from .jsonio import _int_key, _is_int, read_json, write_json
+from .jsonio import _int_key, _is_int, check_int, read_json, write_json
 from .scenario import CACHE_SINGLE
 
 PLAN_FORMAT = "fleetcast-plan/1"
@@ -41,13 +41,19 @@ PLAN_FORMAT = "fleetcast-plan/1"
 
 @dataclass(frozen=True)
 class Plan:
-    """Per-information activation sets over real edge indices."""
+    """Per-information activation sets over real edge indices.
+
+    Info ids and edge indices must be integers; a bool, float or string
+    raises `PlanStructureError` rather than being converted.
+    """
 
     activations: dict
 
     def __post_init__(self):
         object.__setattr__(self, "activations", {
-            int(info_id): frozenset(int(e) for e in edges)
+            check_int(info_id, "plan info id", PlanStructureError):
+                frozenset(check_int(e, "plan edge index", PlanStructureError)
+                          for e in edges)
             for info_id, edges in self.activations.items()})
 
     def lex_key(self):

@@ -406,6 +406,34 @@ def test_candidate_paths_match_reference_enumeration():
     assert checked >= 30
 
 
+def test_nested_commit_and_undo_keep_a_shared_sender():
+    # UAV 1 sends in both commits; undoing the second must keep it a sender
+    graph = instances.augmented(instances.star4())
+    search = _Search(graph, list(graph.infos), SearchBudget())
+
+    def edge(tail_uav, head_uav):
+        return graph.edge_index(graph.vertex_id(tail_uav, 0),
+                                graph.vertex_id(head_uav, 0))
+
+    def state():
+        return (search.accrued, dict(search.power), dict(search.transmit),
+                list(search.channel), set(search.cache_used),
+                {i: set(v) for i, v in search.supplied.items()},
+                {i: set(v) for i, v in search.plan_edges.items()})
+
+    initial = state()
+    first, second = (edge(0, 1), edge(1, 2)), (edge(1, 3),)
+    undo_first = search._commit(0, first)
+    after_first = state()
+    undo_second = search._commit(0, second)
+    assert search.transmit == {graph.vertex_id(0, 0): 0,
+                               graph.vertex_id(1, 0): 0}
+    search._undo(0, second, undo_second)
+    assert state() == after_first
+    search._undo(0, first, undo_first)
+    assert state() == initial
+
+
 def _smallest_optimum(graph):
     """The (plan_cost, lex_key)-smallest plan over every path decomposition.
 

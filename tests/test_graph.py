@@ -397,18 +397,19 @@ def test_shortest_paths_match_reference_kernel():
                 graph, rng)
             forward = (graph, seeds, graph.out_edges, graph.edge_head,
                        deleted, power, used, delta)
+            folded = [n + delta.get(t, 0) for t, n in enumerate(used)]
             targets = [graph.dest_vertex[(info.id, u)]
                        for u in sorted(info.destinations)]
             targets += rng.sample(range(graph.real_vertex_count), 3)
             for target in targets:
-                dist, parent = _shortest_paths(*forward, target)
+                dist, parent = _shortest_paths(*forward[:6], folded, target)
                 ref_dist, ref_parent = _reference_shortest_paths(
                     *forward, target)
                 assert dist[target] == ref_dist[target]
                 assert _walk_back(graph, parent, target) \
                     == _walk_back(graph, ref_parent, target)
                 early_stops += dist != ref_dist
-            assert _shortest_paths(*forward) \
+            assert _shortest_paths(*forward[:6], folded) \
                 == _reference_shortest_paths(*forward)
 
             uav = rng.randrange(graph.uav_count)
@@ -416,7 +417,7 @@ def test_shortest_paths_match_reference_kernel():
                       if graph.vertex_id(uav, t) not in deleted]
             backward = (graph, copies, graph.in_edges, graph.edge_tail,
                         deleted, power, used, delta)
-            assert _shortest_paths(*backward) \
+            assert _shortest_paths(*backward[:6], folded) \
                 == _reference_shortest_paths(*backward)
     assert early_stops > 0  # the early stop really left work undone
 
@@ -480,9 +481,12 @@ def _assert_kernel_matches_reference(graph, seeds, deleted=(), power=None,
             (graph.in_edges, graph.edge_tail, graph.edge_head, {})):
         args = (graph, seeds, adjacency, ends, set(deleted), residual, used,
                 delta)
-        assert _shortest_paths(*args) == _reference_shortest_paths(*args)
+        kernel_args = args[:6] + ([n + delta.get(t, 0)
+                                   for t, n in enumerate(used)],)
+        assert _shortest_paths(*kernel_args) \
+            == _reference_shortest_paths(*args)
         for target in targets:
-            dist, parent = _shortest_paths(*args, target)
+            dist, parent = _shortest_paths(*kernel_args, target)
             ref_dist, ref_parent = _reference_shortest_paths(*args, target)
             assert dist[target] == ref_dist[target]
             assert _walk(parent, back, target) == _walk(ref_parent, back,
@@ -505,7 +509,7 @@ def test_kernel_step_that_rounds_to_its_level():
     graph = _flat_graph(5, 1, conn)
     assert 1e16 + graph.min_connectivity_weight == 1e16
     dist, parent = _shortest_paths(graph, [0], graph.out_edges,
-                                   graph.edge_head, (), {}, [0], {})
+                                   graph.edge_head, (), {}, [0])
     assert dist[2] == 1e16 and graph.edge_tail[parent[4]] == 2
     _assert_kernel_matches_reference(graph, [0])
 
@@ -526,7 +530,7 @@ def test_kernel_discount_that_zeroes_a_step():
     conn = {(0, 1, 0): 2.0, (1, 3, 0): 1.0, (2, 3, 0): 1.0}
     graph = _flat_graph(4, 1, conn)
     dist, parent = _shortest_paths(graph, [0, 2], graph.out_edges,
-                                   graph.edge_head, (), {0: 2.0}, [0], {})
+                                   graph.edge_head, (), {0: 2.0}, [0])
     assert dist[1] == 0.0 and graph.edge_tail[parent[3]] == 1
     _assert_kernel_matches_reference(graph, [0, 2], power={0: 2.0})
 
@@ -537,7 +541,7 @@ def test_kernel_discounted_positive_step_keeps_settle_order():
     conn = {(0, 2, 0): 1.0, (1, 2, 0): 2.0}
     graph = _flat_graph(3, 1, conn)
     dist, parent = _shortest_paths(graph, [0, 1], graph.out_edges,
-                                   graph.edge_head, (), {1: 1.0}, [0], {})
+                                   graph.edge_head, (), {1: 1.0}, [0])
     assert dist[2] == 1.0 and graph.edge_tail[parent[2]] == 0
     _assert_kernel_matches_reference(graph, [0, 1], power={1: 1.0})
 
@@ -568,7 +572,7 @@ def test_kernel_backward_direction():
     graph = _flat_graph(3, 3, conn)
     copies = [0, 1, 2]  # UAV 0 at t = 0, 1, 2
     dist, _ = _shortest_paths(graph, copies, graph.in_edges, graph.edge_tail,
-                              (), {}, [0] * 3, {})
+                              (), {}, [0] * 3)
     # UAV 2 at t = 0 reaches UAV 0 through UAV 1 (2.0) or by caching to
     # t = 1 and sending directly (2.0)
     assert dist[6] == 2.0 and dist[3] == 1.0

@@ -83,6 +83,20 @@ def test_build_tree_not_found_when_saturated():
     assert build_tree(graph, graph.info_by_id(0), state) is None
 
 
+def test_build_tree_counts_its_own_earlier_path_against_the_layer():
+    # one channel: the path to UAV 1 fills t = 0, so the path to UAV 2 must
+    # cache at UAV 1 and send at t = 1; a search that saw t = 0 as open
+    # would take (1,0)->(2,0), which the slot check then refuses
+    scen = instances.static_scenario(
+        positions=[(0, 0), (10, 0), (20, 0)], horizon=2, channels=1,
+        infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1, 2})])
+    graph = instances.augmented(scen)
+    tree = build_tree(graph, graph.info_by_id(0), ResidualState(graph))
+    route = [graph.vertex_id(u, t) for u, t in ((0, 0), (1, 0), (1, 1), (2, 1))]
+    assert tree == Tree(edges=frozenset(graph.edge_index(a, b) for a, b
+                                        in zip(route, route[1:])), cost=20.0)
+
+
 def test_build_tree_rejects_foreign_state():
     g1 = instances.augmented(instances.chain3())
     g2 = instances.augmented(instances.star4())

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,9 @@ from fleetcast.jsonio import write_json
 from fleetcast.plan import (Plan, check_feasibility, load_plan, plan_cost,
                             plan_from_dict, plan_to_dict, save_plan)
 from fleetcast.exact import solve_exact
-from fleetcast.heuristic import HeuristicKind, greedy_plan
+from fleetcast.heuristic import (HeuristicKind, ResidualState, build_tree,
+                                 greedy_plan)
+from fleetcast.lp import export_lp
 from fleetcast.report import (HEURISTIC_KINDS, METHOD_EXACT, RANDOM_KIND,
                               SOLVED_STATUSES, STATUSES, SolveReport,
                               load_report, report_to_dict, save_report)
@@ -399,3 +402,27 @@ def test_checker_matches_reference_unlimited_cache():
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1}),
                InfoSpec(id=1, sources={(1, 1)}, destinations={0})])
     _sweep_agreement(instances.augmented(scen), [0, 1])
+
+
+@pytest.mark.parametrize("solve", [
+    lambda graph, info: solve_exact(graph, [info]),
+    lambda graph, info: greedy_plan(graph, [info], HeuristicKind("mpf")),
+    lambda graph, info: greedy_plan(graph, [info], HeuristicKind("muf")),
+    lambda graph, info: build_tree(graph, info, ResidualState(graph)),
+    lambda graph, info: export_lp(graph, [info]),
+], ids=["solve_exact", "greedy_mpf", "greedy_muf", "build_tree", "export_lp"])
+def test_information_missing_from_the_graph_is_a_structure_error(chain,
+                                                                   solve):
+    stranger = InfoSpec(id=9, sources={(0, 0)}, destinations={2})
+    with pytest.raises(PlanStructureError,
+                       match=r"^info 9 is not part of the graph$"):
+        solve(chain, stranger)
+
+
+@pytest.mark.parametrize("activations, shown", [
+    ({0: {1.7}}, "1.7"), ({0: [True]}, "True"), ({0: ["1"]}, "'1'"),
+    ({"0": [True]}, "'0'"), ({True: [1]}, "True"), ({0.0: [1]}, "0.0"),
+])
+def test_plan_rejects_ids_that_are_not_integers(activations, shown):
+    with pytest.raises(PlanStructureError, match=f"got {re.escape(shown)}$"):
+        Plan(activations)
