@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import filterfalse
 
-from .errors import PlanStructureError
 from .graph import (KIND_CACHING, KIND_CONNECTIVITY, AugmentedGraph,
                     _shortest_paths)
 from .heuristic import HeuristicKind, greedy_plan
@@ -67,7 +66,6 @@ class _BudgetExhausted(Exception):
 class _Search:
     def __init__(self, graph: AugmentedGraph, infos, budget: SearchBudget):
         self.graph = graph
-        self.infos = infos
         self.budget = budget
         self.deadline = time.perf_counter() + budget.time_limit_seconds
         self.nodes = 0
@@ -146,8 +144,7 @@ class _Search:
         cost = plan_cost(self.graph, plan)
         key = plan.lex_key()
         if (cost < self.incumbent_cost
-                or (cost == self.incumbent_cost and
-                    (self.incumbent_key is None or key < self.incumbent_key))):
+                or (cost == self.incumbent_cost and key < self.incumbent_key)):
             self.incumbent = plan
             self.incumbent_cost = cost
             self.incumbent_key = key
@@ -419,11 +416,7 @@ def solve_exact(graph: AugmentedGraph, infos=None,
     whenever the wall-clock limit does not bind.
     """
     started = time.perf_counter()
-    infos = sorted(graph.infos if infos is None else infos, key=lambda i: i.id)
-    for info in infos:
-        if info.id not in graph.source_vertex:
-            raise PlanStructureError(f"info {info.id} is not part of the graph")
-
+    infos = graph.served(infos)
     search = _Search(graph, infos, budget)
     if warm_start and infos:
         for kind in (HeuristicKind("mpf"), HeuristicKind("lpf"),

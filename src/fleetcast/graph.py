@@ -18,6 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
+from .errors import PlanStructureError
 from .radio import subrange_weight
 from .scenario import InfoSpec, Scenario, check_infos
 
@@ -138,6 +139,19 @@ class AugmentedGraph(TimeExpandedGraph):
         self.infos = infos
         self.source_vertex = source_vertex   # info id -> virtual vertex
         self.dest_vertex = dest_vertex       # (info id, uav) -> virtual vertex
+
+    def served(self, infos=None) -> tuple:
+        """The graph's own `InfoSpec`s equal to `infos` (any iterable, read
+        once; None for all), in id order, each once. Any other information,
+        even one with a known id, raises `PlanStructureError`: the virtual
+        terminals exist for the graph's own only."""
+        if infos is None:
+            return self.infos
+        wanted = set(infos)
+        stranger = min((i.id for i in wanted.difference(self.infos)), default=None)
+        if stranger is not None:
+            raise PlanStructureError(f"info {stranger} is not part of the graph")
+        return tuple(info for info in self.infos if info in wanted)
 
     def info_by_id(self, info_id: int) -> InfoSpec:
         for info in self.infos:

@@ -15,13 +15,13 @@ Orderings:
   r    random               (seeded uniform shuffle)
 
 Standalone trees are reused. `mpf` and `lpf` build every information's tree
-on the pristine graph to order them, and keep each tree with the real
-vertices its walked paths touched (virtual edges' real endpoints included)
-and its connectivity-edge count per layer. A greedy pass, restarts included,
-takes the kept tree instead of building one when none of those vertices is
-deleted and every layer t has `channel_used[t]` plus the tree's count in t
-at most `channels`. That tree is exactly what `build_tree` would return; see
-`_reusable`.
+on the pristine graph to order them, and keep each tree with the footprint
+`build_tree` records in it: the real vertices its walked paths touched
+(virtual edges' real endpoints included) and its connectivity-edge count per
+layer. A greedy pass, restarts included, takes the kept tree instead of
+building one when none of those vertices is deleted and every layer t has
+`channel_used[t]` plus the tree's count in t at most `channels`. That tree
+is exactly what `build_tree` would return; see `_reusable`.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InternalError, PlanStructureError
 from .graph import (KIND_CONNECTIVITY, KIND_VIRTUAL, AugmentedGraph,
                     _shortest_paths)
-from .plan import Plan, check_feasibility, plan_cost
+from .plan import Plan, _energy, check_feasibility, plan_cost
 from .report import (HEURISTIC_KINDS, RANDOM_KIND, STATUS_FEASIBLE,
                      STATUS_INFEASIBLE_HEURISTIC, SolveReport)
 
@@ -59,9 +58,17 @@ class HeuristicKind:
 
 @dataclass(frozen=True)
 class Tree:
-    """One information's committed edge set and its max-rule cost."""
+    """One information's committed edge set and its max-rule cost.
+
+    `build_tree` adds the reuse footprint that `_reusable` reads: `touched`,
+    the real vertices of the walked paths (virtual edges' real endpoints
+    included), and `layers`, the connectivity-edge count per time unit as
+    `(t, n)` pairs. Neither takes part in equality.
+    """
     edges: frozenset
     cost: float
+    touched: frozenset = field(default=frozenset(), compare=False)
+    layers: tuple = field(default=(), compare=False)
 
 
 class ResidualState:
@@ -95,8 +102,7 @@ class ResidualState:
                                 for u in range(graph.uav_count))
 
 
-def build_tree(graph: AugmentedGraph, info, state: ResidualState, *,
-               touched: set | None = None):
+def build_tree(graph: AugmentedGraph, info, state: ResidualState):
     """Grow a cheapest-path tree serving every destination of `info`.
 
     Destinations are visited in ascending UAV id. Each search runs from the
@@ -112,17 +118,18 @@ def build_tree(graph: AugmentedGraph, info, state: ResidualState, *,
     `tests/test_acceptance.py` it is 27 of `mpf`'s 55 failures over seeds
     1-120.
 
-    If `touched` is a set, the real vertices of every walked path are added
-    to it, virtual edges' real endpoints included.
+    The tree carries its reuse footprint (see `Tree`); its `layers` are read
+    off the channel list against the state's.
     """
-    if info.id not in graph.source_vertex:
-        raise PlanStructureError(f"info {info.id} is not part of the graph")
+    graph.served([info])  # raises for an information the graph lacks
     if state.graph is not graph:
         raise PlanStructureError("residual state belongs to a different graph")
 
     tails, heads = graph.edge_tail, graph.edge_head
     kinds, weights, times = graph.edge_kind, graph.edge_weight, graph.edge_time
+    real = graph.real_vertex_count
     source = graph.source_vertex[info.id]
+    touched: set[int] = set()
     tree_edges: set[int] = set()
     tree_vertices: set[int] = set()
     power: dict[int, float] = {}      # tail -> max weight it sends in the tree
@@ -136,10 +143,8 @@ def build_tree(graph: AugmentedGraph, info, state: ResidualState, *,
         if parent[target] < 0:
             return None
         path = _walk_back(graph, parent, target)
-        if touched is not None:
-            real = graph.real_vertex_count
-            touched.update(v for e in path for v in (tails[e], heads[e])
-                           if v < real)
+        touched.update(v for e in path for v in (tails[e], heads[e])
+                       if v < real)
         for e in path:  # every edge is new: its head is no seed
             kind = kinds[e]
             if kind == KIND_VIRTUAL:
@@ -155,9 +160,9 @@ def build_tree(graph: AugmentedGraph, info, state: ResidualState, *,
                 if weights[e] > power.get(tail, 0.0):
                     power[tail] = weights[e]
 
-    # same per-vertex maxima and fsum as plan_cost, kept bit-identical
-    cost = math.fsum(power[v] for v in sorted(power))
-    return Tree(edges=frozenset(tree_edges), cost=cost)
+    layers = tuple((t, n - before) for t, (n, before)
+                   in enumerate(zip(used, state.channel_used)) if n != before)
+    return Tree(frozenset(tree_edges), _energy(power), frozenset(touched), layers)
 
 
 def _walk_back(graph, parent, target):
@@ -176,41 +181,33 @@ def order_information(graph: AugmentedGraph, infos, kind: HeuristicKind, *,
     """Permutation of info ids in the order the greedy pass should serve them.
 
     `mpf` and `lpf` build each information's standalone tree. If
-    `standalone` is a dict, it receives info id -> (tree, touched vertices,
-    per-layer connectivity counts) for every information that has one, for
-    `_reusable`.
+    `standalone` is a dict, it receives info id -> tree for every
+    information that has one, for `_reusable`.
     """
-    infos = sorted(infos, key=lambda i: i.id)
-    ids = [info.id for info in infos]
+    infos = graph.served(infos)
+    ids = [info.id for info in infos]  # sorts are stable: ties keep id order
     if kind.kind == "muf":
-        return [info.id for info in
-                sorted(infos, key=lambda i: (-len(i.destinations), i.id))]
+        return [i.id for i in sorted(infos, key=lambda i: -len(i.destinations))]
     if kind.kind == RANDOM_KIND:
         random.Random(kind.seed).shuffle(ids)
         return ids
-    kinds, times = graph.edge_kind, graph.edge_time
     costs = {}
     for info in infos:
-        touched = set()
-        tree = build_tree(graph, info, ResidualState(graph), touched=touched)
+        tree = build_tree(graph, info, ResidualState(graph))
         costs[info.id] = math.inf if tree is None else tree.cost
         if tree is not None and standalone is not None:
-            layers = Counter(times[e] for e in tree.edges
-                             if kinds[e] == KIND_CONNECTIVITY)
-            standalone[info.id] = (tree, frozenset(touched),
-                                   tuple(layers.items()))
-    if kind.kind == "mpf":
-        return sorted(ids, key=lambda i: (-costs[i], i))
-    return sorted(ids, key=lambda i: (costs[i], i))
+            standalone[info.id] = tree
+    return sorted(ids, key=costs.__getitem__, reverse=kind.kind == "mpf")
 
 
-def _reusable(kept, state: ResidualState) -> bool:
-    """Whether `build_tree` would return the kept standalone tree on `state`.
+def _reusable(tree: Tree, state: ResidualState) -> bool:
+    """Whether `build_tree` would return the standalone `tree` on `state`.
 
-    `kept` is an `order_information` entry: the tree, the real vertices its
-    walked paths touched, and its connectivity-edge count per layer. The
-    answer is yes when none of those vertices is deleted and every layer t
-    has `channel_used[t]` plus the tree's count in t at most `channels`.
+    `tree` is one that `build_tree` returned on the pristine graph, so its
+    `touched` field holds the real vertices its walked paths touched and its
+    `layers` field its connectivity-edge count per layer. The answer is yes
+    when none of those vertices is deleted and every layer t has
+    `channel_used[t]` plus the tree's count in t at most `channels`.
 
     This is exact. The residual graph only takes steps away from the
     pristine one: it deletes vertices and closes layers, and the tree's own
@@ -228,10 +225,9 @@ def _reusable(kept, state: ResidualState) -> bool:
     copy that is a destination copy) leaves no tree edge, which is why the
     rule reads the touched vertices and not the tree's edges.
     """
-    _, touched, layers = kept
     used, channels = state.channel_used, state.graph.channels
-    return (state.deleted.isdisjoint(touched)
-            and all(used[t] + n <= channels for t, n in layers))
+    return (state.deleted.isdisjoint(tree.touched)
+            and all(used[t] + n <= channels for t, n in tree.layers))
 
 
 def greedy_plan(graph: AugmentedGraph, infos, kind: HeuristicKind,
@@ -242,7 +238,7 @@ def greedy_plan(graph: AugmentedGraph, infos, kind: HeuristicKind,
     `_reusable` says the state leaves them unchanged.
     """
     started = time.perf_counter()
-    infos = sorted(infos, key=lambda i: i.id)
+    infos = graph.served(infos)
     by_id = {info.id: info for info in infos}
     if max_restarts is None:
         max_restarts = len(infos)
@@ -257,10 +253,8 @@ def greedy_plan(graph: AugmentedGraph, infos, kind: HeuristicKind,
         activations: dict[int, frozenset] = {}
         failed = None
         for info_id in queue:
-            kept = standalone.get(info_id)
-            if kept is not None and _reusable(kept, state):
-                tree = kept[0]
-            else:
+            tree = standalone.get(info_id)
+            if tree is None or not _reusable(tree, state):
                 tree = build_tree(graph, by_id[info_id], state)
             if tree is None:
                 failed = info_id
@@ -268,8 +262,7 @@ def greedy_plan(graph: AugmentedGraph, infos, kind: HeuristicKind,
             activations[info_id] = tree.edges
             state.commit(tree)
         if failed is None:
-            plan = Plan({info_id: activations.get(info_id, frozenset())
-                         for info_id in by_id})
+            plan = Plan({info_id: activations[info_id] for info_id in by_id})
             verdict = check_feasibility(graph, plan)
             if not verdict.feasible:
                 raise InternalError(

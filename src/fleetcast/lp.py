@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import LpSizeError, PlanStructureError
+from .errors import LpSizeError
 from .graph import KIND_CACHING, KIND_CONNECTIVITY, AugmentedGraph
 from .scenario import CACHE_SINGLE
 
@@ -55,10 +55,7 @@ _SENSES = ("<=", ">=", "=")
 
 def export_lp(graph: AugmentedGraph, infos=None, max_variables: int = 500_000) -> str:
     """Serialize the instance as a minimize LP document."""
-    infos = sorted(graph.infos if infos is None else infos, key=lambda i: i.id)
-    for info in infos:
-        if info.id not in graph.source_vertex:
-            raise PlanStructureError(f"info {info.id} is not part of the graph")
+    infos = graph.served(infos)
     n_vertices = graph.real_vertex_count
     n_edges = graph.real_edge_count     # virtual edges are numbered after these
     horizon = graph.horizon
@@ -72,11 +69,9 @@ def export_lp(graph: AugmentedGraph, infos=None, max_variables: int = 500_000) -
 
     kind = graph.edge_kind
     weight = graph.edge_weight
-    out_real = [[] for _ in range(n_vertices)]
-    in_real = [[] for _ in range(n_vertices)]
-    for e in range(n_edges):
-        out_real[graph.edge_tail[e]].append(e)
-        in_real[graph.edge_head[e]].append(e)
+    # a real vertex lists its real edges in index order, then its virtual ones
+    out_real = [[e for e in es if e < n_edges] for es in graph.out_edges[:n_vertices]]
+    in_real = [[e for e in es if e < n_edges] for es in graph.in_edges[:n_vertices]]
 
     # Each variable name is built once; a row is its unit-coefficient names
     # joined by " + ", then its other terms formatted by _term.

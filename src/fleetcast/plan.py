@@ -81,10 +81,9 @@ class FeasibilityReport:
 
 
 def _validate_structure(graph: AugmentedGraph, plan: Plan):
-    known = {info.id for info in graph.infos}
     kinds = graph.edge_kind
     for info_id, edges in plan.activations.items():
-        if info_id not in known:
+        if info_id not in graph.source_vertex:
             raise PlanStructureError(f"plan references unknown info {info_id}")
         for e in edges:
             if not 0 <= e < len(kinds):
@@ -98,7 +97,6 @@ def _validate_structure(graph: AugmentedGraph, plan: Plan):
 def check_feasibility(graph: AugmentedGraph, plan: Plan) -> FeasibilityReport:
     """Evaluate every feasibility rule; structural problems raise instead."""
     _validate_structure(graph, plan)
-    infos = {info.id: info for info in graph.infos}
     tails, heads = graph.edge_tail, graph.edge_head
     kinds, times = graph.edge_kind, graph.edge_time
     label = graph.vertex_label
@@ -140,7 +138,7 @@ def check_feasibility(graph: AugmentedGraph, plan: Plan) -> FeasibilityReport:
                     f"budget is {graph.channels}")
 
     for info_id in sorted(plan.activations):
-        info = infos[info_id]
+        info = graph.info_by_id(info_id)
         edges = plan.activations[info_id]
         source_vertices = {graph.vertex_id(u, t) for u, t in info.sources}
         in_cnt: dict[int, int] = {}
@@ -222,7 +220,13 @@ def plan_cost(graph: AugmentedGraph, plan: Plan) -> float:
             if kinds[e] == KIND_CONNECTIVITY:
                 vertex_max[tails[e]] = max(vertex_max.get(tails[e], 0.0),
                                            weights[e])
-    return math.fsum(vertex_max[v] for v in sorted(vertex_max))
+    return _energy(vertex_max)
+
+
+def _energy(power: dict) -> float:
+    """The max rule's total, fsum in vertex order: one rule for plan and
+    greedy tree costs, so both give the same bits."""
+    return math.fsum(power[v] for v in sorted(power))
 
 
 def plan_to_dict(graph: AugmentedGraph, plan: Plan) -> dict:
@@ -242,13 +246,12 @@ def plan_from_dict(graph: AugmentedGraph, doc: dict) -> Plan:
     rows_by_info = doc.get("activations") if isinstance(doc, dict) else None
     if not isinstance(rows_by_info, dict):
         raise FormatError("a plan must be an object with an activations object")
-    known = {info.id for info in graph.infos}
     activations = {}
     for info_key, rows in rows_by_info.items():
         info_id = _int_key(info_key)
         if info_id is None:
             raise FormatError(f"plan info key {info_key!r} is not an integer")
-        if info_id not in known:
+        if info_id not in graph.source_vertex:
             raise PlanStructureError(f"plan references unknown info {info_id}")
         if not isinstance(rows, list):
             raise FormatError(f"plan rows of info {info_key} must be a list")

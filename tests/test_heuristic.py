@@ -239,10 +239,10 @@ def test_order_information_keeps_each_standalone_tree():
     kept = _standalone(graph)
     assert sorted(kept) == [1, 2]
     for info in graph.infos:
-        tree, touched, layers = kept[info.id]
+        tree = kept[info.id]
         assert tree == build_tree(graph, info, ResidualState(graph))
-        assert {graph.edge_tail[e] for e in tree.edges} <= touched
-        assert sum(n for _, n in layers) == len(tree.edges)
+        assert {graph.edge_tail[e] for e in tree.edges} <= tree.touched
+        assert sum(n for _, n in tree.layers) == len(tree.edges)
     assert _standalone(graph, "muf") == {}
 
 
@@ -256,9 +256,8 @@ def test_reuse_rejects_a_deleted_virtual_only_path():
                InfoSpec(id=1, sources={(2, 0)}, destinations={1})])
     graph = instances.augmented(scen)
     kept = _standalone(graph)[0]
-    tree, touched, _ = kept
-    assert tree == Tree(edges=frozenset(), cost=0.0)
-    assert touched == {graph.vertex_id(1, 0)}
+    assert kept == Tree(edges=frozenset(), cost=0.0)
+    assert kept.touched == {graph.vertex_id(1, 0)}
     state = ResidualState(graph)
     hop = graph.edge_index(graph.vertex_id(2, 0), graph.vertex_id(1, 0))
     state.commit(Tree(edges=frozenset({hop}), cost=10.0))
@@ -322,7 +321,7 @@ def test_reused_tree_equals_the_tree_build_tree_returns():
                     if info.id not in kept:
                         continue
                     if _reusable(kept[info.id], state):
-                        alone = kept[info.id][0]
+                        alone = kept[info.id]
                         fresh = build_tree(graph, info, state)
                         assert fresh is not None, (label, info.id)
                         assert (fresh.edges, fresh.cost.hex()) \

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import instances
 import oracles
 from fleetcast.errors import FormatError, PlanStructureError
+from fleetcast.gen import generate_scenario, make_config
 from fleetcast.graph import CONNECTIVITY
 from fleetcast.jsonio import write_json
 from fleetcast.plan import (Plan, check_feasibility, load_plan, plan_cost,
@@ -18,7 +19,7 @@ from fleetcast.plan import (Plan, check_feasibility, load_plan, plan_cost,
 from fleetcast.exact import solve_exact
 from fleetcast.heuristic import (HeuristicKind, ResidualState, build_tree,
                                  greedy_plan)
-from fleetcast.lp import export_lp
+from fleetcast.lp import export_lp, lint_lp
 from fleetcast.report import (HEURISTIC_KINDS, METHOD_EXACT, RANDOM_KIND,
                               SOLVED_STATUSES, STATUSES, SolveReport,
                               load_report, report_to_dict, save_report)
@@ -413,10 +414,32 @@ def test_checker_matches_reference_unlimited_cache():
 ], ids=["solve_exact", "greedy_mpf", "greedy_muf", "build_tree", "export_lp"])
 def test_information_missing_from_the_graph_is_a_structure_error(chain,
                                                                    solve):
-    stranger = InfoSpec(id=9, sources={(0, 0)}, destinations={2})
-    with pytest.raises(PlanStructureError,
-                       match=r"^info 9 is not part of the graph$"):
-        solve(chain, stranger)
+    # an unknown id, then info 0's id with another source copy and with one
+    # more destination: the graph's virtual terminals serve none of them
+    for stranger in (InfoSpec(id=9, sources={(0, 0)}, destinations={2}),
+                     InfoSpec(id=0, sources={(1, 0)}, destinations={2}),
+                     InfoSpec(id=0, sources={(0, 0)}, destinations={1, 2})):
+        with pytest.raises(PlanStructureError, match=rf"^info {stranger.id} "
+                           "is not part of the graph$"):
+            solve(chain, stranger)
+
+
+def test_a_duplicated_information_is_served_once():
+    graph = instances.augmented(generate_scenario(
+        make_config("micro", 3, info_count=2)))
+    first, second = graph.infos[:2]
+    text = export_lp(graph, [first, first])
+    assert lint_lp(text) == []
+    assert text == export_lp(graph, [first])
+    for solve in (solve_exact,
+                  lambda graph, infos: greedy_plan(graph, infos,
+                                                   HeuristicKind("mpf")),
+                  lambda graph, infos: greedy_plan(graph, infos,
+                                                   HeuristicKind("muf"))):
+        once = solve(graph, [first])
+        assert once.plan is not None
+        assert solve(graph, [first, first]).plan == once.plan
+    assert graph.served(iter([second, first, second])) == (first, second)
 
 
 @pytest.mark.parametrize("activations, shown", [
