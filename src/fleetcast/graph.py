@@ -336,6 +336,40 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     back from `target` is the one a full search would give; other entries of
     `dist` and `parent` are meaningful only when `target` is None.
 
+    Target bound: a forward search to a virtual terminal drops the work that
+    cannot change the walked path. A feeder is a vertex with an edge into
+    `target`; a virtual destination is fed by every time copy of its UAV,
+    one per layer. `ub` is the smallest distance given to a feeder so far,
+    0 if a seed is one; `target` ends at some D <= `ub`, since that
+    feeder's edge into it costs nothing. `step` is
+    `min_connectivity_weight` when every key of `power` is a seed, else 0.
+    - A relaxation into a feeder at nd > `ub`, or into a non-feeder at
+      nd + `step` > `ub`, is dropped.
+    - A real non-feeder without a discount settled at d with
+      d + `step` > `ub` is only marked done: no pending entry, no zero-cost
+      step, no caching chain.
+    - At a level end the feeders are relaxed first: for each pending tail
+      in settle order, its edge into its layer's feeder, so the tail
+      settled first wins a tie (not always the lowest id: a discounted
+      vertex's zero-cost step can settle a lower id later in the level).
+      That sets `ub` before the other steps are read, and a pending vertex
+      without a discount is skipped whole when
+      level + `min_connectivity_weight` + `step` > `ub`.
+    Why it is exact: every vertex on the walked path is at distance D or
+    less. From a non-feeder, the rest of any path into `target` holds a
+    connectivity step out of a vertex without a discount: caching stays on
+    the UAV, a real vertex's virtual edges end in terminals, and the seeds,
+    the only discounted vertices when `step` > 0, have parent -1 and are
+    never re-entered. That step costs at least `min_connectivity_weight`
+    and float addition is monotone, so a path through a non-feeder at d
+    costs at least fl(d + `step`). A dropped relaxation leaves a larger
+    `dist`; a later one at a value no smaller is dropped too, since `ub`
+    only falls, and the dropped heap keys are above `ub`, so they would
+    never pop before `target`. Ties never replace a parent. Backward
+    searches, real targets and `target=None` keep `ub` infinite: backward
+    caching reaches a feeder of a virtual source at no cost, and a real
+    target's in-edges are not free.
+
     Returns (dist, parent): parent[v] is the edge that reached v, -1 for the
     seeds and for unreached vertices.
     """
@@ -355,21 +389,62 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     channels = graph.channels
     real_vertex_count = graph.real_vertex_count
     wmin = graph.min_connectivity_weight
+    # target bound: feeds marks the feeders, feeder_at[t] is layer t's and
+    # feed_in[t] maps its connectivity in-edges by tail, built on first use
+    feeds = bytearray(graph.vertex_count)
+    feeder_at = [-1] * horizon
+    feed_in = [None] * horizon
+    ub, step = inf, 0.0
+    bounded = (target is not None and target >= real_vertex_count
+               and ends is graph.edge_head)
+    if bounded:
+        for e in graph.in_edges[target]:
+            f = graph.edge_tail[e]
+            feeds[f] = 1
+            feeder_at[f % horizon] = f
+            if dist[f] == 0.0:
+                ub = 0.0
+        if set(seeds).issuperset(power):
+            step = wmin
     pending = []  # vertices settled at `level` with steps above it
     level = 0.0
     while heap or pending:
         if pending and (not heap or heap[0][0] > level):
+            if bounded:  # feeders first, see the target bound
+                for v in pending:
+                    t = v % horizon
+                    f = feeder_at[t]
+                    if f < 0 or done[f]:
+                        continue
+                    into = feed_in[t]
+                    if into is None:
+                        into = feed_in[t] = {graph.edge_tail[e]: e
+                                             for e in graph.in_edges[f]
+                                             if not kinds[e]}
+                    e = into.get(v)
+                    if e is None:
+                        continue
+                    w = weights[e]
+                    v_power = power.get(v, 0.0)
+                    nd = level + (w - v_power) if w > v_power else level
+                    if nd < dist[f] and nd <= ub:
+                        dist[f] = ub = nd
+                        parent[f] = e
+                        heappush(heap, (nd, f))
+            plain = level + wmin + step <= ub  # undiscounted steps can help
             for v in pending:
                 v_power = power.get(v, 0.0)
+                if not (v_power or plain):
+                    continue
                 for e in adjacency[v]:
                     if kinds[e]:
                         continue
                     head = ends[e]
-                    if done[head]:
+                    if done[head] or feeds[head]:
                         continue
                     w = weights[e]
                     nd = level + (w - v_power) if w > v_power else level
-                    if nd < dist[head]:
+                    if nd < dist[head] and nd + step <= ub:
                         dist[head] = nd
                         parent[head] = e
                         heappush(heap, (nd, head))
@@ -383,6 +458,9 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
             if v == target:
                 return dist, parent
             v_power = power.get(v, 0.0)
+            if (d + step > ub and v < real_vertex_count and not v_power
+                    and not feeds[v]):
+                break  # no path through v beats ub
             fast = v < real_vertex_count and not v_power and d + wmin > d
             if channel_used[v % horizon] < channels:
                 if fast:  # connectivity: above d
@@ -400,6 +478,12 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
                         if w > v_power and d + (w - v_power) > d:
                             later = True
                         elif d < dist[head]:
+                            if feeds[head]:
+                                if d > ub:
+                                    continue
+                                ub = d
+                            elif d + step > ub:
+                                continue
                             dist[head] = d
                             parent[head] = e
                             heappush(heap, (d, head))
@@ -420,6 +504,12 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
                         parent[head] = e
                         return dist, parent
                     continue  # other virtual terminals are dead ends
+                if feeds[head]:
+                    if d > ub:
+                        continue
+                    ub = d
+                elif d + step > ub:
+                    continue
                 dist[head] = d
                 parent[head] = e
                 if kind == 1 and fast:

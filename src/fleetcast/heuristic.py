@@ -120,6 +120,11 @@ def build_tree(graph: AugmentedGraph, info, state: ResidualState):
 
     The tree carries its reuse footprint (see `Tree`); its `layers` are read
     off the channel list against the state's.
+
+    Every key of the discount map is the tail of a tree edge, so a tree
+    vertex and a seed of every later search. The kernel's target bound
+    relies on that: with no discount off the seeds, its step is the smallest
+    connectivity weight (see `_shortest_paths`).
     """
     graph.served([info])  # raises for an information the graph lacks
     if state.graph is not graph:

@@ -579,6 +579,60 @@ def test_kernel_backward_direction():
     _assert_kernel_matches_reference(graph, copies)
 
 
+# --- the kernel's target bound --------------------------------------------
+
+def _forward(graph, seeds, power, target):
+    return _shortest_paths(graph, seeds, graph.out_edges, graph.edge_head,
+                           (), power, [0] * graph.horizon, target)
+
+
+def test_kernel_bound_tie_goes_to_the_tail_settled_first():
+    # seed 3's discount makes its step to UAV 1 free, so UAV 1 is settled at
+    # 0 after seed 2; both reach the feeder, UAV 4, at 1.0 at that level's
+    # end, and UAV 2, settled first, is the parent although its id is higher
+    conn = {(3, 1, 0): 2.0, (2, 4, 0): 1.0, (1, 4, 0): 1.0}
+    graph = _flat_graph(5, 1, conn, dest_uavs=[4])
+    target = graph.source + 1
+    dist, parent = _forward(graph, [2, 3], {3: 2.0}, target)
+    assert dist[target] == 1.0 and graph.edge_tail[parent[4]] == 2
+    _assert_kernel_matches_reference(graph, [2, 3], power={3: 2.0})
+
+
+def test_kernel_bound_discount_off_the_seeds_keeps_step_zero():
+    # UAV 1 is no seed, and its discount makes 0 -> 1 -> 3 cost 1.5, below
+    # the direct 1.8 although 1.0 + min weight 1.0 is above it
+    conn = {(0, 3, 0): 1.8, (0, 1, 0): 1.0, (1, 3, 0): 2.0}
+    graph = _flat_graph(4, 1, conn, dest_uavs=[3])
+    target = graph.source + 1
+    dist, parent = _forward(graph, [0], {1: 1.5}, target)
+    assert dist[target] == 1.5 and graph.edge_tail[parent[3]] == 1
+    _assert_kernel_matches_reference(graph, [0], power={1: 1.5})
+
+
+def test_kernel_bound_seed_feeder_skips_other_chains():
+    # seed (2, 1) feeds the target, so the bound is 0 from the start; seed
+    # (1, 0)'s discounted free step reaches (2, 0), a lower id, which wins
+    conn = {(1, 2, 0): 1.0, (0, 1, 1): 1.0}
+    graph = _flat_graph(3, 3, conn, dest_uavs=[2])
+    target = graph.source + 1
+    seeds, power = [0, 3, 7], {3: 1.0}
+    dist, parent = _forward(graph, seeds, power, target)
+    assert dist[target] == 0.0 and graph.edge_tail[parent[target]] == 6
+    assert dist[1] == math.inf  # UAV 0's caching chain was never walked
+    _assert_kernel_matches_reference(graph, seeds, power=power)
+
+
+def test_kernel_bound_two_hop_answer():
+    # no seed step reaches the feeder, UAV 2, so the bound is still infinite
+    # at the first level end; UAVs 1 and 3 tie at 2.0 and UAV 1 wins
+    conn = {(0, 1, 0): 1.0, (0, 3, 0): 1.0, (1, 2, 0): 1.0, (3, 2, 0): 1.0}
+    graph = _flat_graph(4, 1, conn, dest_uavs=[2])
+    target = graph.source + 1
+    dist, parent = _forward(graph, [0], {}, target)
+    assert dist[target] == 2.0 and graph.edge_tail[parent[2]] == 1
+    _assert_kernel_matches_reference(graph, [0])
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_kernel_matches_reference_on_small_graphs(data):
@@ -604,15 +658,45 @@ def test_kernel_matches_reference_on_small_graphs(data):
     if data.draw(st.booleans()):
         seeds.append(graph.source)
     deleted = data.draw(st.sets(vertices, max_size=3)) - set(seeds)
+    # discounts on seeds only, as `build_tree` gives them, let the target
+    # bound use the smallest weight as its step
+    real_seeds = [v for v in seeds if v < real]
+    keys = (st.sampled_from(real_seeds) if data.draw(st.booleans())
+            else vertices)
     power = data.draw(st.dictionaries(
-        vertices, st.sampled_from(values + (0.5 * values[0],)), max_size=4))
+        keys, st.sampled_from(values + (0.5 * values[0],)), max_size=4))
     used = data.draw(st.lists(st.integers(0, channels), min_size=horizon,
                               max_size=horizon))
     delta = data.draw(st.dictionaries(st.integers(0, horizon - 1),
                                       st.integers(0, channels), max_size=2))
     target = data.draw(st.integers(0, graph.vertex_count - 1))
+    dests = range(graph.source + 1, graph.vertex_count)
     _assert_kernel_matches_reference(graph, seeds, deleted, power, used,
-                                     delta, targets=[target])
+                                     delta, targets=[target, *dests])
+
+
+@given(st.randoms(use_true_random=True))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_kernel_bound_matches_reference_near_a_destination(rng):
+    # one or two dense layers and one destination UAV: the target bound
+    # prunes in most examples, feeder ties are common, and 1.5 lies between
+    # the smallest weight and twice it, where a wrong `step` shows. Drawn
+    # uniformly: Hypothesis' own draws favour sparse, equal-weight graphs
+    values = (1.0, 1.5, 2.0)
+    uav_count = rng.randint(3, 6)
+    horizon = rng.randint(1, 2)
+    real = uav_count * horizon
+    conn = {(u, u2, t): rng.choice(values) for t in range(horizon)
+            for u in range(uav_count) for u2 in range(uav_count)
+            if u != u2 and rng.random() < 0.75}
+    graph = _flat_graph(uav_count, horizon, conn,
+                        dest_uavs=[rng.randrange(uav_count)])
+    seeds = sorted(rng.sample(range(real), rng.randint(1, 3)))
+    seeds_only = rng.random() < 0.5
+    power = {v: rng.choice(values + (0.5,)) for v in range(real)
+             if (v in seeds or not seeds_only) and rng.random() < 0.5}
+    _assert_kernel_matches_reference(graph, seeds, power=power,
+                                     targets=[graph.source + 1])
 
 
 # --- the flat-list builder against the Edge-record builder ---------------

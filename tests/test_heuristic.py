@@ -228,6 +228,32 @@ def test_greedy_reports_pinned_on_generated_scenario():
         assert digest == PINNED_REPORT_SHA256[kind.label()], kind.label()
 
 
+# The same digests on a small fleet-profile scenario, recorded with the kernel
+# before its target bound. Large source sets put a copy of the destination
+# UAV inside the current tree in many searches, which then end at distance 0.
+PINNED_FLEET_REPORT_SHA256 = {
+    "mpf": "be0b6a441bceea406a553622a227eec1c35b80d4835a2bd218a074bc5bf17aea",
+    "lpf": "992f119a678b35048efbd57e2d8b452113e139aca05b52fe2b620f989611be42",
+    "muf": "ed04326134d425602de788e8c00cd30b1478ac338e04fa4dc81868dc592f89ca",
+    "r[0]": "1a6ef6b7632aa71b1677f57793603a05e0b1ed8fd803bd115d8d6ea6192be18c",
+}
+
+
+def test_greedy_reports_pinned_on_fleet_scenario():
+    # U=20, I=12, T=200: the fleet benchmark's profile at tier-1 size
+    scenario = generate_scenario(make_config(
+        "paper", 1, uav_count=20, info_count=12, horizon=200, channels=2,
+        area_side=250.0))
+    graph = augment(build_time_expanded_graph(scenario), scenario.infos)
+    for kind in [HeuristicKind("mpf"), HeuristicKind("lpf"),
+                 HeuristicKind("muf"), HeuristicKind("r", seed=0)]:
+        report = greedy_plan(graph, graph.infos, kind)
+        assert report.status == "FEASIBLE"
+        document = canonical_dumps(report_to_dict(graph, report))
+        digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
+        assert digest == PINNED_FLEET_REPORT_SHA256[kind.label()], kind.label()
+
+
 def _standalone(graph, kind="mpf"):
     kept = {}
     order_information(graph, graph.infos, HeuristicKind(kind), standalone=kept)
