@@ -14,7 +14,7 @@ from .errors import (FleetcastError, FormatError, GenerationError,
                      ScenarioError)
 from .exact import SearchBudget, solve_exact
 from .gen import GenConfig, PAPER_RADIO, PROFILES, generate_scenario, make_config
-from .graph import (CACHING, CONNECTIVITY, VIRTUAL, AugmentedGraph, Edge,
+from .graph import (CACHING, CONNECTIVITY, AugmentedGraph, Edge,
                     TimeExpandedGraph, augment, build_time_expanded_graph,
                     collision_set)
 from .heuristic import (HEURISTIC_KINDS, HeuristicKind, ResidualState, Tree,

@@ -91,11 +91,11 @@ class _Search:
         self.incumbent_key = None
         self.guard = 0.0
 
-        # real out-edges per vertex for path generation: at most one caching
+        # out-edges per vertex for path generation: at most one caching
         # edge as (e, head), and the connectivity edges as (e, head, weight)
-        self.cache_out = [None] * graph.real_vertex_count
-        self.conn_out = [[] for _ in range(graph.real_vertex_count)]
-        for v in range(graph.real_vertex_count):
+        self.cache_out = [None] * graph.vertex_count
+        self.conn_out = [[] for _ in range(graph.vertex_count)]
+        for v in range(graph.vertex_count):
             for e in graph.out_edges[v]:
                 kind = graph.edge_kind[e]
                 if kind == KIND_CONNECTIVITY:
@@ -111,9 +111,9 @@ class _Search:
         for uav in sorted({u for _, u in self.demands}):
             copies = [graph.vertex_id(uav, t) for t in range(graph.horizon)]
             self.dest_copies[uav] = frozenset(copies)
-            self.h_to_dest[uav], _ = _shortest_paths(
+            self.h_to_dest[uav] = _shortest_paths(
                 graph, copies, graph.in_edges, graph.edge_tail, (), {},
-                [0] * graph.horizon)
+                [0] * graph.horizon)[0]
 
         # admissible bound for informations not yet started: the largest
         # channel-free cheapest-path distance to any of their destinations
@@ -376,7 +376,7 @@ class _Search:
         # the least hops each vertex was reached with, channels + 1 if it
         # was not; a supplied vertex is never a head, which -1 encodes, and
         # it is a start if it can reach a copy
-        least = [channels + 1] * self.graph.real_vertex_count
+        least = [channels + 1] * self.graph.vertex_count
         for v in supplied:
             least[v] = -1
         stack = [(v, 0) for v in supplied if remaining[v] < INF]

@@ -1,13 +1,12 @@
-"""Time-expanded connectivity graph and its virtual-terminal augmentation.
+"""Time-expanded connectivity graph, and the shortest-path kernel over it.
 
 Vertices are (uav, time) pairs. Connectivity edges join two distinct UAVs
 within one time unit and cost the per-packet energy of the smallest
 transmitter subrange containing the receiver; caching edges join consecutive
-time copies of one UAV at zero cost. The augmented graph adds one virtual
-source per information (fanning out to all its gatherable copies) and one
-virtual destination per (information, destination UAV) pair (fanning in from
-all time copies of that UAV), all at zero weight, so multi-source
-multi-destination questions reduce to single-source single-target ones.
+time copies of one UAV at zero cost. The augmented graph is the same graph
+with the informations it serves. A greedy search for one information starts
+from all of its source copies and ends at the first time copy of a
+destination UAV it settles, so no terminal vertex is needed.
 """
 
 from __future__ import annotations
@@ -24,13 +23,11 @@ from .scenario import InfoSpec, Scenario, check_infos
 
 CONNECTIVITY = "connectivity"
 CACHING = "caching"
-VIRTUAL = "virtual"
 
 # integer kind codes for hot loops, and their names by code
 KIND_CONNECTIVITY = 0
 KIND_CACHING = 1
-KIND_VIRTUAL = 2
-KIND_NAMES = (CONNECTIVITY, CACHING, VIRTUAL)
+KIND_NAMES = (CONNECTIVITY, CACHING)
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,7 +37,7 @@ class Edge:
     head: int
     kind: str
     weight: float
-    time: int | None        # layer of the tail vertex; None for virtual edges
+    time: int               # layer of the tail vertex
     subrange: int | None    # 1-based subrange index; connectivity edges only
 
 
@@ -49,10 +46,10 @@ class TimeExpandedGraph:
 
     Edges are parallel flat lists over edge indices: `edge_tail`, `edge_head`,
     `edge_kind` (a KIND_* code), `edge_weight` and `edge_time` (the tail's
-    layer, -1 for virtual edges), in a reproducible construction order: by
-    time layer, then tail UAV, then head UAV. `min_connectivity_weight` is
-    the smallest entry of the builder's subrange-weight table, a lower bound
-    on every connectivity weight (inf without UAVs).
+    layer), in a reproducible construction order: by time layer, then tail
+    UAV, then head UAV. `min_connectivity_weight` is the smallest entry of
+    the builder's subrange-weight table, a lower bound on every connectivity
+    weight (inf without UAVs).
     """
 
     def __init__(self, scenario: Scenario, arrays, out_edges, in_edges,
@@ -67,8 +64,7 @@ class TimeExpandedGraph:
         self.out_edges, self.in_edges = out_edges, in_edges
         self.conn_by_time = conn_by_time
         self.min_connectivity_weight = min_connectivity_weight
-        self.real_vertex_count = self.vertex_count = self.uav_count * self.horizon
-        self.real_edge_count = len(self.edge_tail)
+        self.vertex_count = self.uav_count * self.horizon
         self._edge_records = None
 
     @property
@@ -89,8 +85,8 @@ class TimeExpandedGraph:
                     u, u2 = tail // horizon, head // horizon
                     dist = math.dist(positions[u][t], positions[u2][t])
                     subrange = bisect_left(self.scenario.radii_for(u), dist) + 1
-                records.append(Edge(e, tail, head, KIND_NAMES[kind], weight,
-                                    None if t < 0 else t, subrange))
+                records.append(Edge(e, tail, head, KIND_NAMES[kind], weight, t,
+                                    subrange))
             self._edge_records = records
         return self._edge_records
 
@@ -124,27 +120,23 @@ class _EdgeView(Sequence):
 
 
 class AugmentedGraph(TimeExpandedGraph):
-    """A time-expanded graph extended with virtual sources and destinations.
+    """A time-expanded graph with the informations it serves.
 
-    It shares the base graph's unchanged lists but keeps no reference to the
-    base object, so a caller that drops the base frees the rest of it.
+    It shares every list of the base graph and keeps no reference to the
+    base object itself.
     """
 
-    def __init__(self, base: TimeExpandedGraph, infos, arrays, out_edges,
-                 in_edges, source_vertex, dest_vertex, vertex_count):
-        super().__init__(base.scenario, arrays, out_edges, in_edges,
-                         base.conn_by_time, base.min_connectivity_weight)
-        self.vertex_count = vertex_count
-        self.real_edge_count = base.real_edge_count
+    def __init__(self, base: TimeExpandedGraph, infos):
+        super().__init__(base.scenario, (
+            base.edge_tail, base.edge_head, base.edge_kind, base.edge_weight,
+            base.edge_time), base.out_edges, base.in_edges, base.conn_by_time,
+            base.min_connectivity_weight)
         self.infos = infos
-        self.source_vertex = source_vertex   # info id -> virtual vertex
-        self.dest_vertex = dest_vertex       # (info id, uav) -> virtual vertex
 
     def served(self, infos=None) -> tuple:
         """The graph's own `InfoSpec`s equal to `infos` (any iterable, read
         once; None for all), in id order, each once. Any other information,
-        even one with a known id, raises `PlanStructureError`: the virtual
-        terminals exist for the graph's own only."""
+        even one with a known id, raises `PlanStructureError`."""
         if infos is None:
             return self.infos
         wanted = set(infos)
@@ -158,17 +150,6 @@ class AugmentedGraph(TimeExpandedGraph):
             if info.id == info_id:
                 return info
         raise KeyError(f"unknown info id {info_id}")
-
-    def vertex_label(self, vertex: int) -> str:
-        if vertex < self.real_vertex_count:
-            return super().vertex_label(vertex)
-        for info_id, v in self.source_vertex.items():
-            if v == vertex:
-                return f"s_{info_id}"
-        for (info_id, u), v in self.dest_vertex.items():
-            if v == vertex:
-                return f"d_{info_id}_{u}"
-        return f"v{vertex}"
 
 
 def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
@@ -221,57 +202,11 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
 
 
 def augment(graph: TimeExpandedGraph, infos) -> AugmentedGraph:
-    """Attach virtual source/destination terminals for the given infos.
-
-    Only the virtual edges are new: each flat list is the base's plus the
-    virtual part, and only vertices that gain a virtual edge get their own
-    adjacency lists. The base graph is never changed. The infos must pass
-    `check_infos` for the graph's fleet.
-    """
+    """The graph with the given infos, which must pass `check_infos` for its
+    fleet. It adds no vertex or edge: every list is the base's, unchanged."""
     infos = tuple(sorted(infos, key=lambda i: i.id))
     check_infos(infos, graph.uav_count, graph.horizon)
-
-    tails, heads = [], []
-    base_out, base_in = graph.out_edges, graph.in_edges
-    out_edges, in_edges = list(base_out), list(base_in)
-    source_vertex: dict[int, int] = {}
-    dest_vertex: dict[tuple[int, int], int] = {}
-    real, first_edge = graph.real_vertex_count, len(graph.edge_tail)
-
-    def add_vertex():
-        out_edges.append([])
-        in_edges.append([])
-        return len(out_edges) - 1
-
-    def add_edge(tail, head):
-        e = first_edge + len(tails)
-        tails.append(tail)
-        heads.append(head)
-        if tail < real and out_edges[tail] is base_out[tail]:
-            out_edges[tail] = base_out[tail].copy()
-        out_edges[tail].append(e)
-        if head < real and in_edges[head] is base_in[head]:
-            in_edges[head] = base_in[head].copy()
-        in_edges[head].append(e)
-
-    for info in infos:
-        s = add_vertex()
-        source_vertex[info.id] = s
-        for u, t in sorted(info.sources):
-            add_edge(s, graph.vertex_id(u, t))
-    for info in infos:
-        for u in sorted(info.destinations):
-            d = add_vertex()
-            dest_vertex[(info.id, u)] = d
-            for t in range(graph.horizon):
-                add_edge(graph.vertex_id(u, t), d)
-
-    k = len(tails)
-    arrays = (graph.edge_tail + tails, graph.edge_head + heads,
-              graph.edge_kind + [KIND_VIRTUAL] * k,
-              graph.edge_weight + [0.0] * k, graph.edge_time + [-1] * k)
-    return AugmentedGraph(graph, infos, arrays, out_edges, in_edges,
-                          source_vertex, dest_vertex, len(out_edges))
+    return AugmentedGraph(graph, infos)
 
 
 def collision_set(graph: TimeExpandedGraph, t: int) -> frozenset[int]:
@@ -282,16 +217,23 @@ def collision_set(graph: TimeExpandedGraph, t: int) -> frozenset[int]:
 
 
 def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
-                    target=None):
+                    goal=None, late=()):
     """Cheapest paths between the zero-cost `seeds` and every other vertex.
 
     Direction is data: `out_edges` with `edge_head` walks forward from the
     seeds, `in_edges` with `edge_tail` walks backward to them. Connectivity
     steps cost the weight minus the walked vertex's residual `power` (never
-    below zero). Virtual vertices other than `target` are dead ends. The
-    discount is keyed on the vertex being walked, which is the tail of a
-    forward edge but the head of a backward one, so backward callers pass an
-    empty residual state.
+    below zero); caching steps cost nothing. The discount is keyed on the
+    vertex being walked, which is the tail of a forward edge but the head of
+    a backward one, so backward callers pass an empty residual state.
+
+    Late seeds: the `late` vertices enter at distance 0, in id order, once
+    no distance-0 heap entry is left, which is before the level-0 pending
+    relaxations. The distance-0 closure of the seeds is therefore settled
+    first, and a seed's zero-cost step wins a tie against a late seed's even
+    when the late seed has the lower id. A late seed that is already done is
+    skipped. When they enter, every vertex with a finite `dist` has `dist` 0
+    and is done, so a late seed that is not done still has parent -1.
 
     Channel budget: connectivity edges stay inside one time unit, so every
     connectivity edge in `adjacency[v]` lies in v's own layer, `v % horizon`,
@@ -302,10 +244,10 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     walked.
 
     Deletions: `deleted` vertices are marked settled before the search, so
-    no edge ever enters one. This is exact only if no seed is deleted, which
-    callers guarantee (greedy seeds are the virtual source and vertices its
-    current tree reached through undeleted heads; backward callers pass no
-    deletions).
+    no edge ever enters one and a deleted late seed is skipped. This is
+    exact only if no seed is deleted, which callers guarantee (greedy seeds
+    are vertices its current tree reached through undeleted heads; backward
+    callers pass no deletions).
 
     Level-end relaxations: a step out of a vertex settled at distance d that
     gives nd > d cannot change any pop at key d, so it waits in `pending`
@@ -313,41 +255,39 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     empty). Steps that give exactly d are relaxed at once. Pending steps are
     relaxed in settle order, so among relaxations of equal value the order
     is the plain Dijkstra's, and every distance and first-tight parent is
-    the same. Caching and virtual steps, which cost nothing, are relaxed in
-    one loop after the connectivity steps: a vertex has at most one edge per
-    head, and entries pushed at key d pop in key order, so the order of one
-    vertex's relaxations changes no pop. A real vertex without a discount
-    settled at d with d + `min_connectivity_weight` > d has only
-    connectivity steps above d, so its connectivity edges are not even read
-    until the level ends; any other vertex tests each step.
+    the same. The caching step, which costs nothing, is relaxed after the
+    connectivity steps: a vertex has at most one edge per head, and entries
+    pushed at key d pop in key order, so the order of one vertex's
+    relaxations changes no pop. A vertex without a discount settled at d
+    with d + `min_connectivity_weight` > d has only connectivity steps above
+    d, so its connectivity edges are not even read until the level ends;
+    any other vertex tests each step.
 
     Caching chains: when such a vertex v strictly improves its caching
     neighbour h, h is settled next without touching the heap, because it is
     what the heap would pop next. Every heap entry is above (d, v) and none
     is (d, h); forward, h = v + 1 and no vertex id lies between them;
-    backward, h = v - 1 is below (d, v). v pushes nothing else at key d: a
-    real vertex's virtual edges lead only to terminals.
+    backward, h = v - 1 is below (d, v). v pushes nothing else at key d:
+    its connectivity steps wait for the level end.
 
-    Stop rule: the search ends when `target` is settled, or earlier, at the
-    first zero-cost virtual edge into it. That edge leaves a vertex settled
-    at distance d and gives `target` distance d; every later pop is at d or
-    more and a tie never replaces a parent, so that distance and parent are
-    final. The parents of settled vertices are final too, so the path walked
-    back from `target` is the one a full search would give; other entries of
-    `dist` and `parent` are meaningful only when `target` is None.
+    Goal: a forward search may name a `goal` UAV. Its copies `goal * H + t`,
+    one per layer, are the feeders, and the search ends when it settles the
+    first one, which it returns as `reached`. Vertices settle in
+    nondecreasing distance and a tie never replaces a parent, so the parents
+    of settled vertices are final, and the path walked back from `reached`
+    is the one a full search would give. Other entries of `dist` and `parent` are meaningful only
+    without a goal.
 
-    Target bound: a forward search to a virtual terminal drops the work that
-    cannot change the walked path. A feeder is a vertex with an edge into
-    `target`; a virtual destination is fed by every time copy of its UAV,
-    one per layer. `ub` is the smallest distance given to a feeder so far,
-    0 if a seed is one; `target` ends at some D <= `ub`, since that
-    feeder's edge into it costs nothing. `step` is
+    Target bound: a search with a goal drops the work that cannot change
+    the walked path. `ub` is the smallest distance given to a feeder so
+    far, 0 if a seed is one; the search ends at some D <= `ub`. `step` is
     `min_connectivity_weight` when every key of `power` is a seed, else 0.
     - A relaxation into a feeder at nd > `ub`, or into a non-feeder at
-      nd + `step` > `ub`, is dropped.
-    - A real non-feeder without a discount settled at d with
-      d + `step` > `ub` is only marked done: no pending entry, no zero-cost
-      step, no caching chain.
+      nd + `step` > `ub`, is dropped. A late seed that is a feeder sets
+      `ub` to 0, and any other is dropped when `step` > `ub`.
+    - A non-feeder without a discount settled at d with d + `step` > `ub`
+      is only marked done: no pending entry, no zero-cost step, no caching
+      chain.
     - At a level end the feeders are relaxed first: for each pending tail
       in settle order, its edge into its layer's feeder, so the tail
       settled first wins a tie (not always the lowest id: a discounted
@@ -356,22 +296,20 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
       without a discount is skipped whole when
       level + `min_connectivity_weight` + `step` > `ub`.
     Why it is exact: every vertex on the walked path is at distance D or
-    less. From a non-feeder, the rest of any path into `target` holds a
+    less. From a non-feeder, the rest of any path to a feeder holds a
     connectivity step out of a vertex without a discount: caching stays on
-    the UAV, a real vertex's virtual edges end in terminals, and the seeds,
-    the only discounted vertices when `step` > 0, have parent -1 and are
-    never re-entered. That step costs at least `min_connectivity_weight`
-    and float addition is monotone, so a path through a non-feeder at d
-    costs at least fl(d + `step`). A dropped relaxation leaves a larger
-    `dist`; a later one at a value no smaller is dropped too, since `ub`
-    only falls, and the dropped heap keys are above `ub`, so they would
-    never pop before `target`. Ties never replace a parent. Backward
-    searches, real targets and `target=None` keep `ub` infinite: backward
-    caching reaches a feeder of a virtual source at no cost, and a real
-    target's in-edges are not free.
+    the UAV, and the seeds, the only discounted vertices when `step` > 0,
+    have parent -1 and are never re-entered. That step costs at least
+    `min_connectivity_weight` and float addition is monotone, so a path
+    through a non-feeder at d costs at least fl(d + `step`). A dropped
+    relaxation leaves a larger `dist`; a later one at a value no smaller is
+    dropped too, since `ub` only falls, and the dropped heap keys are above
+    `ub`, so they would never pop before the answer. Ties never replace a
+    parent. Without a goal `ub` stays infinite; backward searches name none.
 
-    Returns (dist, parent): parent[v] is the edge that reached v, -1 for the
-    seeds and for unreached vertices.
+    Returns (dist, parent, reached): parent[v] is the edge that reached v,
+    -1 for the seeds, the late seeds and unreached vertices; `reached` is
+    the feeder settled first, -1 if there is none or no goal.
     """
     inf = math.inf
     dist = [inf] * graph.vertex_count
@@ -387,34 +325,42 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     weights = graph.edge_weight
     horizon = graph.horizon
     channels = graph.channels
-    real_vertex_count = graph.real_vertex_count
     wmin = graph.min_connectivity_weight
-    # target bound: feeds marks the feeders, feeder_at[t] is layer t's and
-    # feed_in[t] maps its connectivity in-edges by tail, built on first use
+    # target bound: feeds marks the goal's copies, from `first` on, and
+    # feed_in[t] maps layer t's connectivity in-edges by tail, on first use
     feeds = bytearray(graph.vertex_count)
-    feeder_at = [-1] * horizon
     feed_in = [None] * horizon
     ub, step = inf, 0.0
-    bounded = (target is not None and target >= real_vertex_count
-               and ends is graph.edge_head)
-    if bounded:
-        for e in graph.in_edges[target]:
-            f = graph.edge_tail[e]
+    if goal is not None:
+        first = goal * horizon
+        for f in range(first, first + horizon):
             feeds[f] = 1
-            feeder_at[f % horizon] = f
             if dist[f] == 0.0:
                 ub = 0.0
         if set(seeds).issuperset(power):
             step = wmin
+    late = sorted(late)
     pending = []  # vertices settled at `level` with steps above it
     level = 0.0
-    while heap or pending:
+    while heap or pending or late:
+        if late and (not heap or heap[0][0] > 0.0):
+            for v in late:  # see late seeds
+                if done[v]:
+                    continue
+                if feeds[v]:
+                    ub = 0.0
+                elif step > ub:
+                    continue
+                dist[v] = 0.0
+                heappush(heap, (0.0, v))
+            late = ()
+            continue
         if pending and (not heap or heap[0][0] > level):
-            if bounded:  # feeders first, see the target bound
+            if goal is not None:  # feeders first, see the target bound
                 for v in pending:
                     t = v % horizon
-                    f = feeder_at[t]
-                    if f < 0 or done[f]:
+                    f = first + t
+                    if done[f]:
                         continue
                     into = feed_in[t]
                     if into is None:
@@ -455,13 +401,12 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
             continue
         while True:  # v, then the caching chain it starts
             done[v] = 1
-            if v == target:
-                return dist, parent
+            if feeds[v]:
+                return dist, parent, v  # see goal
             v_power = power.get(v, 0.0)
-            if (d + step > ub and v < real_vertex_count and not v_power
-                    and not feeds[v]):
+            if d + step > ub and not v_power:
                 break  # no path through v beats ub
-            fast = v < real_vertex_count and not v_power and d + wmin > d
+            fast = not v_power and d + wmin > d
             if channel_used[v % horizon] < channels:
                 if fast:  # connectivity: above d
                     pending.append(v)
@@ -491,19 +436,12 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
                         pending.append(v)
                         level = d
             chain = -1
-            for e in adjacency[v]:  # caching and virtual: zero cost
-                kind = kinds[e]
-                if not kind:
+            for e in adjacency[v]:  # caching: zero cost
+                if not kinds[e]:
                     continue
                 head = ends[e]
                 if done[head] or not d < dist[head]:
                     continue
-                if head >= real_vertex_count:
-                    if head == target:  # final, see stop rule
-                        dist[head] = d
-                        parent[head] = e
-                        return dist, parent
-                    continue  # other virtual terminals are dead ends
                 if feeds[head]:
                     if d > ub:
                         continue
@@ -512,11 +450,11 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
                     continue
                 dist[head] = d
                 parent[head] = e
-                if kind == 1 and fast:
+                if fast:
                     chain = head
                 else:
                     heappush(heap, (d, head))
             if chain < 0:
                 break
             v = chain
-    return dist, parent
+    return dist, parent, -1

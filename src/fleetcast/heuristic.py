@@ -1,8 +1,8 @@
 """Greedy dissemination planning.
 
 The driver sorts the informations by a chosen key, then serves them one at a
-time by growing a cheapest-path tree from the information's virtual source to
-all of its virtual destinations. Committing a tree deletes its vertices so
+time by growing a cheapest-path tree from the information's source copies to
+a copy of each destination UAV. Committing a tree deletes its vertices so
 later trees cannot conflict with it, and fully saturating a time unit's
 channel budget deletes that whole layer for subsequent trees. When a tree
 cannot be built, the offending information is moved to the front of the list
@@ -16,10 +16,11 @@ Orderings:
 
 Standalone trees are reused. `mpf` and `lpf` build every information's tree
 on the pristine graph to order them, and keep each tree with the footprint
-`build_tree` records in it: the real vertices its walked paths touched
-(virtual edges' real endpoints included) and its connectivity-edge count per
-layer. A greedy pass, restarts included, takes the kept tree instead of
-building one when none of those vertices is deleted and every layer t has
+`build_tree` records in it: the vertices its walked paths touched (each
+path's first vertex and reached copy included) and its connectivity-edge
+count per layer. A greedy pass, restarts included, takes the kept tree
+instead of building one when none of those vertices is deleted and every
+layer t has
 `channel_used[t]` plus the tree's count in t at most `channels`. That tree
 is exactly what `build_tree` would return; see `_reusable`.
 """
@@ -32,8 +33,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import InternalError, PlanStructureError
-from .graph import (KIND_CONNECTIVITY, KIND_VIRTUAL, AugmentedGraph,
-                    _shortest_paths)
+from .graph import KIND_CONNECTIVITY, AugmentedGraph, _shortest_paths
 from .plan import Plan, _energy, check_feasibility, plan_cost
 from .report import (HEURISTIC_KINDS, RANDOM_KIND, STATUS_FEASIBLE,
                      STATUS_INFEASIBLE_HEURISTIC, SolveReport)
@@ -61,9 +61,10 @@ class Tree:
     """One information's committed edge set and its max-rule cost.
 
     `build_tree` adds the reuse footprint that `_reusable` reads: `touched`,
-    the real vertices of the walked paths (virtual edges' real endpoints
-    included), and `layers`, the connectivity-edge count per time unit as
-    `(t, n)` pairs. Neither takes part in equality.
+    the vertices of the walked paths (each path's first vertex and reached
+    copy included, since a path can have no edge), and `layers`, the
+    connectivity-edge count per time unit as `(t, n)` pairs. Neither takes
+    part in equality.
     """
     edges: frozenset
     cost: float
@@ -106,7 +107,10 @@ def build_tree(graph: AugmentedGraph, info, state: ResidualState):
     """Grow a cheapest-path tree serving every destination of `info`.
 
     Destinations are visited in ascending UAV id. Each search runs from the
-    whole current tree (merged edges are free), discounts connectivity edges
+    whole current tree (merged edges are free) as seeds and from the
+    information's source copies as late seeds, so a tree vertex keeps a tie
+    against a source copy, and ends at the first copy of the destination
+    UAV it settles (see `_shortest_paths`). It discounts connectivity edges
     by the power their tail already spends in this tree, skips deleted
     vertices, and skips connectivity edges in channel-saturated time units,
     counted in one list: the state's counts plus the tree's own edges.
@@ -132,32 +136,25 @@ def build_tree(graph: AugmentedGraph, info, state: ResidualState):
 
     tails, heads = graph.edge_tail, graph.edge_head
     kinds, weights, times = graph.edge_kind, graph.edge_weight, graph.edge_time
-    real = graph.real_vertex_count
-    source = graph.source_vertex[info.id]
-    touched: set[int] = set()
+    sources = [graph.vertex_id(u, t) for u, t in info.sources]
+    reached_copies: set[int] = set()  # with the tree's vertices: `touched`
     tree_edges: set[int] = set()
     tree_vertices: set[int] = set()
     power: dict[int, float] = {}      # tail -> max weight it sends in the tree
     used = list(state.channel_used)   # this tree's transmissions included
 
     for dest_uav in sorted(info.destinations):
-        target = graph.dest_vertex[(info.id, dest_uav)]
-        _, parent = _shortest_paths(
-            graph, [*tree_vertices, source], graph.out_edges, heads,
-            state.deleted, power, used, target)
-        if parent[target] < 0:
+        _, parent, reached = _shortest_paths(
+            graph, tree_vertices, graph.out_edges, heads, state.deleted,
+            power, used, dest_uav, sources)
+        if reached < 0:
             return None
-        path = _walk_back(graph, parent, target)
-        touched.update(v for e in path for v in (tails[e], heads[e])
-                       if v < real)
-        for e in path:  # every edge is new: its head is no seed
-            kind = kinds[e]
-            if kind == KIND_VIRTUAL:
-                continue
+        reached_copies.add(reached)  # the path's first vertex if it is empty
+        for e in _walk_back(graph, parent, reached):  # every edge is new
             tree_edges.add(e)
             tail = tails[e]
-            tree_vertices.update((tail, heads[e]))  # both real: e is not virtual
-            if kind == KIND_CONNECTIVITY:
+            tree_vertices.update((tail, heads[e]))
+            if kinds[e] == KIND_CONNECTIVITY:
                 t = times[e]
                 used[t] += 1
                 if used[t] > graph.channels:
@@ -167,7 +164,8 @@ def build_tree(graph: AugmentedGraph, info, state: ResidualState):
 
     layers = tuple((t, n - before) for t, (n, before)
                    in enumerate(zip(used, state.channel_used)) if n != before)
-    return Tree(frozenset(tree_edges), _energy(power), frozenset(touched), layers)
+    return Tree(frozenset(tree_edges), _energy(power),
+                frozenset(tree_vertices | reached_copies), layers)
 
 
 def _walk_back(graph, parent, target):
@@ -209,7 +207,7 @@ def _reusable(tree: Tree, state: ResidualState) -> bool:
     """Whether `build_tree` would return the standalone `tree` on `state`.
 
     `tree` is one that `build_tree` returned on the pristine graph, so its
-    `touched` field holds the real vertices its walked paths touched and its
+    `touched` field holds the vertices its walked paths touched and its
     `layers` field its connectivity-edge count per layer. The answer is yes
     when none of those vertices is deleted and every layer t has
     `channel_used[t]` plus the tree's count in t at most `channels`.
@@ -220,15 +218,16 @@ def _reusable(tree: Tree, state: ResidualState) -> bool:
     value. Destination by destination, each walked path is still there, so
     its vertices keep their float distances (float addition is monotone).
     Every tight in-neighbour in the residual was also tight on the pristine
-    graph, with a (distance, vertex id) key no smaller, and the pristine
-    parent keeps its key. The kernel's parent is the first tight tail in
-    (distance, id) settle order, so the paths, the power map and the fsum
-    cost come out unchanged. The channel condition implies the slot check
-    and every layer-open test along the paths: a path's new connectivity
-    edge in layer t sees at most the tree's count in t, less one, of the
-    tree's own edges there. A path that is only virtual edges (a source
-    copy that is a destination copy) leaves no tree edge, which is why the
-    rule reads the touched vertices and not the tree's edges.
+    graph, with a settle key no smaller, and the pristine parent keeps its
+    key. The kernel's parent is the first tight tail in settle order (by
+    distance, then id, with the late seeds after the seeds' distance-0
+    closure), so the paths, the power map and the fsum cost come out
+    unchanged. The channel condition implies the slot check and every
+    layer-open test along the paths: a path's new connectivity edge in
+    layer t sees at most the tree's count in t, less one, of the tree's own
+    edges there. A path with no edge (a source copy that is a
+    destination copy) leaves no tree edge, which is why the rule reads the
+    touched vertices and not the tree's edges.
     """
     used, channels = state.channel_used, state.graph.channels
     return (state.deleted.isdisjoint(tree.touched)

@@ -56,8 +56,8 @@ _SENSES = ("<=", ">=", "=")
 def export_lp(graph: AugmentedGraph, infos=None, max_variables: int = 500_000) -> str:
     """Serialize the instance as a minimize LP document."""
     infos = graph.served(infos)
-    n_vertices = graph.real_vertex_count
-    n_edges = graph.real_edge_count     # virtual edges are numbered after these
+    n_vertices = graph.vertex_count
+    n_edges = len(graph.edge_tail)
     horizon = graph.horizon
 
     n_vars = (len(infos) * n_edges + 2 * len(infos) * n_vertices
@@ -69,9 +69,7 @@ def export_lp(graph: AugmentedGraph, infos=None, max_variables: int = 500_000) -
 
     kind = graph.edge_kind
     weight = graph.edge_weight
-    # a real vertex lists its real edges in index order, then its virtual ones
-    out_real = [[e for e in es if e < n_edges] for es in graph.out_edges[:n_vertices]]
-    in_real = [[e for e in es if e < n_edges] for es in graph.in_edges[:n_vertices]]
+    out_edges, in_edges = graph.out_edges, graph.in_edges   # in index order
 
     # Each variable name is built once; a row is its unit-coefficient names
     # joined by " + ", then its other terms formatted by _term.
@@ -96,8 +94,8 @@ def export_lp(graph: AugmentedGraph, infos=None, max_variables: int = 500_000) -
         binaries += d.values()
         source_vertices = {graph.vertex_id(u, t) for u, t in info.sources}
         for v in range(n_vertices):
-            outs = out_real[v]
-            ins = " + ".join([a[e] for e in in_real[v]])
+            outs = out_edges[v]
+            ins = " + ".join([a[e] for e in in_edges[v]])
             ins_ = f"{ins} " if ins else ""     # ready for a next term
             if v not in source_vertices:
                 sends = " + ".join([a[e] for e in outs])
@@ -116,7 +114,7 @@ def export_lp(graph: AugmentedGraph, infos=None, max_variables: int = 500_000) -
         for u in dest_uavs:
             copies = " + ".join([d[v] for v in range(u * horizon, (u + 1) * horizon)])
             row(f" c5_{i}_{u}: {copies} = 1")
-        sends = " + ".join([a[e] for v in sorted(source_vertices) for e in out_real[v]])
+        sends = " + ".join([a[e] for v in sorted(source_vertices) for e in out_edges[v]])
         # no source can send: the row reads 0 P_0 >= 1, unsatisfiable
         row(f" c6_{i}: {sends or '0 P_0'} >= 1")
 
@@ -124,7 +122,7 @@ def export_lp(graph: AugmentedGraph, infos=None, max_variables: int = 500_000) -
         for v in range(n_vertices):
             row(f" c7_{v}: {' + '.join([b[v] for b in b_of])} <= 1")
         conn_out = [[e for e in outs if kind[e] == KIND_CONNECTIVITY]
-                    for outs in out_real]
+                    for outs in out_edges]
         for info, a, b in zip(infos, a_of, b_of):
             i = info.id
             for v in range(n_vertices):

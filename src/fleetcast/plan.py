@@ -1,6 +1,6 @@
 """Dissemination plans: activation sets, feasibility checking, and cost.
 
-A plan activates, per piece of information, a set of real graph edges
+A plan activates, per piece of information, a set of graph edges
 (connectivity or caching). Everything else — hub/transmit/delivery flags and
 per-vertex cost — is derived from the activations on demand, so recomputing
 is idempotent.
@@ -31,8 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FormatError, PlanStructureError
-from .graph import (KIND_CACHING, KIND_CONNECTIVITY, KIND_NAMES, KIND_VIRTUAL,
-                    AugmentedGraph)
+from .graph import KIND_CACHING, KIND_CONNECTIVITY, KIND_NAMES, AugmentedGraph
 from .jsonio import _int_key, _is_int, check_int, read_json, write_json
 from .scenario import CACHE_SINGLE
 
@@ -41,7 +40,7 @@ PLAN_FORMAT = "fleetcast-plan/1"
 
 @dataclass(frozen=True)
 class Plan:
-    """Per-information activation sets over real edge indices.
+    """Per-information activation sets over edge indices.
 
     Info ids and edge indices must be integers; a bool, float or string
     raises `PlanStructureError` rather than being converted.
@@ -81,17 +80,14 @@ class FeasibilityReport:
 
 
 def _validate_structure(graph: AugmentedGraph, plan: Plan):
-    kinds = graph.edge_kind
+    edge_count = len(graph.edge_kind)
     for info_id, edges in plan.activations.items():
-        if info_id not in graph.source_vertex:
+        if all(info.id != info_id for info in graph.infos):
             raise PlanStructureError(f"plan references unknown info {info_id}")
         for e in edges:
-            if not 0 <= e < len(kinds):
+            if not 0 <= e < edge_count:
                 raise PlanStructureError(
                     f"plan references edge index {e} outside the graph")
-            if kinds[e] == KIND_VIRTUAL:
-                raise PlanStructureError(
-                    f"plan activates virtual edge {e}; plans cover real edges only")
 
 
 def check_feasibility(graph: AugmentedGraph, plan: Plan) -> FeasibilityReport:
@@ -208,9 +204,9 @@ def check_feasibility(graph: AugmentedGraph, plan: Plan) -> FeasibilityReport:
 def plan_cost(graph: AugmentedGraph, plan: Plan) -> float:
     """Total energy: each vertex pays its maximum active outgoing weight.
 
-    Defined for partial and even infeasible plans; caching and virtual edges
-    contribute nothing. Summation uses math.fsum so equal plans cost the same
-    to the last bit regardless of edge enumeration order.
+    Defined for partial and even infeasible plans; caching edges contribute
+    nothing. Summation uses math.fsum so equal plans cost the same to the
+    last bit regardless of edge enumeration order.
     """
     _validate_structure(graph, plan)
     kinds, tails, weights = graph.edge_kind, graph.edge_tail, graph.edge_weight
@@ -251,7 +247,7 @@ def plan_from_dict(graph: AugmentedGraph, doc: dict) -> Plan:
         info_id = _int_key(info_key)
         if info_id is None:
             raise FormatError(f"plan info key {info_key!r} is not an integer")
-        if info_id not in graph.source_vertex:
+        if all(info.id != info_id for info in graph.infos):
             raise PlanStructureError(f"plan references unknown info {info_id}")
         if not isinstance(rows, list):
             raise FormatError(f"plan rows of info {info_key} must be a list")
@@ -272,6 +268,9 @@ def plan_from_dict(graph: AugmentedGraph, doc: dict) -> Plan:
                 raise PlanStructureError(
                     f"plan edge ({tu},{tt})->({hu},{ht}) [{kind}] does not "
                     f"exist in the graph")
+            if e in edges:
+                raise FormatError(f"plan row {row!r} of info {info_key} is "
+                                  "listed twice")
             edges.add(e)
         activations[info_id] = edges
     return Plan(activations)

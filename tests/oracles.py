@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from fleetcast.graph import CACHING, CONNECTIVITY, VIRTUAL
+from fleetcast.graph import CACHING, CONNECTIVITY
 from fleetcast.scenario import CACHE_SINGLE
 
 
@@ -29,7 +29,7 @@ from fleetcast.scenario import CACHE_SINGLE
 def reference_violation_ids(graph, activations):
     """Return the set of constraint tags violated by `activations`.
 
-    `activations` maps info id -> iterable of real edge indices.
+    `activations` maps info id -> iterable of edge indices.
     """
     infos = {info.id: info for info in graph.infos}
     violated = set()
@@ -139,7 +139,7 @@ def enumerate_optimum(graph, infos=None):
     """Exhaustively minimize the dissemination cost of `graph`'s infos.
 
     Returns (feasible, objective, activations) where activations maps
-    info id -> set of real edge indices of one optimal plan. The state space
+    info id -> set of edge indices of one optimal plan. The state space
     is (holdings per UAV, delivered demands); transitions enumerate every
     channel- and conflict-respecting assignment of a layer's connectivity
     edges to infos, followed by every caching choice into the next layer.
@@ -321,8 +321,8 @@ def exact_plan_cost(graph, activations):
 
 
 def lp_variable_count(graph, infos):
-    n_vertices = graph.real_vertex_count
-    n_edges = graph.real_edge_count
+    n_vertices = graph.vertex_count
+    n_edges = len(graph.edges)
     n_dest_copies = sum(len(i.destinations) for i in infos) * graph.horizon
     return (len(infos) * n_edges            # a
             + 2 * len(infos) * n_vertices   # h and b
@@ -331,15 +331,13 @@ def lp_variable_count(graph, infos):
 
 def lp_constraint_count(graph, infos):
     horizon = graph.horizon
-    out_real = [0] * graph.real_vertex_count
-    out_conn = [0] * graph.real_vertex_count
-    in_real = [0] * graph.real_vertex_count
+    out_all = [0] * graph.vertex_count
+    out_conn = [0] * graph.vertex_count
+    in_all = [0] * graph.vertex_count
     caching_edges = 0
     for e in graph.edges:
-        if e.kind == VIRTUAL:
-            continue
-        out_real[e.tail] += 1
-        in_real[e.head] += 1
+        out_all[e.tail] += 1
+        in_all[e.head] += 1
         if e.kind == CONNECTIVITY:
             out_conn[e.tail] += 1
         else:
@@ -349,21 +347,21 @@ def lp_constraint_count(graph, infos):
         sources = {graph.vertex_id(u, t) for u, t in info.sources}
         dest_copies = {graph.vertex_id(u, t)
                        for u in info.destinations for t in range(horizon)}
-        for v in range(graph.real_vertex_count):
+        for v in range(graph.vertex_count):
             if v not in sources:
                 total += 1                             # c2
-                if out_real[v]:
+                if out_all[v]:
                     total += 1                         # c1
             if v in dest_copies:
-                total += 3 + (1 if in_real[v] else 0)  # c4a..c4d
+                total += 3 + (1 if in_all[v] else 0)  # c4a..c4d
             else:
                 total += 1                             # c3
         total += len(info.destinations)                # c5
         total += 1                                     # c6
-        total += sum(1 for v in range(graph.real_vertex_count)
+        total += sum(1 for v in range(graph.vertex_count)
                      if out_conn[v])                   # c8
     if infos:
-        total += graph.real_vertex_count               # c7
+        total += graph.vertex_count                    # c7
         total += sum(1 for layer in graph.conn_by_time if layer)   # c9
         total += sum(1 for e in graph.edges if e.kind == CONNECTIVITY)  # c10
         if graph.cache_capacity == CACHE_SINGLE:
@@ -376,12 +374,12 @@ def lp_constraint_count(graph, infos):
 
 
 def all_activation_assignments(graph, info_ids):
-    """Yield every assignment of real edges to {unused} | info_ids."""
-    real_edges = range(graph.real_edge_count)
+    """Yield every assignment of edges to {unused} | info_ids."""
+    edges = range(len(graph.edges))
     options = [None] + list(info_ids)
-    for combo in itertools.product(options, repeat=len(real_edges)):
+    for combo in itertools.product(options, repeat=len(edges)):
         activations = {info_id: set() for info_id in info_ids}
-        for e, owner in zip(real_edges, combo):
+        for e, owner in zip(edges, combo):
             if owner is not None:
                 activations[owner].add(e)
         yield activations

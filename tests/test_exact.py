@@ -12,8 +12,7 @@ from fleetcast.errors import GenerationError
 from fleetcast.exact import (SearchBudget, _BudgetExhausted, _Search,
                              solve_exact)
 from fleetcast.gen import generate_scenario, make_config
-from fleetcast.graph import (CONNECTIVITY, VIRTUAL, augment,
-                             build_time_expanded_graph)
+from fleetcast.graph import CONNECTIVITY, augment, build_time_expanded_graph
 from fleetcast.heuristic import HeuristicKind, greedy_plan
 from fleetcast.jsonio import canonical_dumps
 from fleetcast.plan import Plan, check_feasibility, plan_cost
@@ -204,14 +203,13 @@ def test_lower_bound_is_admissible_on_micro_set():
 
 
 def _bellman_ford(graph, seeds, backward):
-    """Channel-free cheapest distances between `seeds` and every real vertex."""
-    dist = [math.inf] * graph.real_vertex_count
+    """Channel-free cheapest distances between `seeds` and every vertex."""
+    dist = [math.inf] * graph.vertex_count
     for v in seeds:
         dist[v] = 0.0
-    real_edges = [e for e in graph.edges if e.kind != VIRTUAL]
-    for _ in range(graph.real_vertex_count):
+    for _ in range(graph.vertex_count):
         changed = False
-        for e in real_edges:
+        for e in graph.edges:
             a, b = (e.head, e.tail) if backward else (e.tail, e.head)
             if dist[a] + e.weight < dist[b]:
                 dist[b] = dist[a] + e.weight
@@ -334,7 +332,7 @@ def _reference_paths(search, info, dest_uav):
     def extend(v, path, on_path, cost):
         for e in graph.out_edges[v]:
             edge = graph.edges[e]
-            if edge.kind == VIRTUAL or edge.head in supplied | on_path:
+            if edge.head in supplied | on_path:
                 continue
             if edge.kind == CONNECTIVITY:
                 sent = sum(graph.edges[p].kind == CONNECTIVITY

@@ -61,7 +61,7 @@ def test_generated_scenarios_build_valid_graphs():
     for seed in range(12):
         scen = generate_scenario(make_config("micro", seed))
         graph = augment(build_time_expanded_graph(scen), scen.infos)
-        assert graph.real_vertex_count == scen.uav_count * scen.horizon
+        assert graph.vertex_count == scen.uav_count * scen.horizon
 
 
 def test_every_info_has_sources_and_destinations():

@@ -1,5 +1,6 @@
 """Greedy orderings, channel-aware tree building, and the restart driver."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -202,6 +203,31 @@ def test_greedy_restart_pushes_failed_info_to_front():
     assert check_feasibility(graph, report.plan).feasible
 
 
+def test_tree_vertex_keeps_a_zero_cost_tie_against_a_source_copy():
+    # info 0's source copies are (1,0) and (2,1). Its path to UAV 0 is the
+    # hop (2,1)->(0,1), so (2,1) sends at 10 J. Toward UAV 3, (2,1)'s 5 J
+    # hop to (1,1) is then free, and the source copy (1,0), a lower id,
+    # caches into (1,1) at no cost as well. The source copies enter the
+    # search after the tree's distance-0 closure, so (1,1) keeps the tree
+    # vertex's hop and sends on to (3,1). UAVs 0 and 3 are far away at t = 0
+    scen = instances.static_scenario(
+        positions=[(-10, 0), (5, 0), (0, 0), (12, 0)], radii=(5.0, 10.0),
+        horizon=2, channels=3,
+        infos=[InfoSpec(id=0, sources={(1, 0), (2, 1)}, destinations={0, 3})])
+    scen = dataclasses.replace(scen, trajectories=(
+        ((-100.0, 0.0), (-10.0, 0.0)), ((5.0, 0.0),) * 2, ((0.0, 0.0),) * 2,
+        ((100.0, 0.0), (12.0, 0.0))))
+    graph = instances.augmented(scen)
+
+    def hop(tail, head):
+        return graph.edge_index(graph.vertex_id(*tail), graph.vertex_id(*head))
+
+    report = greedy_plan(graph, graph.infos, HeuristicKind("mpf"))
+    assert report.plan.activations == {0: frozenset({
+        hop((2, 1), (0, 1)), hop((2, 1), (1, 1)), hop((1, 1), (3, 1))})}
+    assert report.objective == 20.0
+
+
 # Canonical report digests on a mid-size generated scenario, recorded with the
 # plain Dijkstra kernel (no early stop, per-edge channel and deletion checks).
 # Any change to the search's tie-breaks shows up here as a different plan.
@@ -272,10 +298,10 @@ def test_order_information_keeps_each_standalone_tree():
     assert _standalone(graph, "muf") == {}
 
 
-def test_reuse_rejects_a_deleted_virtual_only_path():
+def test_reuse_rejects_a_deleted_edgeless_path():
     # info 0's source copy (1,0) is a copy of its destination, so its
-    # standalone path is s_0 -> (1,0) -> d_0_1 and its tree has no edge;
-    # once (1,0) is deleted the rebuilt tree must hop from (0,1) instead
+    # standalone path is (1,0) alone and its tree has no edge; once (1,0)
+    # is deleted the rebuilt tree must hop from (0,1) instead
     scen = instances.static_scenario(
         positions=[(0, 0), (10, 0), (20, 0)], horizon=2, channels=2,
         infos=[InfoSpec(id=0, sources={(1, 0), (0, 1)}, destinations={1}),

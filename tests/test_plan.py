@@ -116,9 +116,8 @@ def test_structural_error_for_unknown_edges(chain):
         check_feasibility(chain, Plan({0: {999}}))
     with pytest.raises(PlanStructureError):
         check_feasibility(chain, Plan({7: frozenset()}))
-    virtual_edge = chain.out_edges[chain.source_vertex[0]][0]
-    with pytest.raises(PlanStructureError):
-        check_feasibility(chain, Plan({0: {virtual_edge}}))
+    with pytest.raises(PlanStructureError):   # the first index past the graph
+        check_feasibility(chain, Plan({0: {len(chain.edges)}}))
 
 
 def test_cost_empty_plan(chain):
@@ -161,8 +160,7 @@ def test_three_transmitters_at_0_6_joules():
 @settings(max_examples=120, deadline=None)
 def test_cost_monotone_under_removal(data):
     graph = instances.augmented(instances.star4())
-    real = [e.index for e in graph.edges if e.kind != "virtual"]
-    chosen = data.draw(st.sets(st.sampled_from(real)))
+    chosen = data.draw(st.sets(st.sampled_from(range(len(graph.edges)))))
     plan = Plan({0: frozenset(chosen)})
     base = plan_cost(graph, plan)
     if chosen:
@@ -287,6 +285,23 @@ def test_load_report_rejects_inconsistent_counts_and_seeds(chain, tmp_path,
     doc.update(changes)
     with pytest.raises(FormatError):
         load_report(chain, _write_report(doc, tmp_path))
+
+
+def test_plan_and_report_reject_a_repeated_row(tmp_path):
+    # a set would load the doubled row as one edge, a smaller plan that
+    # saves back as a different document
+    graph = instances.augmented(generate_scenario(make_config("micro", 2)))
+    report = solve_exact(graph)
+    doc = report_to_dict(graph, report)
+    info_key, rows = next((k, r) for k, r in doc["plan"]["activations"].items()
+                          if r)
+    rows.insert(0, list(rows[0]))
+    message = re.escape(f"plan row {rows[0]!r} of info {info_key} is listed "
+                        "twice")
+    with pytest.raises(FormatError, match=message):
+        plan_from_dict(graph, doc["plan"])
+    with pytest.raises(FormatError, match=message):
+        load_report(graph, _write_report(doc, tmp_path))
 
 
 def test_load_report_rejects_plan_for_unknown_info(chain, tmp_path):
@@ -415,7 +430,7 @@ def test_checker_matches_reference_unlimited_cache():
 def test_information_missing_from_the_graph_is_a_structure_error(chain,
                                                                    solve):
     # an unknown id, then info 0's id with another source copy and with one
-    # more destination: the graph's virtual terminals serve none of them
+    # more destination: the graph serves none of them
     for stranger in (InfoSpec(id=9, sources={(0, 0)}, destinations={2}),
                      InfoSpec(id=0, sources={(1, 0)}, destinations={2}),
                      InfoSpec(id=0, sources={(0, 0)}, destinations={1, 2})):
