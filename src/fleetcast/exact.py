@@ -20,6 +20,14 @@ incumbent. Among equal-cost optima the lexicographically smallest activation
 set (by info id, then edge index) is returned, which keeps golden outputs
 stable.
 
+A level whose next demand serves the same information also charges that
+next demand while it enumerates: a partial path is dropped once its cost
+plus a lower bound on the rest of its own path and on the next demand's
+cheapest path reaches the budget (`_candidate_iter` states the bound and
+its proof). This drops only children whose subtrees hold no leaf below the
+incumbent plus its guard, so plans, objectives and the tie-break are
+unchanged; only the node count falls.
+
 Until there is an incumbent, nothing bounds a level's path enumeration, so a
 demand that no admissible path can serve would cost a full enumeration that
 finds nothing. Each such level first runs one reachability sweep under the
@@ -39,7 +47,7 @@ from itertools import filterfalse
 from .graph import (KIND_CACHING, KIND_CONNECTIVITY, AugmentedGraph,
                     _shortest_paths)
 from .heuristic import HeuristicKind, greedy_plan
-from .plan import Plan, plan_cost
+from .plan import Plan, _energy, plan_cost
 from .report import (METHOD_EXACT, STATUS_FEASIBLE, STATUS_INFEASIBLE,
                      STATUS_OPTIMAL, STATUS_TIMEOUT, SolveReport)
 from .scenario import CACHE_SINGLE
@@ -74,6 +82,11 @@ class _Search:
 
         self.demands = [(info, u) for info in infos
                         for u in sorted(info.destinations)]
+        # per level, the destination of the next demand if it serves the
+        # same information, which _candidate_iter charges ahead
+        self.next_uav = [u if info is next_info else None
+                         for (info, _), (next_info, u)
+                         in zip(self.demands, self.demands[1:])] + [None]
         # caching edges in use; only "single" capacity needs them (see
         # _candidate_iter for why nothing else tracks edge users)
         self.cache_used: set[int] = set()
@@ -141,11 +154,14 @@ class _Search:
             self.lb_rest = [later[info.id] for info, _ in self.demands]
 
     def set_incumbent(self, plan: Plan):
-        cost = plan_cost(self.graph, plan)
-        key = plan.lex_key()
+        self._offer(plan_cost(self.graph, plan), plan.lex_key(), lambda: plan)
+
+    def _offer(self, cost, key, make_plan):
+        """Adopt the plan `make_plan()` if (cost, key) beats the incumbent's;
+        the plan is built only then."""
         if (cost < self.incumbent_cost
                 or (cost == self.incumbent_cost and key < self.incumbent_key)):
-            self.incumbent = plan
+            self.incumbent = make_plan()
             self.incumbent_cost = cost
             self.incumbent_key = key
             self.guard = 1e-9 * (1.0 + abs(cost))
@@ -159,9 +175,14 @@ class _Search:
 
     def _descend(self, level):
         if level == len(self.demands):
-            plan = Plan({info_id: frozenset(edges)
-                         for info_id, edges in self.plan_edges.items()})
-            self.set_incumbent(plan)
+            # _energy(power) is plan_cost of the committed edges, and the
+            # sorted pairs are their Plan's lex_key
+            edges_of = self.plan_edges
+            self._offer(_energy(self.power), tuple(sorted(
+                (info_id, e) for info_id, edges in edges_of.items()
+                for e in edges)), lambda: Plan(
+                    {info_id: frozenset(edges)
+                     for info_id, edges in edges_of.items()}))
             return
         lb = self.lb_rest[level]
         if self.accrued + lb >= self.incumbent_cost + self.guard:
@@ -169,8 +190,8 @@ class _Search:
         info, dest_uav = self.demands[level]
         if self.incumbent_cost == INF and not self._reaches(info, dest_uav):
             return  # the enumeration would yield nothing here
-        for cost, edges in self._candidate_iter(info, dest_uav,
-                                                self.accrued, lb):
+        for cost, edges in self._candidate_iter(info, dest_uav, self.accrued,
+                                                lb, self.next_uav[level]):
             self.nodes += 1
             if self.nodes > self.budget.max_nodes:
                 raise _BudgetExhausted
@@ -230,7 +251,7 @@ class _Search:
 
     # -- candidate paths ---------------------------------------------------
 
-    def _candidate_iter(self, info, dest_uav, accrued, lb):
+    def _candidate_iter(self, info, dest_uav, accrued, lb, next_uav=None):
         """Admissible paths serving (info, dest_uav) in ascending cost order.
 
         A path starts at a supplied vertex, visits only fresh vertices for
@@ -262,6 +283,34 @@ class _Search:
         The cost order holds up to rounding: an estimate sums a path's steps
         in another order than the distance tables do, so two yielded costs
         can be out of order by an ulp, which the incumbent guard absorbs.
+
+        Lookahead. When `next_uav` is the destination of the next demand of
+        this information, write h and h' for the tables to `dest_uav` and
+        `next_uav`, and n(v) = max(0, h'(v) - power(v)), the next level's
+        start estimate at v. Each entry carries a floor: the least n over
+        the supply set, lowered by each step out of a vertex v of the path
+        to v's n once the path is committed: max(0, h'(v) - max(power(v),
+        w)) for a connectivity step at weight w, and h'(v) for a caching
+        step out of a vertex other than the start (it has no power for this
+        information; if another information owns it, the next path cannot
+        transmit from it). A non-empty partial path with head v and cost c
+        is dropped, when pushed and again when popped, once its charge
+        c + min(h(v) + floor, max(h(v), h'(v))) >= budget. For any path Q
+        through it and any next-demand path R after Q is committed:
+        - if R starts in the old supply set or at a vertex of the path
+          before v, cost(Q) >= c + h(v) and cost(R) >= floor;
+        - if R starts at v or after it on Q, Q's part from v followed by R
+          reaches a copy of each UAV, and every transmitter on it is fresh
+          (a shared sender pays max(p_Q, p_R) >= p_R), so the two cost at
+          least c + max(h(v), h'(v)).
+        So a dropped subtree holds no leaf below `incumbent_cost + guard`;
+        the guard also absorbs the rounding in which these sums differ from
+        the leaf costs. Start entries are never dropped this way, because
+        their first step may be discounted below h. An infinite incumbent
+        drops nothing: the floor is finite, because `run` branches only when
+        every destination is at a finite distance from the information's
+        sources. The yields that remain are a subsequence of those without
+        the lookahead, in the same order.
         """
         graph = self.graph
         supplied = self.supplied[info.id]
@@ -270,19 +319,33 @@ class _Search:
             yield 0.0, ()
 
         remaining = self.h_to_dest[dest_uav]
+        after = None if next_uav is None else self.h_to_dest[next_uav]
         power = self.power
         # the incumbent only improves while a path is out with the caller,
         # so the budget is recomputed after each yield and nowhere else
         budget = self.incumbent_cost + self.guard - accrued - lb
-        # heap entries: (cost + remaining estimate, edge tuple, head, cost);
-        # the keys are distinct, so building the heap unsorted keeps the
-        # pop order, and a start at or above the budget would never be popped
-        heap = [(remaining[start], (), start, 0.0) for start in supplied
-                if remaining[start] < budget and start not in power]
-        for start in supplied.intersection(power):
-            estimate = max(0.0, remaining[start] - power[start])
+        # heap entries: (cost + remaining estimate, edge tuple, head, cost,
+        # floor, charge), the last two for the lookahead below; the keys are
+        # distinct, so building the heap unsorted keeps the pop order and
+        # never compares the rest, and a start at or above the budget would
+        # never be popped. The same pass takes the least next-level start
+        # estimate over the supply set, the floor a start takes when popped;
+        # a start's charge is 0, as it is never dropped by the lookahead
+        heap = []
+        start_floor = INF
+        for start in supplied:
+            p = power.get(start, 0.0)
+            estimate = remaining[start]
+            if p:
+                estimate = estimate - p if estimate > p else 0.0
             if estimate < budget:
-                heap.append((estimate, (), start, 0.0))
+                heap.append((estimate, (), start, 0.0, INF, 0.0))
+            if after is not None:
+                n = after[start] - p
+                if n < start_floor:
+                    start_floor = n
+        if start_floor < 0.0:
+            start_floor = 0.0
         heapify(heap)
 
         horizon = graph.horizon
@@ -303,18 +366,31 @@ class _Search:
             self.pulls += 1
             if self.pulls % 2048 == 0 and time.perf_counter() > deadline:
                 raise _BudgetExhausted
-            _, edges, head, cost = heappop(heap)
-            if edges and head in dest_copies:
+            _, edges, head, cost, floor, charge = heappop(heap)
+            if charge >= budget:
+                continue  # the budget shrank below the lookahead charge
+            if not edges:
+                floor = start_floor
+            elif head in dest_copies:
                 yield cost, edges
                 budget = self.incumbent_cost + self.guard - accrued - lb
             step = cache_out[head]
             if step is not None:
                 e, h = step
-                if h not in supplied and not (single_cache
-                                              and e in cache_used):
-                    new_estimate = cost + remaining[h]
-                    if new_estimate < budget:
-                        heappush(heap, (new_estimate, edges + (e,), h, cost))
+                rest = remaining[h]
+                charge = new_estimate = cost + rest
+                if (h not in supplied and new_estimate < budget
+                        and not (single_cache and e in cache_used)):
+                    new_floor = floor
+                    if after is not None:
+                        if edges and after[head] < floor:
+                            new_floor = after[head]
+                        bound = rest + new_floor
+                        reach = after[h] if after[h] > rest else rest
+                        charge = cost + (reach if reach < bound else bound)
+                    if charge < budget:
+                        heappush(heap, (new_estimate, edges + (e,), h, cost,
+                                        new_floor, charge))
             if transmit.get(head, info_id) != info_id:
                 continue
             layer = {head}
@@ -329,9 +405,23 @@ class _Search:
                 if h in supplied or h in layer:
                     continue
                 new_cost = cost + (w - v_power if w > v_power else 0.0)
-                new_estimate = new_cost + remaining[h]
-                if new_estimate < budget:
-                    heappush(heap, (new_estimate, edges + (e,), h, new_cost))
+                rest = remaining[h]
+                charge = new_estimate = new_cost + rest
+                if new_estimate >= budget:
+                    continue
+                new_floor = floor
+                if after is not None:
+                    # the head's next-level start estimate once it sends at w
+                    n = after[head] - (w if w > v_power else v_power)
+                    if n < floor:
+                        new_floor = n if n > 0.0 else 0.0
+                    bound = rest + new_floor
+                    reach = after[h] if after[h] > rest else rest
+                    charge = new_cost + (reach if reach < bound else bound)
+                    if charge >= budget:
+                        continue
+                heappush(heap, (new_estimate, edges + (e,), h, new_cost,
+                                new_floor, charge))
 
     def _reaches(self, info, dest_uav):
         """Whether the sweep reaches a copy of `dest_uav` for `info`.

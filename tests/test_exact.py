@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 import time
 
 import pytest
@@ -357,8 +358,9 @@ def _reference_paths(search, info, dest_uav):
 
 
 def _assert_candidates_match_reference(search, label):
-    for info, dest_uav in search.demands:
-        got = list(search._candidate_iter(info, dest_uav, 0.0, 0.0))
+    # with no incumbent, charging the next demand ahead prunes nothing
+    for (info, dest_uav), next_uav in zip(search.demands, search.next_uav):
+        got = list(search._candidate_iter(info, dest_uav, 0.0, 0.0, next_uav))
         # ascending up to rounding: estimate sums associate differently
         costs = [cost for cost, _ in got]
         assert all(a <= b or math.isclose(a, b, rel_tol=1e-12)
@@ -402,6 +404,76 @@ def test_candidate_paths_match_reference_enumeration():
         _assert_candidates_match_reference(search, f"seed {seed}, undone")
         checked += 1
     assert checked >= 30
+
+
+def _yields_under(search, budget, level, lookahead=True):
+    """The paths `_candidate_iter` yields for demand `level` when the
+    incumbent leaves exactly `budget` for them."""
+    info, dest_uav = search.demands[level]
+    search.incumbent_cost, search.guard = budget, 0.0
+    try:
+        return [edges for _, edges in search._candidate_iter(
+            info, dest_uav, 0.0, 0.0,
+            search.next_uav[level] if lookahead else None)]
+    finally:
+        search.incumbent_cost = math.inf
+
+
+def test_lookahead_keeps_every_path_that_can_beat_the_budget():
+    """Charging the next demand ahead is admissible.
+
+    Take a demand whose next demand serves the same information, in a
+    random committed state, and any path Q for it. Commit Q, and let R be
+    the cheapest reference path of the next demand. Under a budget just
+    above cost(Q) + cost(R), every non-empty prefix of Q has its cost plus
+    its lookahead bound below the budget exactly when Q is still yielded.
+    The yields with the lookahead must also be a subsequence of those
+    without it, in the same order, and strictly fewer somewhere.
+    """
+    checked = pruned = 0
+    graphs = [*micro_graphs(40), *multi_destination_graphs(40)]
+    for seed, graph in graphs:
+        rng = random.Random(seed)
+        for _ in range(4):
+            search = _Search(graph, sorted(graph.infos, key=lambda i: i.id),
+                             SearchBudget())
+            committed = []
+            level = rng.randrange(len(search.demands))
+            for info, dest_uav in search.demands[:level]:
+                paths = sorted(_reference_paths(search, info, dest_uav))
+                if not paths:
+                    break
+                path = rng.choice(paths)[1]
+                committed.append((info.id, path,
+                                  search._commit(info.id, path)))
+            next_uav = search.next_uav[level]
+            if len(committed) < level or next_uav is None:
+                continue
+            info, dest_uav = search.demands[level]
+            targets = {}
+            for cost, path in _reference_paths(search, info, dest_uav):
+                undo = search._commit(info.id, path)
+                nearest = min((c for c, _ in
+                               _reference_paths(search, info, next_uav)),
+                              default=math.inf)
+                search._undo(info.id, path, undo)
+                if path and nearest < math.inf:
+                    targets[path] = cost + nearest
+            for target in sorted(set(targets.values())):
+                # 1e-300 keeps a zero target's budget positive
+                budget = target * (1 + 1e-12) + 1e-300
+                got = _yields_under(search, budget, level)
+                plain = _yields_under(search, budget, level, lookahead=False)
+                kept = iter(plain)
+                assert all(path in kept for path in got), f"seed {seed}"
+                pruned += len(got) < len(plain)
+                missing = {p for p, t in targets.items() if t <= target} \
+                    - set(got)
+                assert not missing, f"seed {seed}: {missing}"
+                checked += 1
+            for info_id, path, undo in reversed(committed):
+                search._undo(info_id, path, undo)
+    assert checked >= 100 and pruned >= 5, (checked, pruned)
 
 
 def test_nested_commit_and_undo_keep_a_shared_sender():
@@ -492,7 +564,7 @@ def comparison_graph(seed):
 # sha256 of the canonical report, node count included; seed 9 has a greedy
 # warm start, seeds 11 and 30 have none and run out of nodes before any plan
 PINNED_REPORT_SHA256 = {
-    9: "8e76a9e7dd406cacf9a6725168b360ff02a22a2b1345f7288465adcd8dbee520",
+    9: "2cea90ab16cf8aaccabe09608134a671375eb400841ec9d23c6458a9a1d2effe",
     11: "666938c2e25ad1a98e1179e9866c58c22b916465337adae92d2619a070411c8c",
     30: "a72483b99ff0f73a4356511fd20142caef201b6ff60f27a53b256fabc6f61083",
 }
@@ -509,6 +581,11 @@ def test_exact_reports_pinned_on_comparison_seeds(seed, max_nodes, status):
     document = canonical_dumps(report_to_dict(graph, report))
     digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
     assert digest == PINNED_REPORT_SHA256[seed]
+    if report.plan is not None:
+        # seed 9 holds the final optimum by then; the proof takes the rest
+        full = solve_exact(graph, budget=SearchBudget(time_limit_seconds=600))
+        assert full.status == "OPTIMAL"
+        assert (report.objective, report.plan) == (full.objective, full.plan)
 
 
 def test_time_limit_binds_while_demands_are_refuted():
