@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Sequence
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .errors import PlanStructureError
@@ -30,17 +28,6 @@ KIND_CACHING = 1
 KIND_NAMES = (CONNECTIVITY, CACHING)
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    index: int
-    tail: int
-    head: int
-    kind: str
-    weight: float
-    time: int               # layer of the tail vertex
-    subrange: int | None    # 1-based subrange index; connectivity edges only
-
-
 class TimeExpandedGraph:
     """Immutable time-expanded graph over all (uav, time) vertices.
 
@@ -49,12 +36,12 @@ class TimeExpandedGraph:
     layer), in a reproducible construction order: by time layer, then tail
     UAV, then head UAV. `min_connectivity_weight` is the smallest entry of
     the builder's subrange-weight table, a lower bound on every connectivity
-    weight (inf without UAVs).
+    weight (inf without UAVs). `edges` is the range of edge indices, the
+    form in which every plan and solver names an edge.
     """
 
     def __init__(self, scenario: Scenario, arrays, out_edges, in_edges,
                  conn_by_time, min_connectivity_weight):
-        self.scenario = scenario
         self.uav_count = scenario.uav_count
         self.horizon = scenario.horizon
         self.channels = scenario.channels
@@ -65,30 +52,7 @@ class TimeExpandedGraph:
         self.conn_by_time = conn_by_time
         self.min_connectivity_weight = min_connectivity_weight
         self.vertex_count = self.uav_count * self.horizon
-        self._edge_records = None
-
-    @property
-    def edges(self) -> Sequence:
-        """Every edge as an `Edge`, built on first indexing and then kept:
-        about 16 MiB at U = 30, T = 500, so no solver reads it."""
-        return _EdgeView(self)
-
-    def _records(self) -> list:
-        if self._edge_records is None:
-            positions, horizon = self.scenario.trajectories, self.horizon
-            records = []
-            for e, (tail, head, kind, weight, t) in enumerate(zip(
-                    self.edge_tail, self.edge_head, self.edge_kind,
-                    self.edge_weight, self.edge_time)):
-                subrange = None
-                if kind == KIND_CONNECTIVITY:  # the builder's lookup again
-                    u, u2 = tail // horizon, head // horizon
-                    dist = math.dist(positions[u][t], positions[u2][t])
-                    subrange = bisect_left(self.scenario.radii_for(u), dist) + 1
-                records.append(Edge(e, tail, head, KIND_NAMES[kind], weight, t,
-                                    subrange))
-            self._edge_records = records
-        return self._edge_records
+        self.edges = range(len(self.edge_tail))
 
     def edge_index(self, tail: int, head: int) -> int | None:
         """The edge tail->head, or None: a scan of the tail's out-edges."""
@@ -106,19 +70,6 @@ class TimeExpandedGraph:
         return f"({u},{t})"
 
 
-class _EdgeView(Sequence):
-    """`graph.edges`; `len()` reads the flat lists and builds no records."""
-
-    def __init__(self, graph: TimeExpandedGraph):
-        self.graph = graph
-
-    def __len__(self):
-        return len(self.graph.edge_tail)
-
-    def __getitem__(self, index):
-        return self.graph._records()[index]
-
-
 class AugmentedGraph(TimeExpandedGraph):
     """A time-expanded graph with the informations it serves.
 
@@ -127,10 +78,10 @@ class AugmentedGraph(TimeExpandedGraph):
     """
 
     def __init__(self, base: TimeExpandedGraph, infos):
-        super().__init__(base.scenario, (
-            base.edge_tail, base.edge_head, base.edge_kind, base.edge_weight,
-            base.edge_time), base.out_edges, base.in_edges, base.conn_by_time,
-            base.min_connectivity_weight)
+        # setattr, not vars(self).update: on CPython 3.11 a materialised
+        # instance dict makes every attribute read in the solvers slower
+        for name, value in vars(base).items():
+            setattr(self, name, value)
         self.infos = infos
 
     def served(self, infos=None) -> tuple:
@@ -146,10 +97,12 @@ class AugmentedGraph(TimeExpandedGraph):
         return tuple(info for info in self.infos if info in wanted)
 
     def info_by_id(self, info_id: int) -> InfoSpec:
+        """The graph's information with this id; any other id raises
+        `PlanStructureError`."""
         for info in self.infos:
             if info.id == info_id:
                 return info
-        raise KeyError(f"unknown info id {info_id}")
+        raise PlanStructureError(f"plan references unknown info {info_id}")
 
 
 def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
@@ -207,13 +160,6 @@ def augment(graph: TimeExpandedGraph, infos) -> AugmentedGraph:
     infos = tuple(sorted(infos, key=lambda i: i.id))
     check_infos(infos, graph.uav_count, graph.horizon)
     return AugmentedGraph(graph, infos)
-
-
-def collision_set(graph: TimeExpandedGraph, t: int) -> frozenset[int]:
-    """Connectivity edges sharing time unit t: at most `channels` may be active."""
-    if not 0 <= t < graph.horizon:
-        raise ValueError(f"time {t} outside horizon {graph.horizon}")
-    return frozenset(graph.conn_by_time[t])
 
 
 def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,

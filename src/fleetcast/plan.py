@@ -82,8 +82,7 @@ class FeasibilityReport:
 def _validate_structure(graph: AugmentedGraph, plan: Plan):
     edge_count = len(graph.edge_kind)
     for info_id, edges in plan.activations.items():
-        if all(info.id != info_id for info in graph.infos):
-            raise PlanStructureError(f"plan references unknown info {info_id}")
+        graph.info_by_id(info_id)
         for e in edges:
             if not 0 <= e < edge_count:
                 raise PlanStructureError(
@@ -247,8 +246,7 @@ def plan_from_dict(graph: AugmentedGraph, doc: dict) -> Plan:
         info_id = _int_key(info_key)
         if info_id is None:
             raise FormatError(f"plan info key {info_key!r} is not an integer")
-        if all(info.id != info_id for info in graph.infos):
-            raise PlanStructureError(f"plan references unknown info {info_id}")
+        graph.info_by_id(info_id)
         if not isinstance(rows, list):
             raise FormatError(f"plan rows of info {info_key} must be a list")
         edges = set()

@@ -1,7 +1,8 @@
 """Independent oracles used to validate the planner.
 
-Everything here is deliberately written with plain loops against the public
-graph data model, sharing no code with the library's checker or solvers:
+Everything here is deliberately written with plain loops over the graph's
+flat edge lists (`edge_tail`, `edge_head`, `edge_kind`, `edge_weight`,
+`edge_time`), sharing no code with the library's checker or solvers:
 
 * reference_violation_ids: a from-scratch evaluation of the plan feasibility
   rules, returning the set of violated constraint tags.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from fleetcast.graph import CACHING, CONNECTIVITY
+from fleetcast.graph import KIND_CACHING, KIND_CONNECTIVITY
 from fleetcast.scenario import CACHE_SINGLE
 
 
@@ -32,6 +33,8 @@ def reference_violation_ids(graph, activations):
     `activations` maps info id -> iterable of edge indices.
     """
     infos = {info.id: info for info in graph.infos}
+    tails, heads = graph.edge_tail, graph.edge_head
+    kinds, times = graph.edge_kind, graph.edge_time
     violated = set()
 
     # EDGE: one info per edge (caching edges exempt under unlimited capacity)
@@ -42,7 +45,7 @@ def reference_violation_ids(graph, activations):
     for e, owners in users.items():
         if len(owners) < 2:
             continue
-        if graph.edges[e].kind == CACHING and graph.cache_capacity != CACHE_SINGLE:
+        if kinds[e] == KIND_CACHING and graph.cache_capacity != CACHE_SINGLE:
             continue
         violated.add("EDGE")
 
@@ -50,9 +53,8 @@ def reference_violation_ids(graph, activations):
     transmitters = {}
     for info_id, edge_ids in activations.items():
         for e in edge_ids:
-            edge = graph.edges[e]
-            if edge.kind == CONNECTIVITY:
-                transmitters.setdefault(edge.tail, set()).add(info_id)
+            if kinds[e] == KIND_CONNECTIVITY:
+                transmitters.setdefault(tails[e], set()).add(info_id)
     if any(len(owners) > 1 for owners in transmitters.values()):
         violated.add("C7")
 
@@ -61,8 +63,7 @@ def reference_violation_ids(graph, activations):
         active = 0
         for edge_ids in activations.values():
             for e in edge_ids:
-                edge = graph.edges[e]
-                if edge.kind == CONNECTIVITY and edge.time == t:
+                if kinds[e] == KIND_CONNECTIVITY and times[e] == t:
                     active += 1
         if active > graph.channels:
             violated.add("C9")
@@ -74,9 +75,8 @@ def reference_violation_ids(graph, activations):
         in_cnt = {}
         out_cnt = {}
         for e in edge_ids:
-            edge = graph.edges[e]
-            in_cnt[edge.head] = in_cnt.get(edge.head, 0) + 1
-            out_cnt[edge.tail] = out_cnt.get(edge.tail, 0) + 1
+            in_cnt[heads[e]] = in_cnt.get(heads[e], 0) + 1
+            out_cnt[tails[e]] = out_cnt.get(tails[e], 0) + 1
 
         def is_dest_copy(v):
             return graph.vertex_uav_time(v)[0] in info.destinations
@@ -98,12 +98,11 @@ def reference_violation_ids(graph, activations):
         while changed:
             changed = False
             for e in edge_ids:
-                edge = graph.edges[e]
-                if edge.tail in supplied and edge.head not in supplied:
-                    supplied.add(edge.head)
+                if tails[e] in supplied and heads[e] not in supplied:
+                    supplied.add(heads[e])
                     changed = True
         for e in edge_ids:
-            if graph.edges[e].tail not in supplied:
+            if tails[e] not in supplied:
                 violated.add("FLOW")
 
         # delivery per destination group
@@ -157,9 +156,8 @@ def enumerate_optimum(graph, infos=None):
             gathers[t][u].add(info.id)
     dest_lookup = {info.id: set(info.destinations) for info in infos}
 
-    layer_edges = [
-        [graph.edges[e] for e in graph.conn_by_time[t]] for t in range(graph.horizon)
-    ]
+    tails, heads, weights = graph.edge_tail, graph.edge_head, graph.edge_weight
+    layer_edges = graph.conn_by_time
 
     def assignments(edges):
         """Yield every per-edge info assignment respecting C9 and C7."""
@@ -169,21 +167,21 @@ def enumerate_optimum(graph, infos=None):
             if idx == len(edges):
                 yield tuple(chosen)
                 return
-            edge = edges[idx]
+            tail = tails[edges[idx]]
             chosen[idx] = None
             yield from rec(idx + 1, active, vertex_info)
             if active < graph.channels:
-                prior = vertex_info.get(edge.tail)
+                prior = vertex_info.get(tail)
                 for info_id in info_ids:
                     if prior is not None and prior != info_id:
                         continue
                     chosen[idx] = info_id
-                    vertex_info[edge.tail] = info_id
+                    vertex_info[tail] = info_id
                     yield from rec(idx + 1, active + 1, vertex_info)
                     if prior is None:
-                        del vertex_info[edge.tail]
+                        del vertex_info[tail]
                     else:
-                        vertex_info[edge.tail] = prior
+                        vertex_info[tail] = prior
                 chosen[idx] = None
 
         yield from rec(0, 0, {})
@@ -216,27 +214,27 @@ def enumerate_optimum(graph, infos=None):
                 while pending and progress:
                     progress = False
                     remaining = []
-                    for edge, info_id in pending:
-                        tail_u = graph.vertex_uav_time(edge.tail)[0]
+                    for e, info_id in pending:
+                        tail_u = graph.vertex_uav_time(tails[e])[0]
                         if tail_u in supplied[info_id]:
-                            head_u = graph.vertex_uav_time(edge.head)[0]
+                            head_u = graph.vertex_uav_time(heads[e])[0]
                             supplied[info_id].add(head_u)
                             progress = True
                         else:
-                            remaining.append((edge, info_id))
+                            remaining.append((e, info_id))
                     pending = remaining
                 if pending:
                     continue  # some transmission has no upstream supply
 
                 received = [set() for _ in range(graph.uav_count)]
                 vertex_max = {}
-                for edge, info_id in zip(layer_edges[t], assign):
+                for e, info_id in zip(layer_edges[t], assign):
                     if info_id is None:
                         continue
-                    head_u = graph.vertex_uav_time(edge.head)[0]
+                    head_u = graph.vertex_uav_time(heads[e])[0]
                     received[head_u].add(info_id)
-                    prev = vertex_max.get(edge.tail, 0.0)
-                    vertex_max[edge.tail] = max(prev, edge.weight)
+                    prev = vertex_max.get(tails[e], 0.0)
+                    vertex_max[tails[e]] = max(prev, weights[e])
                 layer_cost = sum(vertex_max.values())
 
                 new_mask = mask
@@ -286,9 +284,9 @@ def enumerate_optimum(graph, infos=None):
     for t in range(graph.horizon - 1, -1, -1):
         _, parent = states[key] if t == graph.horizon - 1 else trail[t + 1][key]
         prev_key, assign, crossing = parent
-        for edge, info_id in zip(layer_edges[t], assign):
+        for e, info_id in zip(layer_edges[t], assign):
             if info_id is not None:
-                activations[info_id].add(edge.index)
+                activations[info_id].add(e)
         if t < graph.horizon - 1:
             for u, held_info in enumerate(crossing):
                 carried = [] if held_info is None else (
@@ -309,10 +307,10 @@ def exact_plan_cost(graph, activations):
     vertex_max = {}
     for edge_ids in activations.values():
         for e in edge_ids:
-            edge = graph.edges[e]
-            if edge.kind == CONNECTIVITY:
-                prev = vertex_max.get(edge.tail, 0.0)
-                vertex_max[edge.tail] = max(prev, edge.weight)
+            if graph.edge_kind[e] == KIND_CONNECTIVITY:
+                tail = graph.edge_tail[e]
+                prev = vertex_max.get(tail, 0.0)
+                vertex_max[tail] = max(prev, graph.edge_weight[e])
     return math.fsum(vertex_max[v] for v in sorted(vertex_max))
 
 
@@ -322,7 +320,7 @@ def exact_plan_cost(graph, activations):
 
 def lp_variable_count(graph, infos):
     n_vertices = graph.vertex_count
-    n_edges = len(graph.edges)
+    n_edges = len(graph.edge_tail)
     n_dest_copies = sum(len(i.destinations) for i in infos) * graph.horizon
     return (len(infos) * n_edges            # a
             + 2 * len(infos) * n_vertices   # h and b
@@ -334,12 +332,14 @@ def lp_constraint_count(graph, infos):
     out_all = [0] * graph.vertex_count
     out_conn = [0] * graph.vertex_count
     in_all = [0] * graph.vertex_count
-    caching_edges = 0
-    for e in graph.edges:
-        out_all[e.tail] += 1
-        in_all[e.head] += 1
-        if e.kind == CONNECTIVITY:
-            out_conn[e.tail] += 1
+    caching_edges = connectivity_edges = 0
+    for e in range(len(graph.edge_tail)):
+        tail = graph.edge_tail[e]
+        out_all[tail] += 1
+        in_all[graph.edge_head[e]] += 1
+        if graph.edge_kind[e] == KIND_CONNECTIVITY:
+            out_conn[tail] += 1
+            connectivity_edges += 1
         else:
             caching_edges += 1
     total = 0
@@ -363,7 +363,7 @@ def lp_constraint_count(graph, infos):
     if infos:
         total += graph.vertex_count                    # c7
         total += sum(1 for layer in graph.conn_by_time if layer)   # c9
-        total += sum(1 for e in graph.edges if e.kind == CONNECTIVITY)  # c10
+        total += connectivity_edges                    # c10
         if graph.cache_capacity == CACHE_SINGLE:
             total += caching_edges                     # per-edge caching rule
     return total
@@ -375,7 +375,7 @@ def lp_constraint_count(graph, infos):
 
 def all_activation_assignments(graph, info_ids):
     """Yield every assignment of edges to {unused} | info_ids."""
-    edges = range(len(graph.edges))
+    edges = range(len(graph.edge_tail))
     options = [None] + list(info_ids)
     for combo in itertools.product(options, repeat=len(edges)):
         activations = {info_id: set() for info_id in info_ids}

@@ -13,7 +13,8 @@ from fleetcast.errors import GenerationError
 from fleetcast.exact import (SearchBudget, _BudgetExhausted, _Search,
                              solve_exact)
 from fleetcast.gen import generate_scenario, make_config
-from fleetcast.graph import CONNECTIVITY, augment, build_time_expanded_graph
+from fleetcast.graph import (KIND_CONNECTIVITY, augment,
+                             build_time_expanded_graph)
 from fleetcast.heuristic import HeuristicKind, greedy_plan
 from fleetcast.jsonio import canonical_dumps
 from fleetcast.plan import Plan, check_feasibility, plan_cost
@@ -211,9 +212,12 @@ def _bellman_ford(graph, seeds, backward):
     for _ in range(graph.vertex_count):
         changed = False
         for e in graph.edges:
-            a, b = (e.head, e.tail) if backward else (e.tail, e.head)
-            if dist[a] + e.weight < dist[b]:
-                dist[b] = dist[a] + e.weight
+            a, b = graph.edge_tail[e], graph.edge_head[e]
+            if backward:
+                a, b = b, a
+            w = graph.edge_weight[e]
+            if dist[a] + w < dist[b]:
+                dist[b] = dist[a] + w
                 changed = True
         if not changed:
             break
@@ -315,42 +319,43 @@ def _reference_paths(search, info, dest_uav):
     information and not yet on the path. Returns a set of (cost, edges).
     """
     graph = search.graph
+    tails, heads = graph.edge_tail, graph.edge_head
+    kinds, weights, times = graph.edge_kind, graph.edge_weight, graph.edge_time
     edges_of = search.plan_edges
     used = set().union(*edges_of.values())
     owner, power, channel = {}, {}, [0] * graph.horizon
     for info_id, edges in edges_of.items():
         for e in edges:
-            edge = graph.edges[e]
-            if edge.kind == CONNECTIVITY:
-                owner.setdefault(edge.tail, set()).add(info_id)
-                power[edge.tail] = max(power.get(edge.tail, 0.0), edge.weight)
-                channel[edge.time] += 1
+            if kinds[e] == KIND_CONNECTIVITY:
+                owner.setdefault(tails[e], set()).add(info_id)
+                power[tails[e]] = max(power.get(tails[e], 0.0), weights[e])
+                channel[times[e]] += 1
     supplied = ({graph.vertex_id(u, t) for u, t in info.sources}
-                | {graph.edges[e].head for e in edges_of[info.id]})
+                | {heads[e] for e in edges_of[info.id]})
     copies = {graph.vertex_id(dest_uav, t) for t in range(graph.horizon)}
     found = {(0.0, ())} if supplied & copies else set()
 
     def extend(v, path, on_path, cost):
         for e in graph.out_edges[v]:
-            edge = graph.edges[e]
-            if edge.head in supplied | on_path:
+            head = heads[e]
+            if head in supplied | on_path:
                 continue
-            if edge.kind == CONNECTIVITY:
-                sent = sum(graph.edges[p].kind == CONNECTIVITY
-                           and graph.edges[p].time == edge.time for p in path)
+            if kinds[e] == KIND_CONNECTIVITY:
+                sent = sum(kinds[p] == KIND_CONNECTIVITY
+                           and times[p] == times[e] for p in path)
                 if (e in used or not owner.get(v, set()) <= {info.id}
-                        or channel[edge.time] + sent + 1 > graph.channels):
+                        or channel[times[e]] + sent + 1 > graph.channels):
                     continue
-                step = max(0.0, edge.weight - power.get(v, 0.0))
+                step = max(0.0, weights[e] - power.get(v, 0.0))
             else:
                 if e in edges_of[info.id] or (
                         graph.cache_capacity == "single" and e in used):
                     continue
                 step = 0.0
             new_path = path + (e,)
-            if edge.head in copies:
+            if head in copies:
                 found.add((cost + step, new_path))
-            extend(edge.head, new_path, on_path | {edge.head}, cost + step)
+            extend(head, new_path, on_path | {head}, cost + step)
 
     for start in supplied:
         extend(start, (), {start}, 0.0)
@@ -388,7 +393,7 @@ def test_candidate_paths_match_reference_enumeration():
         # and cache state are all in play for every demand
         first = next((edges for _, edges in
                       search._candidate_iter(info, dest_uav, 0.0, 0.0)
-                      if any(graph.edges[e].kind == CONNECTIVITY
+                      if any(graph.edge_kind[e] == KIND_CONNECTIVITY
                              for e in edges)), None)
         if first is None:
             continue

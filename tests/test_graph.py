@@ -1,4 +1,5 @@
-"""Time-expanded graph construction, augmentation, and collision sets."""
+"""Time-expanded graph construction and augmentation, each layer's
+connectivity edges, and the shortest-path kernel against plain references."""
 
 import copy
 import dataclasses
@@ -7,6 +8,7 @@ import math
 import random
 import weakref
 from bisect import bisect_left
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from types import SimpleNamespace
 
@@ -14,23 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fleetcast.graph
 import instances
-from fleetcast import cli
 from fleetcast.errors import GenerationError, ScenarioError
-from fleetcast.exact import solve_exact
 from fleetcast.gen import generate_scenario, make_config
-from fleetcast.graph import (CACHING, CONNECTIVITY, Edge, _shortest_paths,
-                             augment, build_time_expanded_graph,
-                             collision_set)
-from fleetcast.heuristic import (HEURISTIC_KINDS, RANDOM_KIND, HeuristicKind,
-                                 ResidualState, _walk_back, build_tree,
-                                 greedy_plan)
-from fleetcast.lp import export_lp, lint_lp
-from fleetcast.plan import Plan, check_feasibility, plan_cost
+from fleetcast.graph import (CACHING, CONNECTIVITY, KIND_CACHING,
+                             KIND_CONNECTIVITY, KIND_NAMES, _shortest_paths,
+                             augment, build_time_expanded_graph)
+from fleetcast.heuristic import ResidualState, _walk_back, build_tree
 from fleetcast.radio import subrange_weight
-from fleetcast.report import load_report, save_report
-from fleetcast.scenario import InfoSpec, Scenario, save_scenario
+from fleetcast.scenario import InfoSpec
 
 
 def test_single_uav_only_caches():
@@ -38,9 +32,8 @@ def test_single_uav_only_caches():
         InfoSpec(id=0, sources={(0, 0)}, destinations={0})])
     graph = build_time_expanded_graph(scen)
     assert graph.vertex_count == 3
-    kinds = [e.kind for e in graph.edges]
-    assert kinds.count(CACHING) == 2
-    assert kinds.count(CONNECTIVITY) == 0
+    assert graph.edge_kind.count(KIND_CACHING) == 2
+    assert graph.edge_kind.count(KIND_CONNECTIVITY) == 0
 
 
 def test_pair_in_range_gets_both_directions():
@@ -48,11 +41,10 @@ def test_pair_in_range_gets_both_directions():
         positions=[(0, 0), (5, 0)],
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1})])
     graph = build_time_expanded_graph(scen)
-    conn = [e for e in graph.edges if e.kind == CONNECTIVITY]
+    conn = [e for e in graph.edges if graph.edge_kind[e] == KIND_CONNECTIVITY]
     assert len(conn) == 2
-    assert {e.subrange for e in conn} == {1}
     expected = subrange_weight(scen.radio, 10.0)
-    assert all(e.weight == expected for e in conn)
+    assert all(graph.edge_weight[e] == expected for e in conn)
 
 
 def test_pair_out_of_range_gets_no_edges():
@@ -60,7 +52,7 @@ def test_pair_out_of_range_gets_no_edges():
         positions=[(0, 0), (50, 0)],
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1})])
     graph = build_time_expanded_graph(scen)
-    assert not [e for e in graph.edges if e.kind == CONNECTIVITY]
+    assert KIND_CONNECTIVITY not in graph.edge_kind
 
 
 def test_vertex_and_edge_counts():
@@ -69,8 +61,7 @@ def test_vertex_and_edge_counts():
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={2})])
     graph = build_time_expanded_graph(scen)
     assert graph.vertex_count == 3 * 4
-    caching = [e for e in graph.edges if e.kind == CACHING]
-    assert len(caching) == 3 * 3
+    assert graph.edge_kind.count(KIND_CACHING) == 3 * 3
 
 
 def test_weight_uses_smallest_enclosing_subrange():
@@ -78,9 +69,8 @@ def test_weight_uses_smallest_enclosing_subrange():
         positions=[(0, 0), (7, 0)], radii=(5.0, 10.0, 20.0),
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1})])
     graph = build_time_expanded_graph(scen)
-    edge = next(e for e in graph.edges if e.kind == CONNECTIVITY)
-    assert edge.subrange == 2
-    assert edge.weight == subrange_weight(scen.radio, 10.0)
+    e = graph.edge_kind.index(KIND_CONNECTIVITY)
+    assert graph.edge_weight[e] == subrange_weight(scen.radio, 10.0)
 
 
 def test_boundary_distance_is_inside_subrange():
@@ -88,16 +78,22 @@ def test_boundary_distance_is_inside_subrange():
         positions=[(0, 0), (10, 0)], radii=(10.0, 20.0),
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1})])
     graph = build_time_expanded_graph(scen)
-    edge = next(e for e in graph.edges if e.kind == CONNECTIVITY)
-    assert edge.subrange == 1
+    e = graph.edge_kind.index(KIND_CONNECTIVITY)
+    assert graph.edge_weight[e] == subrange_weight(scen.radio, 10.0)
 
 
 def test_per_uav_radii_break_symmetry():
     graph = build_time_expanded_graph(instances.asymmetric_pair())
-    conn = [e for e in graph.edges if e.kind == CONNECTIVITY]
+    conn = [e for e in graph.edges if graph.edge_kind[e] == KIND_CONNECTIVITY]
     assert len(conn) == 1
-    tail_uav = graph.vertex_uav_time(conn[0].tail)[0]
+    tail_uav = graph.vertex_uav_time(graph.edge_tail[conn[0]])[0]
     assert tail_uav == 0
+
+
+def _connectivity_weights(graph):
+    """Each connectivity edge's weight, by its (tail, head) pair."""
+    return {(graph.edge_tail[e], graph.edge_head[e]): graph.edge_weight[e]
+            for e in graph.edges if graph.edge_kind[e] == KIND_CONNECTIVITY}
 
 
 def test_symmetry_under_shared_radii():
@@ -107,8 +103,7 @@ def test_symmetry_under_shared_radii():
         positions=positions, radii=(8.0, 16.0, 30.0), horizon=2,
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1})])
     graph = build_time_expanded_graph(scen)
-    conn = {(e.tail, e.head): e.weight
-            for e in graph.edges if e.kind == CONNECTIVITY}
+    conn = _connectivity_weights(graph)
     for (tail, head), weight in conn.items():
         assert (head, tail) in conn
         assert conn[(head, tail)] == weight
@@ -124,10 +119,8 @@ def test_finer_partition_never_increases_weights():
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={2})])
     g_coarse = build_time_expanded_graph(coarse)
     g_fine = build_time_expanded_graph(fine)
-    coarse_w = {(e.tail, e.head): e.weight
-                for e in g_coarse.edges if e.kind == CONNECTIVITY}
-    fine_w = {(e.tail, e.head): e.weight
-              for e in g_fine.edges if e.kind == CONNECTIVITY}
+    coarse_w = _connectivity_weights(g_coarse)
+    fine_w = _connectivity_weights(g_fine)
     assert set(coarse_w) == set(fine_w)
     for key, weight in fine_w.items():
         assert weight <= coarse_w[key]
@@ -143,14 +136,14 @@ def test_paths_never_go_back_in_time():
             outs = graph.out_edges[v]
             if not outs:
                 break
-            edge = graph.edges[rng.choice(outs)]
-            t_tail = graph.vertex_uav_time(edge.tail)[1]
-            t_head = graph.vertex_uav_time(edge.head)[1]
+            e = rng.choice(outs)
+            t_tail = graph.vertex_uav_time(graph.edge_tail[e])[1]
+            t_head = graph.vertex_uav_time(graph.edge_head[e])[1]
             assert t_head >= t_tail
             if time_seen is not None:
                 assert t_tail >= time_seen
             time_seen = t_head
-            v = edge.head
+            v = graph.edge_head[e]
 
 
 def test_augment_counts():
@@ -206,11 +199,14 @@ def test_infospec_rejects_empty_sets():
         InfoSpec(id=0, sources={(0, 0)}, destinations=set())
 
 
+# a layer's collision set, the connectivity edges that share its channels,
+# is conn_by_time[t]
+
 def test_collision_set_contents():
     graph = instances.augmented(instances.chain3())
-    edges = collision_set(graph, 0)
+    edges = graph.conn_by_time[0]
     assert len(edges) == 4
-    assert all(graph.edges[e].kind == CONNECTIVITY for e in edges)
+    assert all(graph.edge_kind[e] == KIND_CONNECTIVITY for e in edges)
 
 
 def test_collision_set_three_mutually_in_range():
@@ -218,7 +214,7 @@ def test_collision_set_three_mutually_in_range():
         positions=[(0, 0), (5, 0), (0, 5)], channels=6,
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1})])
     graph = build_time_expanded_graph(scen)
-    assert len(collision_set(graph, 0)) == 6
+    assert len(graph.conn_by_time[0]) == 6
 
 
 def test_collision_set_empty_when_dispersed():
@@ -226,23 +222,15 @@ def test_collision_set_empty_when_dispersed():
         positions=[(0, 0), (500, 0), (0, 500)], horizon=2,
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={0})])
     graph = build_time_expanded_graph(scen)
-    assert collision_set(graph, 1) == frozenset()
-
-
-def test_collision_set_rejects_bad_time():
-    graph = build_time_expanded_graph(instances.chain3())
-    with pytest.raises(ValueError):
-        collision_set(graph, 1)
-    with pytest.raises(ValueError):
-        collision_set(graph, -1)
+    assert graph.conn_by_time[1] == []
 
 
 def test_build_is_deterministic():
     scen = instances.star4()
     g1 = build_time_expanded_graph(scen)
     g2 = build_time_expanded_graph(scen)
-    assert [(e.tail, e.head, e.kind, e.weight) for e in g1.edges] \
-        == [(e.tail, e.head, e.kind, e.weight) for e in g2.edges]
+    for name in ("edge_tail", "edge_head", "edge_kind", "edge_weight"):
+        assert getattr(g1, name) == getattr(g2, name), name
 
 
 # The kernel as it was before its early stop, per-vertex layer gate and
@@ -709,26 +697,21 @@ def test_kernel_bound_matches_reference_near_a_destination(rng):
                                      goals=[goal])
 
 
-# --- the flat-list builder against the Edge-record builder ---------------
+# --- the flat-list builder against a record builder ----------------------
 
-# The builder as it was when every edge was an Edge record: the flat lists
-# were derived from the records afterwards, and a dict mapped each
-# (tail, head) pair to its index.
-_KIND_CODE = {CONNECTIVITY: 0, CACHING: 1}
+# A second builder that derives every edge from the scenario as a record:
+# the records are its only output, a dict maps each (tail, head) pair to
+# its index, and the library's flat lists are compared with them field by
+# field.
+_Edge = namedtuple("_Edge", "index tail head kind weight time")
 
 
 def _reference_view(scenario, edges, out_edges, in_edges, conn_by_time):
     return SimpleNamespace(
-        scenario=scenario, uav_count=scenario.uav_count,
-        horizon=scenario.horizon, edges=edges, out_edges=out_edges,
-        in_edges=in_edges, conn_by_time=conn_by_time,
+        uav_count=scenario.uav_count, horizon=scenario.horizon, edges=edges,
+        out_edges=out_edges, in_edges=in_edges, conn_by_time=conn_by_time,
         vertex_count=scenario.uav_count * scenario.horizon,
         edge_index_by_pair={(e.tail, e.head): e.index for e in edges},
-        edge_tail=[e.tail for e in edges],
-        edge_head=[e.head for e in edges],
-        edge_kind=[_KIND_CODE[e.kind] for e in edges],
-        edge_weight=[e.weight for e in edges],
-        edge_time=[e.time for e in edges],
         vertex_id=lambda uav, time: uav * scenario.horizon + time)
 
 
@@ -736,7 +719,7 @@ def _reference_build(scenario):
     horizon = scenario.horizon
     uav_count = scenario.uav_count
     vertex_count = uav_count * horizon
-    edges: list[Edge] = []
+    edges: list[_Edge] = []
     out_edges = [[] for _ in range(vertex_count)]
     in_edges = [[] for _ in range(vertex_count)]
     conn_by_time = [[] for _ in range(horizon)]
@@ -755,7 +738,7 @@ def _reference_build(scenario):
                 if u2 == u:
                     if t + 1 < horizon:
                         head = u * horizon + t + 1
-                        edge = Edge(len(edges), tail, head, CACHING, 0.0, t, None)
+                        edge = _Edge(len(edges), tail, head, CACHING, 0.0, t)
                         edges.append(edge)
                         out_edges[tail].append(edge.index)
                         in_edges[head].append(edge.index)
@@ -766,8 +749,8 @@ def _reference_build(scenario):
                     continue
                 k = bisect_left(r, dist)
                 head = u2 * horizon + t
-                edge = Edge(len(edges), tail, head, CONNECTIVITY,
-                            weights[u][k], t, k + 1)
+                edge = _Edge(len(edges), tail, head, CONNECTIVITY,
+                             weights[u][k], t)
                 edges.append(edge)
                 out_edges[tail].append(edge.index)
                 in_edges[head].append(edge.index)
@@ -790,12 +773,13 @@ def _reference_graph(scenario, info_sets=()):
 
 
 def _assert_same_graph(graph, ref, rng):
-    for name in ("edge_tail", "edge_head", "edge_kind", "edge_weight",
-                 "edge_time", "out_edges", "in_edges", "conn_by_time"):
+    for name in ("out_edges", "in_edges", "conn_by_time"):
         assert getattr(graph, name) == getattr(ref, name), name
     assert graph.vertex_count == ref.vertex_count
-    assert len(graph.edges) == len(ref.edges)
-    assert list(graph.edges) == ref.edges      # every field, subrange too
+    assert graph.edges == range(len(ref.edges))
+    assert list(zip(graph.edges, graph.edge_tail, graph.edge_head,
+                    [KIND_NAMES[k] for k in graph.edge_kind],
+                    graph.edge_weight, graph.edge_time)) == ref.edges
     for (tail, head), e in ref.edge_index_by_pair.items():
         assert graph.edge_index(tail, head) == e
     for _ in range(50):
@@ -873,45 +857,3 @@ def test_augmented_graph_does_not_keep_its_base_alive():
     assert base_ref() is None
     assert graph.vertex_count == scenario.uav_count * scenario.horizon
     assert len(graph.edges) == len(graph.edge_tail) > 0
-
-# --- the solve path never builds the Edge view -----------------------------
-
-def test_solve_path_builds_no_edge_records(monkeypatch, tmp_path):
-    def no_records(*args, **kwargs):
-        raise AssertionError("an Edge record was built")
-
-    monkeypatch.setattr(fleetcast.graph, "Edge", no_records)
-    config = dict(uav_count=4, info_count=2, horizon=6, channels=2,
-                  gather_radius=18.0, area_side=55.0,
-                  destinations_per_info=(1, 2))
-    served = generate_scenario(make_config("micro", 15, **config))
-    restarted = generate_scenario(make_config("micro", 20, **config))
-    for scenario, status in ((served, "FEASIBLE"),
-                             (restarted, "INFEASIBLE_HEURISTIC")):
-        graph = augment(build_time_expanded_graph(scenario), scenario.infos)
-        for kind in HEURISTIC_KINDS:
-            seed = 1 if kind == RANDOM_KIND else None
-            report = greedy_plan(graph, graph.infos, HeuristicKind(kind, seed))
-            assert report.status == status
-    graph = augment(build_time_expanded_graph(served), served.infos)
-    report = solve_exact(graph)
-    assert report.status == "OPTIMAL"
-    assert check_feasibility(graph, report.plan).feasible
-    assert plan_cost(graph, report.plan) == report.objective
-    everything = frozenset(range(len(graph.edges)))
-    verdict = check_feasibility(graph, Plan({i.id: everything
-                                             for i in graph.infos}))
-    assert {"EDGE", "C3", "C7", "C9"} <= verdict.constraint_ids()
-    assert all(v.message for v in verdict.violations)
-    path = tmp_path / "report.json"
-    save_report(graph, report, path)
-    assert load_report(graph, path).plan == report.plan
-    assert lint_lp(export_lp(graph)) == []
-    scenario_path = tmp_path / "scenario.json"
-    save_scenario(served, scenario_path)
-    assert cli.main(["solve", str(scenario_path), "--method", "mpf",
-                     "--out", str(tmp_path / "mpf.json")]) == 0
-    assert cli.main(["lp", str(scenario_path),
-                     "--out", str(tmp_path / "s.lp")]) == 0
-    with pytest.raises(AssertionError):     # the stub is really in place
-        graph.edges[0]

@@ -10,7 +10,8 @@ import instances
 import oracles
 from fleetcast.errors import GenerationError, PlanStructureError
 from fleetcast.gen import generate_scenario, make_config
-from fleetcast.graph import CONNECTIVITY, augment, build_time_expanded_graph
+from fleetcast.graph import (KIND_CONNECTIVITY, augment,
+                             build_time_expanded_graph)
 from fleetcast.jsonio import canonical_dumps
 from fleetcast.heuristic import (HeuristicKind, ResidualState, Tree,
                                  _reusable, build_tree, greedy_plan,
@@ -65,7 +66,7 @@ def test_build_tree_self_delivery_is_free():
     assert tree is not None
     assert tree.cost == 0.0
     assert not {e for e in tree.edges
-                if graph.edges[e].kind == CONNECTIVITY}
+                if graph.edge_kind[e] == KIND_CONNECTIVITY}
 
 
 def test_build_tree_shares_first_hop():

@@ -111,11 +111,27 @@ def test_self_delivery_is_feasible_with_no_edges():
     assert report.feasible
 
 
+def test_every_violation_carries_a_message():
+    # every edge for every info breaks the edge, continuity, vertex and
+    # channel rules at once, on a generated graph
+    graph = instances.augmented(generate_scenario(make_config(
+        "micro", 15, uav_count=4, info_count=2, horizon=6, channels=2,
+        gather_radius=18.0, area_side=55.0, destinations_per_info=(1, 2))))
+    everything = frozenset(graph.edges)
+    verdict = check_feasibility(graph, Plan({i.id: everything
+                                             for i in graph.infos}))
+    assert {"EDGE", "C3", "C7", "C9"} <= verdict.constraint_ids()
+    assert all(v.message for v in verdict.violations)
+
+
 def test_structural_error_for_unknown_edges(chain):
     with pytest.raises(PlanStructureError):
         check_feasibility(chain, Plan({0: {999}}))
-    with pytest.raises(PlanStructureError):
+    unknown = "^plan references unknown info 7$"
+    with pytest.raises(PlanStructureError, match=unknown):
         check_feasibility(chain, Plan({7: frozenset()}))
+    with pytest.raises(PlanStructureError, match=unknown):
+        chain.info_by_id(7)
     with pytest.raises(PlanStructureError):   # the first index past the graph
         check_feasibility(chain, Plan({0: {len(chain.edges)}}))
 
@@ -132,7 +148,7 @@ def test_cost_max_rule_two_outgoing():
     graph = instances.augmented(scen)
     far = edge_by_route(graph, 0, 0, 1, 0)    # 0.6 J at 10 m
     near = edge_by_route(graph, 0, 0, 2, 0)   # 0.0375 J at 2.5 m
-    assert graph.edges[far].weight == pytest.approx(0.6, rel=1e-12)
+    assert graph.edge_weight[far] == pytest.approx(0.6, rel=1e-12)
     both = plan_cost(graph, Plan({0: {far, near}}))
     assert both == pytest.approx(0.6, rel=1e-12)  # max, not sum
 
@@ -176,7 +192,7 @@ def test_max_rule_invariance():
     graph = instances.augmented(scen)
     far = edge_by_route(graph, 0, 0, 1, 0)
     near = edge_by_route(graph, 0, 0, 2, 0)
-    assert graph.edges[near].weight <= graph.edges[far].weight
+    assert graph.edge_weight[near] <= graph.edge_weight[far]
     assert plan_cost(graph, Plan({0: {far, near}})) \
         == plan_cost(graph, Plan({0: {far}}))
 
@@ -309,7 +325,8 @@ def test_load_report_rejects_plan_for_unknown_info(chain, tmp_path):
     doc["plan"]["activations"]["7"] = []
     path = tmp_path / "report.json"
     write_json(path, doc)
-    with pytest.raises(PlanStructureError):
+    with pytest.raises(PlanStructureError,
+                       match="^plan references unknown info 7$"):
         load_report(chain, path)
 
 
