@@ -14,8 +14,8 @@ from .errors import (FleetcastError, FormatError, GenerationError,
                      ScenarioError)
 from .exact import SearchBudget, solve_exact
 from .gen import GenConfig, PAPER_RADIO, PROFILES, generate_scenario, make_config
-from .graph import (CACHING, CONNECTIVITY, AugmentedGraph, TimeExpandedGraph,
-                    augment, build_time_expanded_graph)
+from .graph import (CACHING, CONNECTIVITY, TimeExpandedGraph, augment,
+                    build_time_expanded_graph)
 from .heuristic import (HEURISTIC_KINDS, HeuristicKind, ResidualState, Tree,
                         build_tree, greedy_plan, order_information)
 from .lp import export_lp, lint_lp

@@ -21,7 +21,7 @@ import click
 from .errors import FleetcastError, InternalError
 from .exact import SearchBudget, solve_exact
 from .gen import PROFILES, GenConfig, generate_scenario, make_config
-from .graph import augment, build_time_expanded_graph
+from .graph import build_time_expanded_graph
 from .heuristic import HeuristicKind, greedy_plan
 from .lp import export_lp, lint_lp
 from .report import HEURISTIC_KINDS, METHOD_EXACT, RANDOM_KIND, save_report
@@ -182,7 +182,7 @@ def _solve(task):
     source, method, r_seed, budget_nodes, budget_seconds, max_restarts = task
     scenario = (generate_scenario(source) if isinstance(source, GenConfig)
                 else load_scenario(source))
-    graph = augment(build_time_expanded_graph(scenario), scenario.infos)
+    graph = build_time_expanded_graph(scenario)
     if method == METHOD_EXACT:
         budget = SearchBudget(max_nodes=budget_nodes,
                               time_limit_seconds=budget_seconds)
@@ -266,7 +266,7 @@ def cmd_solve(ctx, scenario_file, method, r_seed, budget_nodes, budget_seconds,
 def cmd_lp(scenario_file, out, max_variables):
     """Export the instance as a solver-neutral LP document."""
     scenario = load_scenario(scenario_file)
-    graph = augment(build_time_expanded_graph(scenario), scenario.infos)
+    graph = build_time_expanded_graph(scenario)
     text = export_lp(graph, max_variables=max_variables)
     problems = lint_lp(text)
     if problems:

@@ -44,10 +44,10 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import filterfalse
 
-from .graph import (KIND_CACHING, KIND_CONNECTIVITY, AugmentedGraph,
+from .graph import (KIND_CACHING, KIND_CONNECTIVITY, TimeExpandedGraph,
                     _shortest_paths)
 from .heuristic import HeuristicKind, greedy_plan
-from .plan import Plan, _energy, plan_cost
+from .plan import Plan, _energy
 from .report import (METHOD_EXACT, STATUS_FEASIBLE, STATUS_INFEASIBLE,
                      STATUS_OPTIMAL, STATUS_TIMEOUT, SolveReport)
 from .scenario import CACHE_SINGLE
@@ -72,7 +72,7 @@ class _BudgetExhausted(Exception):
 
 
 class _Search:
-    def __init__(self, graph: AugmentedGraph, infos, budget: SearchBudget):
+    def __init__(self, graph: TimeExpandedGraph, infos, budget: SearchBudget):
         self.graph = graph
         self.budget = budget
         self.deadline = time.perf_counter() + budget.time_limit_seconds
@@ -87,8 +87,9 @@ class _Search:
         self.next_uav = [u if info is next_info else None
                          for (info, _), (next_info, u)
                          in zip(self.demands, self.demands[1:])] + [None]
-        # caching edges in use; only "single" capacity needs them (see
-        # _candidate_iter for why nothing else tracks edge users)
+        # caching edges in use, filled by _commit under "single" capacity
+        # only, so readers test it alone (see _candidate_iter for why
+        # nothing else tracks edge users)
         self.cache_used: set[int] = set()
         self.transmit: dict[int, int] = {}  # sending vertex -> its info
         self.channel = [0] * graph.horizon
@@ -152,9 +153,6 @@ class _Search:
                 later[info.id] = acc
                 acc += self.pristine_lb[info.id]
             self.lb_rest = [later[info.id] for info, _ in self.demands]
-
-    def set_incumbent(self, plan: Plan):
-        self._offer(plan_cost(self.graph, plan), plan.lex_key(), lambda: plan)
 
     def _offer(self, cost, key, make_plan):
         """Adopt the plan `make_plan()` if (cost, key) beats the incumbent's;
@@ -233,8 +231,7 @@ class _Search:
         self.supplied[info_id].difference_update(
             map(graph.edge_head.__getitem__, edges))
         self.plan_edges[info_id].difference_update(edges)
-        if self.single_cache:
-            self.cache_used.difference_update(edges)
+        self.cache_used.difference_update(edges)
         channel = self.channel
         transmit = self.transmit
         power = self.power
@@ -352,7 +349,6 @@ class _Search:
         channels = graph.channels
         channel = self.channel
         transmit = self.transmit
-        single_cache = self.single_cache
         cache_used = self.cache_used
         kinds = graph.edge_kind
         tails = graph.edge_tail
@@ -380,7 +376,7 @@ class _Search:
                 rest = remaining[h]
                 charge = new_estimate = cost + rest
                 if (h not in supplied and new_estimate < budget
-                        and not (single_cache and e in cache_used)):
+                        and e not in cache_used):
                     new_floor = floor
                     if after is not None:
                         if edges and after[head] < floor:
@@ -461,7 +457,7 @@ class _Search:
         channels = self.graph.channels
         channel = self.channel
         transmit = self.transmit
-        cache_used = self.cache_used if self.single_cache else ()
+        cache_used = self.cache_used
         info_id = info.id
         # the least hops each vertex was reached with, channels + 1 if it
         # was not; a supplied vertex is never a head, which -1 encodes, and
@@ -495,7 +491,7 @@ class _Search:
         return False
 
 
-def solve_exact(graph: AugmentedGraph, infos=None,
+def solve_exact(graph: TimeExpandedGraph, infos=None,
                 budget: SearchBudget = SearchBudget(),
                 warm_start: bool = True) -> SolveReport:
     """Solve to proven optimality within the budget.
@@ -513,7 +509,8 @@ def solve_exact(graph: AugmentedGraph, infos=None,
                      HeuristicKind("muf"), HeuristicKind("r", seed=0)):
             warm = greedy_plan(graph, infos, kind)
             if warm.plan is not None:
-                search.set_incumbent(warm.plan)
+                search._offer(warm.objective, warm.plan.lex_key(),
+                              lambda: warm.plan)
 
     completed = False
     try:

@@ -3,10 +3,11 @@
 Vertices are (uav, time) pairs. Connectivity edges join two distinct UAVs
 within one time unit and cost the per-packet energy of the smallest
 transmitter subrange containing the receiver; caching edges join consecutive
-time copies of one UAV at zero cost. The augmented graph is the same graph
-with the informations it serves. A greedy search for one information starts
-from all of its source copies and ends at the first time copy of a
-destination UAV it settles, so no terminal vertex is needed.
+time copies of one UAV at zero cost. A graph also holds the informations
+it serves, its scenario's unless `augment` gives it others. A greedy search
+for one information starts from all of its source copies and ends at the
+first time copy of a destination UAV it settles, so no terminal vertex is
+needed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ KIND_NAMES = (CONNECTIVITY, CACHING)
 
 
 class TimeExpandedGraph:
-    """Immutable time-expanded graph over all (uav, time) vertices.
+    """Immutable time-expanded graph over all (uav, time) vertices, with the
+    informations it serves.
 
     Edges are parallel flat lists over edge indices: `edge_tail`, `edge_head`,
     `edge_kind` (a KIND_* code), `edge_weight` and `edge_time` (the tail's
@@ -37,7 +39,8 @@ class TimeExpandedGraph:
     UAV, then head UAV. `min_connectivity_weight` is the smallest entry of
     the builder's subrange-weight table, a lower bound on every connectivity
     weight (inf without UAVs). `edges` is the range of edge indices, the
-    form in which every plan and solver names an edge.
+    form in which every plan and solver names an edge. `infos` holds the
+    served `InfoSpec`s in id order.
     """
 
     def __init__(self, scenario: Scenario, arrays, out_edges, in_edges,
@@ -53,6 +56,7 @@ class TimeExpandedGraph:
         self.min_connectivity_weight = min_connectivity_weight
         self.vertex_count = self.uav_count * self.horizon
         self.edges = range(len(self.edge_tail))
+        self.infos = tuple(sorted(scenario.infos, key=lambda i: i.id))
 
     def edge_index(self, tail: int, head: int) -> int | None:
         """The edge tail->head, or None: a scan of the tail's out-edges."""
@@ -68,21 +72,6 @@ class TimeExpandedGraph:
     def vertex_label(self, vertex: int) -> str:
         u, t = self.vertex_uav_time(vertex)
         return f"({u},{t})"
-
-
-class AugmentedGraph(TimeExpandedGraph):
-    """A time-expanded graph with the informations it serves.
-
-    It shares every list of the base graph and keeps no reference to the
-    base object itself.
-    """
-
-    def __init__(self, base: TimeExpandedGraph, infos):
-        # setattr, not vars(self).update: on CPython 3.11 a materialised
-        # instance dict makes every attribute read in the solvers slower
-        for name, value in vars(base).items():
-            setattr(self, name, value)
-        self.infos = infos
 
     def served(self, infos=None) -> tuple:
         """The graph's own `InfoSpec`s equal to `infos` (any iterable, read
@@ -106,7 +95,8 @@ class AugmentedGraph(TimeExpandedGraph):
 
 
 def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
-    """Construct the time-expanded graph for a scenario.
+    """Construct the time-expanded graph for a scenario, serving the
+    scenario's informations.
 
     A connectivity edge (u,t)->(u',t) exists when the receiver sits within the
     transmitter's outermost subrange at time t; its weight is the per-packet
@@ -154,12 +144,19 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
                              min_weight)
 
 
-def augment(graph: TimeExpandedGraph, infos) -> AugmentedGraph:
-    """The graph with the given infos, which must pass `check_infos` for its
-    fleet. It adds no vertex or edge: every list is the base's, unchanged."""
+def augment(graph: TimeExpandedGraph, infos) -> TimeExpandedGraph:
+    """The graph serving the given infos in place of its own; they must pass
+    `check_infos` for its fleet. It adds no vertex or edge and shares every
+    list of `graph`, which is left unchanged."""
     infos = tuple(sorted(infos, key=lambda i: i.id))
     check_infos(infos, graph.uav_count, graph.horizon)
-    return AugmentedGraph(graph, infos)
+    served = object.__new__(TimeExpandedGraph)
+    # setattr, not vars(served).update: on CPython 3.11 a materialised
+    # instance dict makes every attribute read in the solvers slower
+    for name, value in vars(graph).items():
+        setattr(served, name, value)
+    served.infos = infos
+    return served
 
 
 def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,

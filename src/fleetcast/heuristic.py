@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import InternalError, PlanStructureError
-from .graph import KIND_CONNECTIVITY, AugmentedGraph, _shortest_paths
+from .graph import KIND_CONNECTIVITY, TimeExpandedGraph, _shortest_paths
 from .plan import Plan, _energy, check_feasibility, plan_cost
 from .report import (HEURISTIC_KINDS, RANDOM_KIND, STATUS_FEASIBLE,
                      STATUS_INFEASIBLE_HEURISTIC, SolveReport)
@@ -75,7 +75,7 @@ class Tree:
 class ResidualState:
     """What earlier trees left behind: deleted vertices and channel usage."""
 
-    def __init__(self, graph: AugmentedGraph):
+    def __init__(self, graph: TimeExpandedGraph):
         self.graph = graph
         self.deleted: set[int] = set()
         self.channel_used = [0] * graph.horizon
@@ -103,7 +103,7 @@ class ResidualState:
                                 for u in range(graph.uav_count))
 
 
-def build_tree(graph: AugmentedGraph, info, state: ResidualState):
+def build_tree(graph: TimeExpandedGraph, info, state: ResidualState):
     """Grow a cheapest-path tree serving every destination of `info`.
 
     Destinations are visited in ascending UAV id. Each search runs from the
@@ -179,7 +179,7 @@ def _walk_back(graph, parent, target):
     return path
 
 
-def order_information(graph: AugmentedGraph, infos, kind: HeuristicKind, *,
+def order_information(graph: TimeExpandedGraph, infos, kind: HeuristicKind, *,
                       standalone: dict | None = None):
     """Permutation of info ids in the order the greedy pass should serve them.
 
@@ -234,7 +234,7 @@ def _reusable(tree: Tree, state: ResidualState) -> bool:
             and all(used[t] + n <= channels for t, n in tree.layers))
 
 
-def greedy_plan(graph: AugmentedGraph, infos, kind: HeuristicKind,
+def greedy_plan(graph: TimeExpandedGraph, infos, kind: HeuristicKind,
                 max_restarts: int | None = None) -> SolveReport:
     """Run the greedy driver; every FEASIBLE result passes the checker.
 

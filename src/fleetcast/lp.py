@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 
 from .errors import LpSizeError
-from .graph import KIND_CACHING, KIND_CONNECTIVITY, AugmentedGraph
+from .graph import KIND_CACHING, KIND_CONNECTIVITY, TimeExpandedGraph
 from .scenario import CACHE_SINGLE
 
 LP_HEADER = "\\ fleetcast-lp/1"
@@ -53,7 +53,8 @@ _BINARIES_RE = re.compile(rf"{_NAME}(?: {_NAME})*")
 _SENSES = ("<=", ">=", "=")
 
 
-def export_lp(graph: AugmentedGraph, infos=None, max_variables: int = 500_000) -> str:
+def export_lp(graph: TimeExpandedGraph, infos=None,
+              max_variables: int = 500_000) -> str:
     """Serialize the instance as a minimize LP document."""
     infos = graph.served(infos)
     n_vertices = graph.vertex_count

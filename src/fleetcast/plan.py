@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FormatError, PlanStructureError
-from .graph import KIND_CACHING, KIND_CONNECTIVITY, KIND_NAMES, AugmentedGraph
+from .graph import KIND_CACHING, KIND_CONNECTIVITY, KIND_NAMES, TimeExpandedGraph
 from .jsonio import _int_key, _is_int, check_int, read_json, write_json
 from .scenario import CACHE_SINGLE
 
@@ -79,7 +79,7 @@ class FeasibilityReport:
         return {v.constraint for v in self.violations}
 
 
-def _validate_structure(graph: AugmentedGraph, plan: Plan):
+def _validate_structure(graph: TimeExpandedGraph, plan: Plan):
     edge_count = len(graph.edge_kind)
     for info_id, edges in plan.activations.items():
         graph.info_by_id(info_id)
@@ -89,7 +89,7 @@ def _validate_structure(graph: AugmentedGraph, plan: Plan):
                     f"plan references edge index {e} outside the graph")
 
 
-def check_feasibility(graph: AugmentedGraph, plan: Plan) -> FeasibilityReport:
+def check_feasibility(graph: TimeExpandedGraph, plan: Plan) -> FeasibilityReport:
     """Evaluate every feasibility rule; structural problems raise instead."""
     _validate_structure(graph, plan)
     tails, heads = graph.edge_tail, graph.edge_head
@@ -200,7 +200,7 @@ def check_feasibility(graph: AugmentedGraph, plan: Plan) -> FeasibilityReport:
     return FeasibilityReport(feasible=not violations, violations=tuple(violations))
 
 
-def plan_cost(graph: AugmentedGraph, plan: Plan) -> float:
+def plan_cost(graph: TimeExpandedGraph, plan: Plan) -> float:
     """Total energy: each vertex pays its maximum active outgoing weight.
 
     Defined for partial and even infeasible plans; caching edges contribute
@@ -224,7 +224,7 @@ def _energy(power: dict) -> float:
     return math.fsum(power[v] for v in sorted(power))
 
 
-def plan_to_dict(graph: AugmentedGraph, plan: Plan) -> dict:
+def plan_to_dict(graph: TimeExpandedGraph, plan: Plan) -> dict:
     _validate_structure(graph, plan)
     activations = {}
     for info_id in sorted(plan.activations):
@@ -237,7 +237,7 @@ def plan_to_dict(graph: AugmentedGraph, plan: Plan) -> dict:
     return {"format": PLAN_FORMAT, "activations": activations}
 
 
-def plan_from_dict(graph: AugmentedGraph, doc: dict) -> Plan:
+def plan_from_dict(graph: TimeExpandedGraph, doc: dict) -> Plan:
     rows_by_info = doc.get("activations") if isinstance(doc, dict) else None
     if not isinstance(rows_by_info, dict):
         raise FormatError("a plan must be an object with an activations object")
@@ -274,9 +274,9 @@ def plan_from_dict(graph: AugmentedGraph, doc: dict) -> Plan:
     return Plan(activations)
 
 
-def save_plan(graph: AugmentedGraph, plan: Plan, path) -> None:
+def save_plan(graph: TimeExpandedGraph, plan: Plan, path) -> None:
     write_json(path, plan_to_dict(graph, plan))
 
 
-def load_plan(graph: AugmentedGraph, path) -> Plan:
+def load_plan(graph: TimeExpandedGraph, path) -> Plan:
     return plan_from_dict(graph, read_json(path, PLAN_FORMAT))

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import FormatError
-from .graph import AugmentedGraph
+from .graph import TimeExpandedGraph
 from .jsonio import check_int, check_number, read_json, write_json
 from .plan import Plan, plan_cost, plan_from_dict, plan_to_dict
 
@@ -54,7 +54,7 @@ class SolveReport:
         return self.status in SOLVED_STATUSES
 
 
-def report_to_dict(graph: AugmentedGraph, report: SolveReport) -> dict:
+def report_to_dict(graph: TimeExpandedGraph, report: SolveReport) -> dict:
     doc = {
         "format": REPORT_FORMAT,
         "method": report.method,
@@ -71,11 +71,11 @@ def report_to_dict(graph: AugmentedGraph, report: SolveReport) -> dict:
     return doc
 
 
-def save_report(graph: AugmentedGraph, report: SolveReport, path) -> None:
+def save_report(graph: TimeExpandedGraph, report: SolveReport, path) -> None:
     write_json(path, report_to_dict(graph, report))
 
 
-def load_report(graph: AugmentedGraph, path) -> SolveReport:
+def load_report(graph: TimeExpandedGraph, path) -> SolveReport:
     doc = read_json(path, REPORT_FORMAT)
     missing = [key for key in ("method", "status", "objective_joules")
                if key not in doc]

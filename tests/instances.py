@@ -8,7 +8,6 @@ therefore read off directly as per-packet energies in joules.
 
 from __future__ import annotations
 
-from fleetcast.graph import augment, build_time_expanded_graph
 from fleetcast.radio import RadioParams
 from fleetcast.scenario import InfoSpec, Scenario
 
@@ -31,10 +30,6 @@ def static_scenario(positions, infos, radii=(10.0,), channels=2, horizon=1,
         trajectories=trajectories, subrange_radii=radii, radio=radio,
         infos=tuple(infos), per_uav_radii=per_uav_radii,
         cache_capacity=cache_capacity)
-
-
-def augmented(scenario):
-    return augment(build_time_expanded_graph(scenario), scenario.infos)
 
 
 def chain3(channels=2):

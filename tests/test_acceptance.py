@@ -18,7 +18,7 @@ from fleetcast.cli import main as cli_main
 from fleetcast.errors import GenerationError
 from fleetcast.exact import SearchBudget, solve_exact
 from fleetcast.gen import generate_scenario, make_config
-from fleetcast.graph import augment, build_time_expanded_graph
+from fleetcast.graph import build_time_expanded_graph
 from fleetcast.heuristic import HeuristicKind, greedy_plan
 from fleetcast.lp import export_lp, lint_lp
 from fleetcast.plan import check_feasibility
@@ -38,7 +38,7 @@ def criterion(number, title):
 
 
 def build(scenario):
-    return augment(build_time_expanded_graph(scenario), scenario.infos)
+    return build_time_expanded_graph(scenario)
 
 
 def kind_for(name, seed):

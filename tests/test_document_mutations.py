@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import instances
 from fleetcast.errors import FormatError, PlanStructureError, ScenarioError
 from fleetcast.exact import solve_exact
+from fleetcast.graph import build_time_expanded_graph
 from fleetcast.heuristic import HeuristicKind, greedy_plan
 from fleetcast.plan import load_plan, plan_to_dict, save_plan
 from fleetcast.report import load_report, report_to_dict, save_report
@@ -40,7 +41,7 @@ def _documents():
     docs = {"scenario": [], "report": [], "plan": []}
     for name in INSTANCES:
         scenario = getattr(instances, name)()
-        graph = instances.augmented(scenario)
+        graph = build_time_expanded_graph(scenario)
         docs["scenario"].append((graph, scenario_to_dict(scenario)))
         for method in ("mpf", "r[3]", "exact"):
             report = _solve(graph, method)

@@ -13,8 +13,7 @@ from fleetcast.errors import GenerationError
 from fleetcast.exact import (SearchBudget, _BudgetExhausted, _Search,
                              solve_exact)
 from fleetcast.gen import generate_scenario, make_config
-from fleetcast.graph import (KIND_CONNECTIVITY, augment,
-                             build_time_expanded_graph)
+from fleetcast.graph import KIND_CONNECTIVITY, build_time_expanded_graph
 from fleetcast.heuristic import HeuristicKind, greedy_plan
 from fleetcast.jsonio import canonical_dumps
 from fleetcast.plan import Plan, check_feasibility, plan_cost
@@ -35,7 +34,7 @@ def test_budget_validation():
 
 
 def test_self_delivery_costs_nothing():
-    graph = instances.augmented(instances.self_delivery())
+    graph = build_time_expanded_graph(instances.self_delivery())
     report = solve_exact(graph)
     assert report.status == "OPTIMAL"
     assert report.objective == 0.0
@@ -43,7 +42,7 @@ def test_self_delivery_costs_nothing():
 
 
 def test_chain_needs_both_hops():
-    graph = instances.augmented(instances.chain3())
+    graph = build_time_expanded_graph(instances.chain3())
     report = solve_exact(graph)
     assert report.status == "OPTIMAL"
     assert report.objective == 20.0  # 10 J per hop, frozen by enumeration
@@ -51,7 +50,7 @@ def test_chain_needs_both_hops():
 
 
 def test_contended_single_channel_is_infeasible():
-    graph = instances.augmented(instances.crossing_pair(1))
+    graph = build_time_expanded_graph(instances.crossing_pair(1))
     report = solve_exact(graph)
     assert report.status == "INFEASIBLE"
     assert report.objective is None
@@ -59,14 +58,14 @@ def test_contended_single_channel_is_infeasible():
 
 
 def test_multicast_reuses_hub_power():
-    graph = instances.augmented(instances.star4())
+    graph = build_time_expanded_graph(instances.star4())
     report = solve_exact(graph)
     assert report.status == "OPTIMAL"
     assert report.objective == 20.0
 
 
 def test_deterministic_reports():
-    graph = instances.augmented(instances.star4())
+    graph = build_time_expanded_graph(instances.star4())
     a = solve_exact(graph)
     b = solve_exact(graph)
     assert report_to_dict(graph, a) == report_to_dict(graph, b)
@@ -74,12 +73,12 @@ def test_deterministic_reports():
 
 
 def test_timeout_without_solution():
-    graph = instances.augmented(instances.chain3())
+    graph = build_time_expanded_graph(instances.chain3())
     report = solve_exact(graph, budget=SearchBudget(max_nodes=1),
                          warm_start=False)
     assert report.status in ("TIMEOUT_NO_SOLUTION", "FEASIBLE", "OPTIMAL")
     # a 1-node budget cannot finish a 2-demand-free search with no incumbent
-    graph2 = instances.augmented(instances.crossing_pair(2))
+    graph2 = build_time_expanded_graph(instances.crossing_pair(2))
     report2 = solve_exact(graph2, budget=SearchBudget(max_nodes=1),
                           warm_start=False)
     assert report2.status == "TIMEOUT_NO_SOLUTION"
@@ -87,7 +86,7 @@ def test_timeout_without_solution():
 
 
 def test_budget_exhausted_keeps_incumbent():
-    graph = instances.augmented(instances.disjoint_pairs())
+    graph = build_time_expanded_graph(instances.disjoint_pairs())
     report = solve_exact(graph, budget=SearchBudget(max_nodes=1))
     assert report.status == "FEASIBLE"  # warm start provides the incumbent
     assert report.objective == 20.0
@@ -96,7 +95,7 @@ def test_budget_exhausted_keeps_incumbent():
 def test_dominates_heuristics():
     for scen in [instances.chain3(), instances.star4(),
                  instances.disjoint_pairs()]:
-        graph = instances.augmented(scen)
+        graph = build_time_expanded_graph(scen)
         exact = solve_exact(graph)
         assert exact.status == "OPTIMAL"
         for kind in [HeuristicKind("mpf"), HeuristicKind("lpf"),
@@ -122,7 +121,7 @@ def micro_graphs(count, start_seed=1):
             scenario = generate_scenario(config)
         except (GenerationError, ValueError):
             continue
-        graph = augment(build_time_expanded_graph(scenario), scenario.infos)
+        graph = build_time_expanded_graph(scenario)
         n_conn = sum(len(layer) for layer in graph.conn_by_time)
         if not 1 <= n_conn <= 12:
             continue
@@ -177,7 +176,7 @@ def test_refuted_demands_have_no_candidate_path():
 @pytest.mark.parametrize("channels, reaches", [(1, False), (2, True)])
 def test_sweep_counts_transmissions_in_a_time_unit(channels, reaches):
     # chain3 has one time unit, and 0 -> 1 -> 2 transmits twice in it
-    graph = instances.augmented(instances.chain3(channels))
+    graph = build_time_expanded_graph(instances.chain3(channels))
     search = _Search(graph, list(graph.infos), SearchBudget())
     info, dest_uav = search.demands[0]
     assert search._reaches(info, dest_uav) == reaches
@@ -188,7 +187,7 @@ def test_sweep_counts_transmissions_in_a_time_unit(channels, reaches):
 def test_sweep_steps_from_a_vertex_that_transmits_the_information():
     # the second leaf is reached only from the hub, which the first leaf's
     # path already makes transmit this information
-    graph = instances.augmented(instances.star4())
+    graph = build_time_expanded_graph(instances.star4())
     report = solve_exact(graph, warm_start=False)
     assert (report.status, report.objective) == ("OPTIMAL", 20.0)
 
@@ -229,8 +228,8 @@ def _copies(graph, uav):
 
 
 def test_backward_tables_and_pristine_bound_match_bellman_ford():
-    graphs = [("chain3", instances.augmented(instances.chain3())),
-              ("star4", instances.augmented(instances.star4()))]
+    graphs = [("chain3", build_time_expanded_graph(instances.chain3())),
+              ("star4", build_time_expanded_graph(instances.star4()))]
     graphs += [(f"seed {seed}", graph) for seed, graph in micro_graphs(30)]
     for name, graph in graphs:
         search = _Search(graph, list(graph.infos), SearchBudget())
@@ -259,7 +258,7 @@ def test_optimal_matches_oracle_when_start_already_transmits():
         "micro", 10444, uav_count=4, horizon=2, info_count=1, channels=2,
         gather_radius=15.0, area_side=40.0, max_range=30.0, subrange_count=4,
         destinations_per_info=(2, 4)))
-    graph = augment(build_time_expanded_graph(scenario), scenario.infos)
+    graph = build_time_expanded_graph(scenario)
     feasible, objective, _ = oracles.enumerate_optimum(graph)
     if not (feasible and objective == pytest.approx(8.4375)):
         pytest.fail(f"oracle changed: {feasible}, {objective}")
@@ -289,8 +288,7 @@ def multi_destination_graphs(count, start_seed=10000):
         except GenerationError:
             continue
         count -= 1
-        yield seed, augment(build_time_expanded_graph(scenario),
-                            scenario.infos)
+        yield seed, build_time_expanded_graph(scenario)
 
 
 @pytest.mark.parametrize("warm_start", [True, False])
@@ -386,7 +384,7 @@ def test_candidate_paths_match_reference_enumeration():
                 cache_capacity="single" if seed % 2 else "unlimited"))
         except GenerationError:
             continue
-        graph = augment(build_time_expanded_graph(scenario), scenario.infos)
+        graph = build_time_expanded_graph(scenario)
         search = _Search(graph, list(graph.infos), SearchBudget())
         info, dest_uav = search.demands[0]
         # commit a first path that transmits, so that owner, power, channel
@@ -483,7 +481,7 @@ def test_lookahead_keeps_every_path_that_can_beat_the_budget():
 
 def test_nested_commit_and_undo_keep_a_shared_sender():
     # UAV 1 sends in both commits; undoing the second must keep it a sender
-    graph = instances.augmented(instances.star4())
+    graph = build_time_expanded_graph(instances.star4())
     search = _Search(graph, list(graph.infos), SearchBudget())
 
     def edge(tail_uav, head_uav):
@@ -563,7 +561,7 @@ def comparison_graph(seed):
         horizon=20 if seed % 2 else 40, info_count=2, channels=1,
         area_side=180.0, speed=4.0, gather_radius=45.0, max_range=55.0,
         destinations_per_info=(1, 2)))
-    return augment(build_time_expanded_graph(scenario), scenario.infos)
+    return build_time_expanded_graph(scenario)
 
 
 # sha256 of the canonical report, node count included; seed 9 has a greedy
@@ -603,7 +601,7 @@ def test_time_limit_binds_while_demands_are_refuted():
     assert report.status == "TIMEOUT_NO_SOLUTION"
     assert time.perf_counter() - started < 5.0
     # the sweep makes no heap pops, so it tests the deadline itself
-    graph = instances.augmented(instances.chain3(1))
+    graph = build_time_expanded_graph(instances.chain3(1))
     search = _Search(graph, list(graph.infos),
                      SearchBudget(time_limit_seconds=1e-9))
     with pytest.raises(_BudgetExhausted):

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from fleetcast.errors import GenerationError
-from fleetcast.gen import GenConfig, PAPER_RADIO, generate_scenario, make_config
-from fleetcast.graph import augment, build_time_expanded_graph
+from fleetcast.gen import PAPER_RADIO, generate_scenario, make_config
+from fleetcast.graph import build_time_expanded_graph
 from fleetcast.jsonio import canonical_dumps
 from fleetcast.scenario import scenario_to_dict
 
@@ -60,7 +60,7 @@ def test_motion_respects_speed_and_area():
 def test_generated_scenarios_build_valid_graphs():
     for seed in range(12):
         scen = generate_scenario(make_config("micro", seed))
-        graph = augment(build_time_expanded_graph(scen), scen.infos)
+        graph = build_time_expanded_graph(scen)
         assert graph.vertex_count == scen.uav_count * scen.horizon
 
 
@@ -95,7 +95,7 @@ def test_single_uav_self_delivery_scenario():
     assert info.destinations == frozenset({0})
     # the only UAV gathers it, so the optimal plan costs nothing
     from fleetcast.exact import solve_exact
-    graph = augment(build_time_expanded_graph(scen), scen.infos)
+    graph = build_time_expanded_graph(scen)
     report = solve_exact(graph)
     assert report.status == "OPTIMAL" and report.objective == 0.0
 

@@ -17,13 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import instances
-from fleetcast.errors import GenerationError, ScenarioError
+from fleetcast.errors import GenerationError, PlanStructureError, ScenarioError
+from fleetcast.exact import SearchBudget, solve_exact
 from fleetcast.gen import generate_scenario, make_config
 from fleetcast.graph import (CACHING, CONNECTIVITY, KIND_CACHING,
                              KIND_CONNECTIVITY, KIND_NAMES, _shortest_paths,
                              augment, build_time_expanded_graph)
-from fleetcast.heuristic import ResidualState, _walk_back, build_tree
+from fleetcast.heuristic import (HeuristicKind, ResidualState, _walk_back,
+                                 build_tree, greedy_plan)
+from fleetcast.jsonio import canonical_dumps
+from fleetcast.lp import export_lp
 from fleetcast.radio import subrange_weight
+from fleetcast.report import report_to_dict
 from fleetcast.scenario import InfoSpec
 
 
@@ -127,7 +132,7 @@ def test_finer_partition_never_increases_weights():
 
 
 def test_paths_never_go_back_in_time():
-    graph = instances.augmented(instances.chain3())
+    graph = build_time_expanded_graph(instances.chain3())
     rng = random.Random(3)
     for _ in range(200):
         v = rng.randrange(graph.vertex_count)
@@ -175,7 +180,7 @@ def test_augment_two_infos_share_source_vertex():
 def test_augment_zero_cost_self_delivery_path_exists():
     # the source copy is a copy of the destination UAV: the search from the
     # source copies reaches it at distance 0 without an edge
-    graph = instances.augmented(instances.self_delivery())
+    graph = build_time_expanded_graph(instances.self_delivery())
     dist, parent, reached = _shortest_paths(
         graph, (), graph.out_edges, graph.edge_head, (), {},
         [0] * graph.horizon, 0, [graph.vertex_id(0, 0)])
@@ -192,6 +197,56 @@ def test_augment_rejects_out_of_range_infos():
         augment(graph, [InfoSpec(id=0, sources={(0, 0)}, destinations={9})])
 
 
+def _equivalence_scenarios():
+    # infos listed out of id order, then generated paper and micro seeds
+    yield instances.static_scenario(
+        positions=[(0, 0), (10, 0), (20, 0)], horizon=3, infos=[
+            InfoSpec(id=2, sources={(2, 0)}, destinations={0}),
+            InfoSpec(id=0, sources={(0, 0)}, destinations={2})])
+    for seed in (1, 2, 5):
+        yield generate_scenario(make_config("micro", seed))
+    for seed in (1, 7):
+        yield generate_scenario(make_config("paper", seed, horizon=40))
+
+
+def _outputs(graph):
+    """Canonical reports of mpf, muf, r[0] and a node-bounded exact solve,
+    and the LP text."""
+    reports = [greedy_plan(graph, None, HeuristicKind(name, seed))
+               for name, seed in (("mpf", None), ("muf", None), ("r", 0))]
+    reports.append(solve_exact(graph, budget=SearchBudget(max_nodes=300)))
+    return ([canonical_dumps(report_to_dict(graph, r)) for r in reports],
+            export_lp(graph))
+
+
+def test_built_graph_serves_its_scenario_infos():
+    # build_time_expanded_graph gives what augmenting it with the
+    # scenario's own infos gives: the same infos and the same outputs
+    for scenario in _equivalence_scenarios():
+        built = build_time_expanded_graph(scenario)
+        augmented = augment(build_time_expanded_graph(scenario), scenario.infos)
+        assert built.infos == augmented.infos \
+            == tuple(sorted(scenario.infos, key=lambda i: i.id))
+        assert [i.id for i in built.infos] == sorted(i.id for i in scenario.infos)
+        assert _outputs(built) == _outputs(augmented)
+
+
+def test_augmenting_a_built_graph_with_a_subset():
+    scenario = generate_scenario(make_config("paper", 3, info_count=4,
+                                             horizon=30))
+    built = build_time_expanded_graph(scenario)
+    before = built.infos
+    subset = scenario.infos[2:0:-1]
+    graph = augment(built, subset)
+    assert graph.infos == tuple(sorted(subset, key=lambda i: i.id))
+    assert built.infos is before and len(before) == 4
+    for name, value in vars(built).items():
+        if name != "infos":
+            assert getattr(graph, name) is value, name
+    with pytest.raises(PlanStructureError):
+        graph.served([scenario.infos[0]])
+
+
 def test_infospec_rejects_empty_sets():
     with pytest.raises(ScenarioError):
         InfoSpec(id=0, sources=set(), destinations={1})
@@ -203,7 +258,7 @@ def test_infospec_rejects_empty_sets():
 # is conn_by_time[t]
 
 def test_collision_set_contents():
-    graph = instances.augmented(instances.chain3())
+    graph = build_time_expanded_graph(instances.chain3())
     edges = graph.conn_by_time[0]
     assert len(edges) == 4
     assert all(graph.edge_kind[e] == KIND_CONNECTIVITY for e in edges)
@@ -322,11 +377,11 @@ def _kernel_graphs():
         except (GenerationError, ValueError):
             continue
         produced += 1
-        yield augment(build_time_expanded_graph(scenario), scenario.infos)
+        yield build_time_expanded_graph(scenario)
     scenario = generate_scenario(make_config(
         "paper", 3, uav_count=10, info_count=4, horizon=60, channels=2,
         area_side=200.0, gather_radius=20.0, destinations_per_info=(2, 4)))
-    yield augment(build_time_expanded_graph(scenario), scenario.infos)
+    yield build_time_expanded_graph(scenario)
 
 
 def _random_residual(graph, rng):
@@ -712,6 +767,7 @@ def _reference_view(scenario, edges, out_edges, in_edges, conn_by_time):
         out_edges=out_edges, in_edges=in_edges, conn_by_time=conn_by_time,
         vertex_count=scenario.uav_count * scenario.horizon,
         edge_index_by_pair={(e.tail, e.head): e.index for e in edges},
+        infos=tuple(sorted(scenario.infos, key=lambda i: i.id)),
         vertex_id=lambda uav, time: uav * scenario.horizon + time)
 
 
@@ -790,8 +846,7 @@ def _assert_same_graph(graph, ref, rng):
     assert [graph.vertex_label(v) for v in range(graph.vertex_count)] \
         == ["({},{})".format(*divmod(v, ref.horizon))
             for v in range(ref.vertex_count)]
-    if hasattr(ref, "infos"):
-        assert graph.infos == ref.infos
+    assert graph.infos == ref.infos
 
 
 def _builder_scenarios():

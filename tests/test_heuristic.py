@@ -10,8 +10,7 @@ import instances
 import oracles
 from fleetcast.errors import GenerationError, PlanStructureError
 from fleetcast.gen import generate_scenario, make_config
-from fleetcast.graph import (KIND_CONNECTIVITY, augment,
-                             build_time_expanded_graph)
+from fleetcast.graph import KIND_CONNECTIVITY, build_time_expanded_graph
 from fleetcast.jsonio import canonical_dumps
 from fleetcast.heuristic import (HeuristicKind, ResidualState, Tree,
                                  _reusable, build_tree, greedy_plan,
@@ -37,13 +36,13 @@ def test_muf_orders_by_destination_count():
         infos=[InfoSpec(id=1, sources={(0, 0)}, destinations={0, 1, 2}),
                InfoSpec(id=2, sources={(0, 0)}, destinations={1}),
                InfoSpec(id=3, sources={(0, 0)}, destinations={1, 2})])
-    graph = instances.augmented(scen)
+    graph = build_time_expanded_graph(scen)
     order = order_information(graph, graph.infos, HeuristicKind("muf"))
     assert order == [1, 3, 2]
 
 
 def test_random_order_is_seed_deterministic():
-    graph = instances.augmented(instances.disjoint_pairs())
+    graph = build_time_expanded_graph(instances.disjoint_pairs())
     once = order_information(graph, graph.infos, HeuristicKind("r", seed=99))
     twice = order_information(graph, graph.infos, HeuristicKind("r", seed=99))
     assert once == twice
@@ -51,7 +50,7 @@ def test_random_order_is_seed_deterministic():
 
 
 def test_mpf_puts_expensive_standalone_tree_first():
-    graph = instances.augmented(instances.cheap_and_expensive())
+    graph = build_time_expanded_graph(instances.cheap_and_expensive())
     # standalone costs confirmed by the exhaustive oracle
     cheap = oracles.enumerate_optimum(graph, [graph.info_by_id(1)])
     costly = oracles.enumerate_optimum(graph, [graph.info_by_id(2)])
@@ -61,7 +60,7 @@ def test_mpf_puts_expensive_standalone_tree_first():
 
 
 def test_build_tree_self_delivery_is_free():
-    graph = instances.augmented(instances.self_delivery())
+    graph = build_time_expanded_graph(instances.self_delivery())
     tree = build_tree(graph, graph.info_by_id(0), ResidualState(graph))
     assert tree is not None
     assert tree.cost == 0.0
@@ -70,7 +69,7 @@ def test_build_tree_self_delivery_is_free():
 
 
 def test_build_tree_shares_first_hop():
-    graph = instances.augmented(instances.star4())
+    graph = build_time_expanded_graph(instances.star4())
     tree = build_tree(graph, graph.info_by_id(0), ResidualState(graph))
     assert tree is not None
     assert tree.cost == 20.0  # hub power paid once, not per leaf
@@ -79,7 +78,7 @@ def test_build_tree_shares_first_hop():
 
 
 def test_build_tree_not_found_when_saturated():
-    graph = instances.augmented(instances.chain3())
+    graph = build_time_expanded_graph(instances.chain3())
     state = ResidualState(graph)
     state.channel_used[0] = graph.channels  # the only time unit is full
     assert build_tree(graph, graph.info_by_id(0), state) is None
@@ -92,7 +91,7 @@ def test_build_tree_counts_its_own_earlier_path_against_the_layer():
     scen = instances.static_scenario(
         positions=[(0, 0), (10, 0), (20, 0)], horizon=2, channels=1,
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1, 2})])
-    graph = instances.augmented(scen)
+    graph = build_time_expanded_graph(scen)
     tree = build_tree(graph, graph.info_by_id(0), ResidualState(graph))
     route = [graph.vertex_id(u, t) for u, t in ((0, 0), (1, 0), (1, 1), (2, 1))]
     assert tree == Tree(edges=frozenset(graph.edge_index(a, b) for a, b
@@ -100,14 +99,14 @@ def test_build_tree_counts_its_own_earlier_path_against_the_layer():
 
 
 def test_build_tree_rejects_foreign_state():
-    g1 = instances.augmented(instances.chain3())
-    g2 = instances.augmented(instances.star4())
+    g1 = build_time_expanded_graph(instances.chain3())
+    g2 = build_time_expanded_graph(instances.star4())
     with pytest.raises(PlanStructureError):
         build_tree(g1, g1.info_by_id(0), ResidualState(g2))
 
 
 def test_commit_deletes_tree_vertices_and_saturated_layers():
-    graph = instances.augmented(instances.crossing_pair(1))
+    graph = build_time_expanded_graph(instances.crossing_pair(1))
     state = ResidualState(graph)
     tree = build_tree(graph, graph.info_by_id(0), state)
     state.commit(tree)
@@ -119,7 +118,7 @@ def test_commit_deletes_tree_vertices_and_saturated_layers():
 
 
 def test_greedy_disjoint_infos_cost_is_sum_of_standalones():
-    graph = instances.augmented(instances.disjoint_pairs())
+    graph = build_time_expanded_graph(instances.disjoint_pairs())
     report = greedy_plan(graph, graph.infos, HeuristicKind("mpf"))
     assert report.status == "FEASIBLE"
     assert report.objective == 20.0
@@ -130,7 +129,7 @@ def test_greedy_no_infos_returns_empty_feasible_plan():
     scen = instances.static_scenario(
         positions=[(0, 0), (5, 0)],
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1})])
-    graph = instances.augmented(scen)
+    graph = build_time_expanded_graph(scen)
     report = greedy_plan(graph, [], HeuristicKind("mpf"))
     assert report.status == "FEASIBLE"
     assert report.objective == 0.0
@@ -138,7 +137,7 @@ def test_greedy_no_infos_returns_empty_feasible_plan():
 
 
 def test_greedy_gives_up_after_restarts():
-    graph = instances.augmented(instances.crossing_pair(1))
+    graph = build_time_expanded_graph(instances.crossing_pair(1))
     report = greedy_plan(graph, graph.infos, HeuristicKind("mpf"))
     assert report.status == "INFEASIBLE_HEURISTIC"
     assert report.restarts == 2  # one per info beyond the first pass
@@ -148,7 +147,7 @@ def test_greedy_gives_up_after_restarts():
 def test_greedy_failure_does_not_prove_infeasibility():
     # exact serves this instance; the greedy vertex deletion cannot
     from fleetcast.exact import solve_exact
-    graph = instances.augmented(instances.crossing_pair(2))
+    graph = build_time_expanded_graph(instances.crossing_pair(2))
     assert solve_exact(graph).status == "OPTIMAL"
     for kind in [HeuristicKind("mpf"), HeuristicKind("lpf"),
                  HeuristicKind("muf"), HeuristicKind("r", seed=1)]:
@@ -157,7 +156,7 @@ def test_greedy_failure_does_not_prove_infeasibility():
 
 
 def test_greedy_outputs_pass_checker():
-    graph = instances.augmented(instances.star4())
+    graph = build_time_expanded_graph(instances.star4())
     for kind in [HeuristicKind("mpf"), HeuristicKind("lpf"),
                  HeuristicKind("muf"), HeuristicKind("r", seed=5)]:
         report = greedy_plan(graph, graph.infos, kind)
@@ -170,7 +169,7 @@ def test_greedy_channel_counters_never_exceed_budget():
         positions=[(0, 0), (7, 0), (14, 0), (21, 0)], horizon=3, channels=2,
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={3}),
                InfoSpec(id=1, sources={(3, 0)}, destinations={0})])
-    graph = instances.augmented(scen)
+    graph = build_time_expanded_graph(scen)
     state = ResidualState(graph)
     for info_id in order_information(graph, graph.infos, HeuristicKind("muf")):
         tree = build_tree(graph, graph.info_by_id(info_id), state)
@@ -182,7 +181,7 @@ def test_greedy_channel_counters_never_exceed_budget():
 
 def test_greedy_bit_reproducible():
     from fleetcast.report import report_to_dict
-    graph = instances.augmented(instances.disjoint_pairs())
+    graph = build_time_expanded_graph(instances.disjoint_pairs())
     for kind in [HeuristicKind("mpf"), HeuristicKind("lpf"),
                  HeuristicKind("muf"), HeuristicKind("r", seed=3)]:
         a = greedy_plan(graph, graph.infos, kind)
@@ -197,7 +196,7 @@ def test_greedy_restart_pushes_failed_info_to_front():
         positions=[(0, 0), (10, 0), (20, 0)], horizon=2, channels=2,
         infos=[InfoSpec(id=0, sources={(0, 0), (0, 1)}, destinations={1}),
                InfoSpec(id=1, sources={(1, 0)}, destinations={2})])
-    graph = instances.augmented(scen)
+    graph = build_time_expanded_graph(scen)
     report = greedy_plan(graph, graph.infos, HeuristicKind("lpf"))
     assert report.status == "FEASIBLE"
     assert report.restarts == 1
@@ -218,7 +217,7 @@ def test_tree_vertex_keeps_a_zero_cost_tie_against_a_source_copy():
     scen = dataclasses.replace(scen, trajectories=(
         ((-100.0, 0.0), (-10.0, 0.0)), ((5.0, 0.0),) * 2, ((0.0, 0.0),) * 2,
         ((100.0, 0.0), (12.0, 0.0))))
-    graph = instances.augmented(scen)
+    graph = build_time_expanded_graph(scen)
 
     def hop(tail, head):
         return graph.edge_index(graph.vertex_id(*tail), graph.vertex_id(*head))
@@ -245,7 +244,7 @@ def test_greedy_reports_pinned_on_generated_scenario():
     scenario = generate_scenario(make_config(
         "paper", 0, uav_count=12, info_count=8, horizon=400, channels=2,
         area_side=300.0, gather_radius=20.0, destinations_per_info=(2, 5)))
-    graph = augment(build_time_expanded_graph(scenario), scenario.infos)
+    graph = build_time_expanded_graph(scenario)
     for kind in [HeuristicKind("mpf"), HeuristicKind("lpf"),
                  HeuristicKind("muf"), HeuristicKind("r", seed=0)]:
         report = greedy_plan(graph, graph.infos, kind)
@@ -271,7 +270,7 @@ def test_greedy_reports_pinned_on_fleet_scenario():
     scenario = generate_scenario(make_config(
         "paper", 1, uav_count=20, info_count=12, horizon=200, channels=2,
         area_side=250.0))
-    graph = augment(build_time_expanded_graph(scenario), scenario.infos)
+    graph = build_time_expanded_graph(scenario)
     for kind in [HeuristicKind("mpf"), HeuristicKind("lpf"),
                  HeuristicKind("muf"), HeuristicKind("r", seed=0)]:
         report = greedy_plan(graph, graph.infos, kind)
@@ -288,7 +287,7 @@ def _standalone(graph, kind="mpf"):
 
 
 def test_order_information_keeps_each_standalone_tree():
-    graph = instances.augmented(instances.cheap_and_expensive())
+    graph = build_time_expanded_graph(instances.cheap_and_expensive())
     kept = _standalone(graph)
     assert sorted(kept) == [1, 2]
     for info in graph.infos:
@@ -307,7 +306,7 @@ def test_reuse_rejects_a_deleted_edgeless_path():
         positions=[(0, 0), (10, 0), (20, 0)], horizon=2, channels=2,
         infos=[InfoSpec(id=0, sources={(1, 0), (0, 1)}, destinations={1}),
                InfoSpec(id=1, sources={(2, 0)}, destinations={1})])
-    graph = instances.augmented(scen)
+    graph = build_time_expanded_graph(scen)
     kept = _standalone(graph)[0]
     assert kept == Tree(edges=frozenset(), cost=0.0)
     assert kept.touched == {graph.vertex_id(1, 0)}
@@ -324,7 +323,7 @@ def test_reuse_rejects_a_layer_without_room_for_the_tree():
     # chain3's tree sends twice in the only time unit; with one of its two
     # channels taken by another tree, no vertex of it is deleted, yet the
     # path no longer fits
-    graph = instances.augmented(instances.chain3(channels=2))
+    graph = build_time_expanded_graph(instances.chain3(channels=2))
     kept = _standalone(graph)[0]
     state = ResidualState(graph)
     state.channel_used[0] = 1
@@ -349,13 +348,11 @@ def _reuse_graphs():
         except (GenerationError, ValueError):
             continue
         produced += 1
-        yield f"micro {seed}", augment(build_time_expanded_graph(scenario),
-                                      scenario.infos)
+        yield f"micro {seed}", build_time_expanded_graph(scenario)
     scenario = generate_scenario(make_config(
         "paper", 0, uav_count=12, info_count=8, horizon=400, channels=2,
         area_side=300.0, gather_radius=20.0, destinations_per_info=(2, 5)))
-    yield "paper 0", augment(build_time_expanded_graph(scenario),
-                             scenario.infos)
+    yield "paper 0", build_time_expanded_graph(scenario)
 
 
 def test_reused_tree_equals_the_tree_build_tree_returns():

@@ -11,6 +11,7 @@ import instances
 import oracles
 from fleetcast.errors import LpSizeError
 from fleetcast.gen import generate_scenario, make_config
+from fleetcast.graph import build_time_expanded_graph
 from fleetcast.lp import export_lp, lint_lp
 from fleetcast.scenario import InfoSpec
 
@@ -59,7 +60,7 @@ def generated(profile, seed, **overrides):
 
 
 def test_two_vertices_one_edge():
-    graph = instances.augmented(instances.asymmetric_pair())
+    graph = build_time_expanded_graph(instances.asymmetric_pair())
     text = export_lp(graph)
     assert lint_lp(text) == []
     names = variable_names(text)
@@ -68,7 +69,7 @@ def test_two_vertices_one_edge():
 
 
 def test_no_infos_yields_bounds_only():
-    graph = instances.augmented(instances.asymmetric_pair())
+    graph = build_time_expanded_graph(instances.asymmetric_pair())
     text = export_lp(graph, infos=[])
     assert lint_lp(text) == []
     assert constraint_names(text) == []
@@ -77,7 +78,7 @@ def test_no_infos_yields_bounds_only():
 
 
 def test_size_cap():
-    graph = instances.augmented(instances.chain3())
+    graph = build_time_expanded_graph(instances.chain3())
     with pytest.raises(LpSizeError):
         export_lp(graph, max_variables=3)
 
@@ -87,7 +88,7 @@ def test_size_cap():
     instances.disjoint_pairs, instances.self_delivery,
 ])
 def test_lint_and_counts_on_hand_instances(make):
-    graph = instances.augmented(make())
+    graph = build_time_expanded_graph(make())
     text = export_lp(graph)
     assert lint_lp(text) == []
     names = variable_names(text)
@@ -99,7 +100,7 @@ def test_lint_and_counts_on_hand_instances(make):
 
 
 def test_lint_and_counts_with_caching_edges():
-    graph = instances.augmented(caching_pair())
+    graph = build_time_expanded_graph(caching_pair())
     text = export_lp(graph)
     assert lint_lp(text) == []
     assert len(variable_names(text)) == oracles.lp_variable_count(graph, graph.infos)
@@ -107,7 +108,7 @@ def test_lint_and_counts_with_caching_edges():
 
 
 def test_weights_survive_scientific_notation():
-    text = export_lp(instances.augmented(scientific_pair()))
+    text = export_lp(build_time_expanded_graph(scientific_pair()))
     assert " - 1.5000000000000005e-05 a_0_" in text
     assert lint_lp(text) == []
 
@@ -159,7 +160,7 @@ PINNED_LP_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
 def test_export_bytes_pinned(name):
-    text = export_lp(instances.augmented(PINNED_INSTANCES[name]()))
+    text = export_lp(build_time_expanded_graph(PINNED_INSTANCES[name]()))
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == PINNED_LP_SHA256[name]
 
@@ -379,7 +380,7 @@ def test_lint_keeps_the_message_for_bound_lines_without_a_variable():
 
 @pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
 def test_lint_matches_reference_on_exported_documents(name):
-    text = export_lp(instances.augmented(PINNED_INSTANCES[name]()))
+    text = export_lp(build_time_expanded_graph(PINNED_INSTANCES[name]()))
     assert lint_lp(text) == _reference_lint_lp(text) == []
 
 
@@ -387,7 +388,7 @@ def _mutation_bases():
     scenarios = [instances.chain3(), instances.star4(), caching_pair(),
                  scientific_pair(), generated("micro", 3),
                  generated("paper", 8, horizon=12)]
-    return [export_lp(instances.augmented(s)).split("\n") for s in scenarios]
+    return [export_lp(build_time_expanded_graph(s)).split("\n") for s in scenarios]
 
 
 MUTATION_BASES = _mutation_bases()
@@ -469,7 +470,7 @@ def _line_edits(line):
 
 
 def test_lint_matches_reference_on_single_line_edits():
-    lines = export_lp(instances.augmented(scientific_pair())).split("\n")
+    lines = export_lp(build_time_expanded_graph(scientific_pair())).split("\n")
     for k, line in enumerate(lines):
         for edited in _line_edits(line):
             text = "\n".join(lines[:k] + [edited] + lines[k + 1:])

@@ -1,7 +1,6 @@
 """Feasibility checker, plan cost, and plan serialization."""
 
 import json
-import math
 import re
 
 import pytest
@@ -12,10 +11,10 @@ import instances
 import oracles
 from fleetcast.errors import FormatError, PlanStructureError
 from fleetcast.gen import generate_scenario, make_config
-from fleetcast.graph import CONNECTIVITY
+from fleetcast.graph import build_time_expanded_graph
 from fleetcast.jsonio import write_json
 from fleetcast.plan import (Plan, check_feasibility, load_plan, plan_cost,
-                            plan_from_dict, plan_to_dict, save_plan)
+                            plan_from_dict, save_plan)
 from fleetcast.exact import solve_exact
 from fleetcast.heuristic import (HeuristicKind, ResidualState, build_tree,
                                  greedy_plan)
@@ -33,7 +32,7 @@ def edge_by_route(graph, tail_uav, tail_t, head_uav, head_t):
 
 @pytest.fixture
 def chain():
-    return instances.augmented(instances.chain3())
+    return build_time_expanded_graph(instances.chain3())
 
 
 def test_empty_plan_lists_c5_and_c6(chain):
@@ -51,7 +50,7 @@ def test_manual_shortest_path_is_feasible(chain):
 
 
 def test_edge_shared_between_infos_is_flagged():
-    graph = instances.augmented(instances.crossing_pair(2))
+    graph = build_time_expanded_graph(instances.crossing_pair(2))
     e = edge_by_route(graph, 0, 0, 1, 0)
     report = check_feasibility(graph, Plan({0: {e}, 1: {e}}))
     assert not report.feasible
@@ -63,7 +62,7 @@ def test_vertex_transmitting_two_infos_is_flagged():
         positions=[(0, 0), (10, 0), (0, 10)], channels=4,
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1}),
                InfoSpec(id=1, sources={(0, 0)}, destinations={2})])
-    graph = instances.augmented(scen)
+    graph = build_time_expanded_graph(scen)
     report = check_feasibility(graph, Plan({
         0: {edge_by_route(graph, 0, 0, 1, 0)},
         1: {edge_by_route(graph, 0, 0, 2, 0)}}))
@@ -71,7 +70,7 @@ def test_vertex_transmitting_two_infos_is_flagged():
 
 
 def test_channel_budget_violation():
-    graph = instances.augmented(instances.crossing_pair(1))
+    graph = build_time_expanded_graph(instances.crossing_pair(1))
     report = check_feasibility(graph, Plan({
         0: {edge_by_route(graph, 0, 0, 1, 0)},
         1: {edge_by_route(graph, 1, 0, 0, 0)}}))
@@ -97,7 +96,7 @@ def test_phantom_cycle_is_rejected():
     scen = instances.static_scenario(
         positions=[(0, 0), (10, 0), (200, 0), (210, 0)], channels=4,
         infos=[InfoSpec(id=0, sources={(2, 0)}, destinations={0})])
-    graph = instances.augmented(scen)
+    graph = build_time_expanded_graph(scen)
     cycle = {edge_by_route(graph, 0, 0, 1, 0),
              edge_by_route(graph, 1, 0, 0, 0)}
     report = check_feasibility(graph, Plan({0: cycle}))
@@ -106,7 +105,7 @@ def test_phantom_cycle_is_rejected():
 
 
 def test_self_delivery_is_feasible_with_no_edges():
-    graph = instances.augmented(instances.self_delivery())
+    graph = build_time_expanded_graph(instances.self_delivery())
     report = check_feasibility(graph, Plan({0: frozenset()}))
     assert report.feasible
 
@@ -114,7 +113,7 @@ def test_self_delivery_is_feasible_with_no_edges():
 def test_every_violation_carries_a_message():
     # every edge for every info breaks the edge, continuity, vertex and
     # channel rules at once, on a generated graph
-    graph = instances.augmented(generate_scenario(make_config(
+    graph = build_time_expanded_graph(generate_scenario(make_config(
         "micro", 15, uav_count=4, info_count=2, horizon=6, channels=2,
         gather_radius=18.0, area_side=55.0, destinations_per_info=(1, 2))))
     everything = frozenset(graph.edges)
@@ -145,7 +144,7 @@ def test_cost_max_rule_two_outgoing():
         positions=[(0, 0), (10, 0), (2.5, 0)], radii=(2.5, 10.0),
         channels=4, radio=instances.PAPER_RADIO,
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1, 2})])
-    graph = instances.augmented(scen)
+    graph = build_time_expanded_graph(scen)
     far = edge_by_route(graph, 0, 0, 1, 0)    # 0.6 J at 10 m
     near = edge_by_route(graph, 0, 0, 2, 0)   # 0.0375 J at 2.5 m
     assert graph.edge_weight[far] == pytest.approx(0.6, rel=1e-12)
@@ -165,7 +164,7 @@ def test_three_transmitters_at_0_6_joules():
         positions=[(0, 0), (10, 0), (20, 0), (30, 0)], channels=4,
         radio=instances.PAPER_RADIO,
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={3})])
-    graph = instances.augmented(scen)
+    graph = build_time_expanded_graph(scen)
     path = {edge_by_route(graph, 0, 0, 1, 0),
             edge_by_route(graph, 1, 0, 2, 0),
             edge_by_route(graph, 2, 0, 3, 0)}
@@ -175,7 +174,7 @@ def test_three_transmitters_at_0_6_joules():
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_cost_monotone_under_removal(data):
-    graph = instances.augmented(instances.star4())
+    graph = build_time_expanded_graph(instances.star4())
     chosen = data.draw(st.sets(st.sampled_from(range(len(graph.edges)))))
     plan = Plan({0: frozenset(chosen)})
     base = plan_cost(graph, plan)
@@ -189,7 +188,7 @@ def test_max_rule_invariance():
     scen = instances.static_scenario(
         positions=[(0, 0), (10, 0), (5, 0)], radii=(5.0, 10.0), channels=4,
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1, 2})])
-    graph = instances.augmented(scen)
+    graph = build_time_expanded_graph(scen)
     far = edge_by_route(graph, 0, 0, 1, 0)
     near = edge_by_route(graph, 0, 0, 2, 0)
     assert graph.edge_weight[near] <= graph.edge_weight[far]
@@ -306,7 +305,7 @@ def test_load_report_rejects_inconsistent_counts_and_seeds(chain, tmp_path,
 def test_plan_and_report_reject_a_repeated_row(tmp_path):
     # a set would load the doubled row as one edge, a smaller plan that
     # saves back as a different document
-    graph = instances.augmented(generate_scenario(make_config("micro", 2)))
+    graph = build_time_expanded_graph(generate_scenario(make_config("micro", 2)))
     report = solve_exact(graph)
     doc = report_to_dict(graph, report)
     info_key, rows = next((k, r) for k, r in doc["plan"]["activations"].items()
@@ -385,7 +384,7 @@ def test_load_report_rejects_status_objective_plan_mismatch(
     instances.cheap_and_expensive, instances.asymmetric_pair,
 ])
 def test_load_report_round_trips_real_solver_reports(make, tmp_path):
-    graph = instances.augmented(make())
+    graph = build_time_expanded_graph(make())
     kinds = [HeuristicKind(k) for k in HEURISTIC_KINDS if k != RANDOM_KIND]
     reports = [greedy_plan(graph, graph.infos, k)
                for k in kinds + [HeuristicKind(RANDOM_KIND, 3)]]
@@ -413,11 +412,11 @@ def _sweep_agreement(graph, info_ids):
 
 
 def test_checker_matches_reference_on_chain():
-    _sweep_agreement(instances.augmented(instances.chain3()), [0])
+    _sweep_agreement(build_time_expanded_graph(instances.chain3()), [0])
 
 
 def test_checker_matches_reference_on_crossing():
-    _sweep_agreement(instances.augmented(instances.crossing_pair(2)), [0, 1])
+    _sweep_agreement(build_time_expanded_graph(instances.crossing_pair(2)), [0, 1])
 
 
 def test_checker_matches_reference_with_caching_edges():
@@ -425,7 +424,7 @@ def test_checker_matches_reference_with_caching_edges():
         positions=[(0, 0), (10, 0)], horizon=3, channels=1,
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1}),
                InfoSpec(id=1, sources={(1, 1)}, destinations={0})])
-    _sweep_agreement(instances.augmented(scen), [0, 1])
+    _sweep_agreement(build_time_expanded_graph(scen), [0, 1])
 
 
 def test_checker_matches_reference_unlimited_cache():
@@ -434,7 +433,7 @@ def test_checker_matches_reference_unlimited_cache():
         cache_capacity="unlimited",
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1}),
                InfoSpec(id=1, sources={(1, 1)}, destinations={0})])
-    _sweep_agreement(instances.augmented(scen), [0, 1])
+    _sweep_agreement(build_time_expanded_graph(scen), [0, 1])
 
 
 @pytest.mark.parametrize("solve", [
@@ -457,7 +456,7 @@ def test_information_missing_from_the_graph_is_a_structure_error(chain,
 
 
 def test_a_duplicated_information_is_served_once():
-    graph = instances.augmented(generate_scenario(
+    graph = build_time_expanded_graph(generate_scenario(
         make_config("micro", 3, info_count=2)))
     first, second = graph.infos[:2]
     text = export_lp(graph, [first, first])

@@ -1,7 +1,5 @@
 """Radio model: frozen worked values, inversion round trip, scaling laws."""
 
-import math
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
