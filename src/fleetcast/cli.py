@@ -29,6 +29,7 @@ from .scenario import CACHE_CAPACITIES, load_scenario, save_scenario
 
 METHODS = (METHOD_EXACT, *HEURISTIC_KINDS)
 UNIT_FACTORS = {"J": 1.0, "mJ": 1e3, "uJ": 1e6, "nJ": 1e9}
+MAX_SEEDS = 10 ** 5  # per --seeds, counted before a range is expanded
 
 COMPARE_CSV_HEADER = "# format: fleetcast-compare-csv/1 (objectives in joules)"
 SWEEP_CSV_HEADER = "# format: fleetcast-sweep-csv/1 (objectives in joules)"
@@ -63,13 +64,13 @@ def _parse_seeds(spec: str) -> list[int]:
         if not chunk:
             continue
         try:
-            if "-" in chunk[1:]:
-                lo, hi = chunk.split("-", 1)
-                seeds.extend(range(int(lo), int(hi) + 1))
-            else:
-                seeds.append(int(chunk))
+            lo, hi = chunk.split("-", 1) if "-" in chunk[1:] else (chunk, chunk)
+            lo, hi = int(lo), int(hi)
         except ValueError:
             raise click.UsageError(f"bad seed {chunk!r} in --seeds") from None
+        if hi - lo >= MAX_SEEDS - len(seeds):
+            raise click.UsageError(f"--seeds names more than {MAX_SEEDS} seeds")
+        seeds.extend(range(lo, hi + 1))
     if not seeds:
         raise click.UsageError(f"no seeds in {spec!r}")
     return seeds

@@ -207,24 +207,21 @@ class _Search:
         channel = self.channel
         transmit = self.transmit
         power = self.power
-        undo = []
+        accrued, changes = self.accrued, []
         for e in filterfalse(kinds.__getitem__, edges):  # connectivity is 0
             tail = graph.edge_tail[e]
             weight = graph.edge_weight[e]
-            t = graph.edge_time[e]
+            t = tail % graph.horizon
             channel[t] += 1
             new_sender = tail not in transmit
             if new_sender:
                 transmit[tail] = info_id
             old_power = power.get(tail, 0.0)
-            increment = weight - old_power
-            if increment > 0.0:
+            if weight > old_power:
                 power[tail] = weight
-                self.accrued += increment
-            else:
-                increment = 0.0
-            undo.append((tail, t, old_power, increment, new_sender))
-        return undo
+                self.accrued += weight - old_power
+            changes.append((tail, t, old_power, new_sender))
+        return accrued, changes
 
     def _undo(self, info_id, edges, undo):
         graph = self.graph
@@ -235,16 +232,15 @@ class _Search:
         channel = self.channel
         transmit = self.transmit
         power = self.power
-        for tail, t, old_power, increment, new_sender in reversed(undo):
+        self.accrued, changes = undo  # not recomputed: a + x - x need not be a
+        for tail, t, old_power, new_sender in reversed(changes):
             channel[t] -= 1
             if new_sender:
                 del transmit[tail]
-            if increment > 0.0:
-                if old_power > 0.0:
-                    power[tail] = old_power
-                else:
-                    del power[tail]
-            self.accrued -= increment
+            if old_power > 0.0:
+                power[tail] = old_power
+            else:
+                del power[tail]
 
     # -- candidate paths ---------------------------------------------------
 

@@ -20,6 +20,8 @@ from .radio import RadioParams
 from .scenario import CACHE_CAPACITIES, CACHE_SINGLE, InfoSpec, Scenario
 
 _RESAMPLE_CAP = 200
+MAX_VERTICES = 10 ** 6  # uav_count * horizon; larger only exhausts memory
+MAX_COUNTS = {"info_count": 10 ** 4, "subrange_count": 10 ** 3}  # the same
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,10 @@ class GenConfig:
             for v in self.destinations_per_info))
         for name in ("uav_count", "info_count", "horizon", "channels",
                      "subrange_count"):
-            check_int(getattr(self, name), name, ValueError, low=1)
+            check_int(getattr(self, name), name, ValueError, low=1,
+                      high=MAX_COUNTS.get(name))
+        check_int(self.uav_count * self.horizon, "uav_count * horizon",
+                  ValueError, high=MAX_VERTICES)
         for name in ("area_side", "speed", "gather_radius", "max_range"):
             check_number(getattr(self, name), name, ValueError, positive=True)
         if self.gather_radius > self.max_range:

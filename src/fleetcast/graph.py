@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
 
 from .errors import PlanStructureError
@@ -29,34 +30,41 @@ KIND_CACHING = 1
 KIND_NAMES = (CONNECTIVITY, CACHING)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class TimeExpandedGraph:
     """Immutable time-expanded graph over all (uav, time) vertices, with the
-    informations it serves.
+    informations it serves (`infos`, in id order).
 
-    Edges are parallel flat lists over edge indices: `edge_tail`, `edge_head`,
-    `edge_kind` (a KIND_* code), `edge_weight` and `edge_time` (the tail's
-    layer), in a reproducible construction order: by time layer, then tail
-    UAV, then head UAV. `min_connectivity_weight` is the smallest entry of
-    the builder's subrange-weight table, a lower bound on every connectivity
-    weight (inf without UAVs). `edges` is the range of edge indices, the
-    form in which every plan and solver names an edge. `infos` holds the
-    served `InfoSpec`s in id order.
+    Vertex (u, t) is `u * horizon + t`, in layer `vertex % horizon`. Edges
+    are parallel flat lists over the indices `edges`, by which every plan and
+    solver names them: `edge_tail`, `edge_head`, `edge_kind` (a KIND_* code)
+    and `edge_weight`, ordered by layer, then tail UAV, then head UAV. An
+    edge's layer is its tail's; `out_edges` and `in_edges` list each vertex's
+    edges. `min_connectivity_weight`, the smallest entry of the builder's
+    subrange-weight table, bounds every connectivity weight from below (inf
+    without UAVs). Equality is identity; the repr omits the lists.
     """
 
-    def __init__(self, scenario: Scenario, arrays, out_edges, in_edges,
-                 conn_by_time, min_connectivity_weight):
-        self.uav_count = scenario.uav_count
-        self.horizon = scenario.horizon
-        self.channels = scenario.channels
-        self.cache_capacity = scenario.cache_capacity
-        (self.edge_tail, self.edge_head, self.edge_kind, self.edge_weight,
-         self.edge_time) = arrays
-        self.out_edges, self.in_edges = out_edges, in_edges
-        self.conn_by_time = conn_by_time
-        self.min_connectivity_weight = min_connectivity_weight
-        self.vertex_count = self.uav_count * self.horizon
-        self.edges = range(len(self.edge_tail))
-        self.infos = tuple(sorted(scenario.infos, key=lambda i: i.id))
+    uav_count: int
+    horizon: int
+    channels: int
+    cache_capacity: str
+    edge_tail: list[int]
+    edge_head: list[int]
+    edge_kind: list[int]
+    edge_weight: list[float]
+    out_edges: list[list[int]]
+    in_edges: list[list[int]]
+    min_connectivity_weight: float
+    infos: tuple[InfoSpec, ...]
+
+    @property
+    def vertex_count(self) -> int:
+        return self.uav_count * self.horizon
+
+    @property
+    def edges(self) -> range:
+        return range(len(self.edge_tail))
 
     def edge_index(self, tail: int, head: int) -> int | None:
         """The edge tail->head, or None: a scan of the tail's out-edges."""
@@ -70,8 +78,7 @@ class TimeExpandedGraph:
         return divmod(vertex, self.horizon)
 
     def vertex_label(self, vertex: int) -> str:
-        u, t = self.vertex_uav_time(vertex)
-        return f"({u},{t})"
+        return "({},{})".format(*self.vertex_uav_time(vertex))
 
     def served(self, infos=None) -> tuple:
         """The graph's own `InfoSpec`s equal to `infos` (any iterable, read
@@ -104,10 +111,9 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
     zero-weight caching edge into its next time copy.
     """
     horizon, uav_count = scenario.horizon, scenario.uav_count
-    tails, heads, kinds, weights, times = arrays = ([], [], [], [], [])
+    tails, heads, kinds, weights = [], [], [], []
     out_edges = [[] for _ in range(uav_count * horizon)]
     in_edges = [[] for _ in range(uav_count * horizon)]
-    conn_by_time = [[] for _ in range(horizon)]
 
     radii = [scenario.radii_for(u) for u in range(uav_count)]
     weight_of = [[subrange_weight(scenario.radio, r) for r in rs] for rs in radii]
@@ -122,41 +128,35 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
                     if t + 1 == horizon:
                         continue
                     head, kind, weight = tail + 1, KIND_CACHING, 0.0
-                    e = len(tails)
                 else:
                     dist = math.dist(position, layer[u2])
                     if dist > r[-1]:
                         continue
                     head, kind = ids[u2], KIND_CONNECTIVITY
                     weight = weight_of[u][bisect_left(r, dist)]
-                    e = len(tails)
-                    conn_by_time[t].append(e)
+                e = len(tails)
                 tails.append(tail)
                 heads.append(head)
                 kinds.append(kind)
                 weights.append(weight)
-                times.append(t)
                 out_edges[tail].append(e)
                 in_edges[head].append(e)
 
     min_weight = min((w for ws in weight_of for w in ws), default=math.inf)
-    return TimeExpandedGraph(scenario, arrays, out_edges, in_edges, conn_by_time,
-                             min_weight)
+    return TimeExpandedGraph(
+        uav_count, horizon, scenario.channels, scenario.cache_capacity,
+        tails, heads, kinds, weights, out_edges, in_edges, min_weight,
+        tuple(sorted(scenario.infos, key=lambda i: i.id)))
 
 
 def augment(graph: TimeExpandedGraph, infos) -> TimeExpandedGraph:
     """The graph serving the given infos in place of its own; they must pass
-    `check_infos` for its fleet. It adds no vertex or edge and shares every
-    list of `graph`, which is left unchanged."""
+    `check_infos` for its fleet. The constructor builds it from every other
+    field of `graph`, so it adds no vertex or edge, shares every list, and
+    leaves `graph` unchanged."""
     infos = tuple(sorted(infos, key=lambda i: i.id))
     check_infos(infos, graph.uav_count, graph.horizon)
-    served = object.__new__(TimeExpandedGraph)
-    # setattr, not vars(served).update: on CPython 3.11 a materialised
-    # instance dict makes every attribute read in the solvers slower
-    for name, value in vars(graph).items():
-        setattr(served, name, value)
-    served.infos = infos
-    return served
+    return replace(graph, infos=infos)
 
 
 def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,

@@ -89,18 +89,14 @@ class ResidualState:
         record: every transmitting vertex is deleted here.
         """
         graph = self.graph
-        kinds, times = graph.edge_kind, graph.edge_time
-        saturated = set()
         for e in tree.edges:
             self.deleted.update((graph.edge_tail[e], graph.edge_head[e]))
-            if kinds[e] == KIND_CONNECTIVITY:
-                t = times[e]
+            if graph.edge_kind[e] == KIND_CONNECTIVITY:
+                t = graph.edge_tail[e] % graph.horizon
                 self.channel_used[t] += 1
                 if self.channel_used[t] >= graph.channels:
-                    saturated.add(t)
-        for t in saturated:
-            self.deleted.update(graph.vertex_id(u, t)
-                                for u in range(graph.uav_count))
+                    self.deleted.update(
+                        range(t, graph.vertex_count, graph.horizon))
 
 
 def build_tree(graph: TimeExpandedGraph, info, state: ResidualState):
@@ -135,7 +131,7 @@ def build_tree(graph: TimeExpandedGraph, info, state: ResidualState):
         raise PlanStructureError("residual state belongs to a different graph")
 
     tails, heads = graph.edge_tail, graph.edge_head
-    kinds, weights, times = graph.edge_kind, graph.edge_weight, graph.edge_time
+    kinds, weights = graph.edge_kind, graph.edge_weight
     sources = [graph.vertex_id(u, t) for u, t in info.sources]
     reached_copies: set[int] = set()  # with the tree's vertices: `touched`
     tree_edges: set[int] = set()
@@ -155,7 +151,7 @@ def build_tree(graph: TimeExpandedGraph, info, state: ResidualState):
             tail = tails[e]
             tree_vertices.update((tail, heads[e]))
             if kinds[e] == KIND_CONNECTIVITY:
-                t = times[e]
+                t = tail % graph.horizon
                 used[t] += 1
                 if used[t] > graph.channels:
                     return None  # the slot check, see the docstring

@@ -21,12 +21,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_int(value, what, error, low=None) -> int:
-    """`value` if it is a JSON integer of at least `low`; else raise `error`."""
+def check_int(value, what, error, low=None, high=None) -> int:
+    """`value` if it is a JSON integer within `low`..`high`; else `error`."""
     if not _is_int(value):
         raise error(f"{what} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise error(f"{what} must be at least {low}, got {value!r}")
+    if high is not None and value > high:
+        raise error(f"{what} must be at most {high}, got {value!r}")
     return value
 
 

@@ -131,8 +131,8 @@ def export_lp(graph: TimeExpandedGraph, infos=None,
                 if conn:
                     row(f" c8_{i}_{v}: {' + '.join([a[e] for e in conn])} "
                         f"{_term(-len(conn), b[v])} <= 0")
-        for t in range(horizon):
-            layer = graph.conn_by_time[t]
+        for t in range(horizon):  # layer t's tails by UAV: edge-index order
+            layer = [e for v in range(t, n_vertices, horizon) for e in conn_out[v]]
             if layer:
                 row(f" c9_{t}: {' + '.join([a[e] for a in a_of for e in layer])} "
                     f"<= {graph.channels!r}")

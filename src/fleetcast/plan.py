@@ -92,8 +92,7 @@ def _validate_structure(graph: TimeExpandedGraph, plan: Plan):
 def check_feasibility(graph: TimeExpandedGraph, plan: Plan) -> FeasibilityReport:
     """Evaluate every feasibility rule; structural problems raise instead."""
     _validate_structure(graph, plan)
-    tails, heads = graph.edge_tail, graph.edge_head
-    kinds, times = graph.edge_kind, graph.edge_time
+    tails, heads, kinds = graph.edge_tail, graph.edge_head, graph.edge_kind
     label = graph.vertex_label
     violations: list[Violation] = []
 
@@ -120,7 +119,7 @@ def check_feasibility(graph: TimeExpandedGraph, plan: Plan) -> FeasibilityReport
         for e in edges:
             if kinds[e] == KIND_CONNECTIVITY:
                 vertex_infos.setdefault(tails[e], set()).add(info_id)
-                layer_active[times[e]] += 1
+                layer_active[tails[e] % graph.horizon] += 1
     for v in sorted(vertex_infos):
         owners = vertex_infos[v]
         if len(owners) > 1:

@@ -1,8 +1,9 @@
 """Independent oracles used to validate the planner.
 
 Everything here is deliberately written with plain loops over the graph's
-flat edge lists (`edge_tail`, `edge_head`, `edge_kind`, `edge_weight`,
-`edge_time`), sharing no code with the library's checker or solvers:
+flat edge lists (`edge_tail`, `edge_head`, `edge_kind`, `edge_weight`),
+sharing no code with the library's checker or solvers. An edge's time unit
+is its tail's, `edge_tail[e] % horizon`, derived here on its own:
 
 * reference_violation_ids: a from-scratch evaluation of the plan feasibility
   rules, returning the set of violated constraint tags.
@@ -34,7 +35,8 @@ def reference_violation_ids(graph, activations):
     """
     infos = {info.id: info for info in graph.infos}
     tails, heads = graph.edge_tail, graph.edge_head
-    kinds, times = graph.edge_kind, graph.edge_time
+    kinds = graph.edge_kind
+    times = [tail % graph.horizon for tail in tails]
     violated = set()
 
     # EDGE: one info per edge (caching edges exempt under unlimited capacity)
@@ -157,7 +159,10 @@ def enumerate_optimum(graph, infos=None):
     dest_lookup = {info.id: set(info.destinations) for info in infos}
 
     tails, heads, weights = graph.edge_tail, graph.edge_head, graph.edge_weight
-    layer_edges = graph.conn_by_time
+    layer_edges = [[] for _ in range(graph.horizon)]  # connectivity, by index
+    for e, tail in enumerate(tails):
+        if graph.edge_kind[e] == KIND_CONNECTIVITY:
+            layer_edges[tail % graph.horizon].append(e)
 
     def assignments(edges):
         """Yield every per-edge info assignment respecting C9 and C7."""
@@ -333,6 +338,7 @@ def lp_constraint_count(graph, infos):
     out_conn = [0] * graph.vertex_count
     in_all = [0] * graph.vertex_count
     caching_edges = connectivity_edges = 0
+    conn_layers = set()
     for e in range(len(graph.edge_tail)):
         tail = graph.edge_tail[e]
         out_all[tail] += 1
@@ -340,6 +346,7 @@ def lp_constraint_count(graph, infos):
         if graph.edge_kind[e] == KIND_CONNECTIVITY:
             out_conn[tail] += 1
             connectivity_edges += 1
+            conn_layers.add(tail % horizon)
         else:
             caching_edges += 1
     total = 0
@@ -362,7 +369,7 @@ def lp_constraint_count(graph, infos):
                      if out_conn[v])                   # c8
     if infos:
         total += graph.vertex_count                    # c7
-        total += sum(1 for layer in graph.conn_by_time if layer)   # c9
+        total += len(conn_layers)                      # c9
         total += connectivity_edges                    # c10
         if graph.cache_capacity == CACHE_SINGLE:
             total += caching_edges                     # per-edge caching rule

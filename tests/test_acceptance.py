@@ -18,7 +18,7 @@ from fleetcast.cli import main as cli_main
 from fleetcast.errors import GenerationError
 from fleetcast.exact import SearchBudget, solve_exact
 from fleetcast.gen import generate_scenario, make_config
-from fleetcast.graph import build_time_expanded_graph
+from fleetcast.graph import KIND_CONNECTIVITY, build_time_expanded_graph
 from fleetcast.heuristic import HeuristicKind, greedy_plan
 from fleetcast.lp import export_lp, lint_lp
 from fleetcast.plan import check_feasibility
@@ -63,7 +63,7 @@ def micro_instances(count):
         except (GenerationError, ValueError):
             continue
         graph = build(scenario)
-        n_conn = sum(len(layer) for layer in graph.conn_by_time)
+        n_conn = graph.edge_kind.count(KIND_CONNECTIVITY)
         if not 1 <= n_conn <= 12:
             continue
         produced += 1

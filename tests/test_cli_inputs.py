@@ -2,16 +2,20 @@
 
 Exit code 3 is reserved for bugs, so no argv a user can type may reach it.
 Counts, horizons, subrange counts and seed ranges are drawn only from tiny
-values: the generator allocates memory in proportion to them.
+values: below the caps that `gen` and `sweep` enforce, the generator
+allocates memory in proportion to them. Values above the caps are refused
+before anything is generated.
 """
 
 import json
 
+import click
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetcast.cli import main
+import fleetcast.cli
+from fleetcast.cli import MAX_SEEDS, _parse_seeds, main
 
 BAD_NUMBERS = ["-1", "0", "2.7", "nan", "inf", "-inf", "1e308", "x", ""]
 # half of all draws are small valid values, so that later stages run too
@@ -156,3 +160,36 @@ def test_infinite_budget_seconds_means_no_wall_clock_limit(work):
     assert run("solve", str(work / "base.json"), "--method", "exact",
                "--budget-seconds", "inf", "--out", str(out)) == 0
     assert json.loads(out.read_text())["status"] in ("OPTIMAL", "INFEASIBLE")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("gen", "--seed", "1", "--uavs", "100000000"), "uav_count * horizon"),
+    (("gen", "--seed", "1", "--profile", "micro", "--horizon", "400000"),
+     "uav_count * horizon"),
+    (("gen", "--seed", "1", "--infos", "10001"), "info_count"),
+    (("gen", "--seed", "1", "--subranges", "1001"), "subrange_count"),
+    (("sweep", "--variable", "uav_count", "--values", "3,100000000",
+      "--seeds", "0"), "uav_count * horizon"),
+    (("sweep", "--variable", "packet_size", "--values", "100",
+      "--seeds", "0-999999999"), "more than 100000 seeds"),
+    (("sweep", "--variable", "packet_size", "--values", "100",
+      "--seeds", "0-49999,50000-100000"), "more than 100000 seeds"),
+])
+def test_sizes_that_only_exhaust_memory_exit_1(work, capsys, monkeypatch,
+                                                argv, named):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused size reached generate_scenario")
+
+    monkeypatch.setattr(fleetcast.cli, "generate_scenario", refuse)
+    out = work / "too-large.out"
+    assert run(*argv, "--out", str(out)) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_ranges_are_sized_before_they_are_expanded():
+    with pytest.raises(click.UsageError, match="more than"):
+        _parse_seeds("0-" + "9" * 4000)
+    assert _parse_seeds(f"1-{MAX_SEEDS - 1},0") == list(range(1, MAX_SEEDS)) + [0]
+    with pytest.raises(click.UsageError, match="more than"):
+        _parse_seeds(f"1-{MAX_SEEDS - 1},0,7")

@@ -122,7 +122,7 @@ def micro_graphs(count, start_seed=1):
         except (GenerationError, ValueError):
             continue
         graph = build_time_expanded_graph(scenario)
-        n_conn = sum(len(layer) for layer in graph.conn_by_time)
+        n_conn = graph.edge_kind.count(KIND_CONNECTIVITY)
         if not 1 <= n_conn <= 12:
             continue
         produced += 1
@@ -318,7 +318,8 @@ def _reference_paths(search, info, dest_uav):
     """
     graph = search.graph
     tails, heads = graph.edge_tail, graph.edge_head
-    kinds, weights, times = graph.edge_kind, graph.edge_weight, graph.edge_time
+    kinds, weights = graph.edge_kind, graph.edge_weight
+    times = [tail % graph.horizon for tail in tails]
     edges_of = search.plan_edges
     used = set().union(*edges_of.values())
     owner, power, channel = {}, {}, [0] * graph.horizon
@@ -590,6 +591,25 @@ def test_exact_reports_pinned_on_comparison_seeds(seed, max_nodes, status):
         assert full.status == "OPTIMAL"
         assert (report.objective, report.plan) == (full.objective, full.plan)
 
+
+
+@pytest.mark.parametrize("seed", [9, 37])
+def test_descend_returns_with_its_accrued_energy_bit_equal(seed, monkeypatch):
+    """Undoing a path restores `accrued` rather than subtracting from it: in
+    floating point a + x - x need not be a, and on these seeds it is not."""
+    descend = _Search._descend
+    returned = []
+
+    def checked(search, level):
+        entry = search.accrued.hex()
+        descend(search, level)
+        returned.append(search.accrued.hex() == entry)
+
+    monkeypatch.setattr(_Search, "_descend", checked)
+    solve_exact(comparison_graph(seed), budget=SearchBudget(
+        max_nodes=20_000, time_limit_seconds=600))
+    assert len(returned) > 10_000
+    assert returned.count(False) == 0
 
 def test_time_limit_binds_while_demands_are_refuted():
     # seed 11 has no warm start, and nearly every node refutes its last

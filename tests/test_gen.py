@@ -1,6 +1,7 @@
 """Seeded scenario generation: determinism, motion bounds, distributions."""
 
 import math
+import re
 
 import pytest
 
@@ -22,6 +23,22 @@ def test_config_validation():
         make_config("paper", 1, destinations_per_info=(2, 99))
     with pytest.raises(ValueError):
         make_config("nope", 1)
+
+
+@pytest.mark.parametrize("overrides, named", [
+    (dict(uav_count=1001, horizon=1000), "uav_count * horizon"),
+    (dict(uav_count=10 ** 9, horizon=10 ** 9), "uav_count * horizon"),
+    (dict(info_count=10 ** 4 + 1), "info_count"),
+    (dict(subrange_count=1001), "subrange_count")])
+def test_config_refuses_sizes_that_only_exhaust_memory(overrides, named):
+    with pytest.raises(ValueError, match=re.escape(f"{named} must be at most")):
+        make_config("paper", 1, **overrides)
+
+
+def test_config_accepts_sizes_at_the_caps():
+    config = make_config("paper", 1, uav_count=1000, horizon=1000,
+                         info_count=10 ** 4, subrange_count=1000)
+    assert config.uav_count * config.horizon == 10 ** 6
 
 
 def test_paper_profile_radio_constants():

@@ -254,12 +254,21 @@ def test_infospec_rejects_empty_sets():
         InfoSpec(id=0, sources={(0, 0)}, destinations=set())
 
 
-# a layer's collision set, the connectivity edges that share its channels,
-# is conn_by_time[t]
+# a layer's collision set: the connectivity edges that share its channels,
+# those whose tail lies in the layer
+
+def _collision_sets(graph):
+    """Each layer's collision set, in edge-index order."""
+    layers = [[] for _ in range(graph.horizon)]
+    for e in graph.edges:
+        if graph.edge_kind[e] == KIND_CONNECTIVITY:
+            layers[graph.edge_tail[e] % graph.horizon].append(e)
+    return layers
+
 
 def test_collision_set_contents():
     graph = build_time_expanded_graph(instances.chain3())
-    edges = graph.conn_by_time[0]
+    edges = _collision_sets(graph)[0]
     assert len(edges) == 4
     assert all(graph.edge_kind[e] == KIND_CONNECTIVITY for e in edges)
 
@@ -269,7 +278,7 @@ def test_collision_set_three_mutually_in_range():
         positions=[(0, 0), (5, 0), (0, 5)], channels=6,
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1})])
     graph = build_time_expanded_graph(scen)
-    assert len(graph.conn_by_time[0]) == 6
+    assert len(_collision_sets(graph)[0]) == 6
 
 
 def test_collision_set_empty_when_dispersed():
@@ -277,7 +286,7 @@ def test_collision_set_empty_when_dispersed():
         positions=[(0, 0), (500, 0), (0, 500)], horizon=2,
         infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={0})])
     graph = build_time_expanded_graph(scen)
-    assert graph.conn_by_time[1] == []
+    assert _collision_sets(graph)[1] == []
 
 
 def test_build_is_deterministic():
@@ -321,7 +330,6 @@ def _reference_shortest_paths(graph, seeds, adjacency, ends, deleted, power,
         dist[v] = 0.0
     kinds = graph.edge_kind
     weights = graph.edge_weight
-    times = graph.edge_time
     channels = graph.channels
     late = sorted(late)
     while heap or late:
@@ -347,7 +355,7 @@ def _reference_shortest_paths(graph, seeds, adjacency, ends, deleted, power,
             if done[head] or head in deleted:
                 continue
             if kinds[e] == 0:  # connectivity
-                t = times[e]
+                t = graph.edge_tail[e] % graph.horizon
                 if channel_used[t] + layer_delta.get(t, 0) >= channels:
                     continue
                 w = weights[e]
@@ -471,26 +479,25 @@ def _flat_graph(uav_count, horizon, conn, channels=1):
     Vertex (u, t) is u * horizon + t and caches into (u, t + 1); `conn` maps
     (tail uav, head uav, t) to a connectivity weight.
     """
-    edges = []  # (tail, head, kind, weight, time)
+    edges = []  # (tail, head, kind, weight)
     for t in range(horizon):
         for u in range(uav_count):
             v = u * horizon + t
             for u2 in range(uav_count):
                 if u2 == u and t + 1 < horizon:
-                    edges.append((v, v + 1, 1, 0.0, t))
+                    edges.append((v, v + 1, 1, 0.0))
                 elif (u, u2, t) in conn:
-                    edges.append((v, u2 * horizon + t, 0, conn[(u, u2, t)], t))
+                    edges.append((v, u2 * horizon + t, 0, conn[(u, u2, t)]))
     vertex_count = uav_count * horizon
     out_edges = [[] for _ in range(vertex_count)]
     in_edges = [[] for _ in range(vertex_count)]
-    for e, (tail, head, _, _, _) in enumerate(edges):
+    for e, (tail, head, _, _) in enumerate(edges):
         out_edges[tail].append(e)
         in_edges[head].append(e)
-    tails, heads, kinds, weights, times = ([edge[i] for edge in edges]
-                                           for i in range(5))
+    tails, heads, kinds, weights = ([edge[i] for edge in edges]
+                                    for i in range(4))
     return SimpleNamespace(
-        edge_tail=tails, edge_head=heads, edge_kind=kinds,
-        edge_weight=weights, edge_time=times,
+        edge_tail=tails, edge_head=heads, edge_kind=kinds, edge_weight=weights,
         uav_count=uav_count, horizon=horizon,
         channels=channels, vertex_count=vertex_count,
         out_edges=out_edges, in_edges=in_edges,
@@ -761,10 +768,10 @@ def test_kernel_bound_matches_reference_near_a_destination(rng):
 _Edge = namedtuple("_Edge", "index tail head kind weight time")
 
 
-def _reference_view(scenario, edges, out_edges, in_edges, conn_by_time):
+def _reference_view(scenario, edges, out_edges, in_edges, collision_sets):
     return SimpleNamespace(
         uav_count=scenario.uav_count, horizon=scenario.horizon, edges=edges,
-        out_edges=out_edges, in_edges=in_edges, conn_by_time=conn_by_time,
+        out_edges=out_edges, in_edges=in_edges, collision_sets=collision_sets,
         vertex_count=scenario.uav_count * scenario.horizon,
         edge_index_by_pair={(e.tail, e.head): e.index for e in edges},
         infos=tuple(sorted(scenario.infos, key=lambda i: i.id)),
@@ -778,7 +785,7 @@ def _reference_build(scenario):
     edges: list[_Edge] = []
     out_edges = [[] for _ in range(vertex_count)]
     in_edges = [[] for _ in range(vertex_count)]
-    conn_by_time = [[] for _ in range(horizon)]
+    collision_sets = [[] for _ in range(horizon)]
 
     radii = [scenario.radii_for(u) for u in range(uav_count)]
     weights = [
@@ -810,9 +817,9 @@ def _reference_build(scenario):
                 edges.append(edge)
                 out_edges[tail].append(edge.index)
                 in_edges[head].append(edge.index)
-                conn_by_time[t].append(edge.index)
+                collision_sets[t].append(edge.index)
 
-    return _reference_view(scenario, edges, out_edges, in_edges, conn_by_time)
+    return _reference_view(scenario, edges, out_edges, in_edges, collision_sets)
 
 
 def _reference_augment(graph, infos):
@@ -829,13 +836,16 @@ def _reference_graph(scenario, info_sets=()):
 
 
 def _assert_same_graph(graph, ref, rng):
-    for name in ("out_edges", "in_edges", "conn_by_time"):
+    for name in ("out_edges", "in_edges"):
         assert getattr(graph, name) == getattr(ref, name), name
     assert graph.vertex_count == ref.vertex_count
     assert graph.edges == range(len(ref.edges))
     assert list(zip(graph.edges, graph.edge_tail, graph.edge_head,
                     [KIND_NAMES[k] for k in graph.edge_kind],
-                    graph.edge_weight, graph.edge_time)) == ref.edges
+                    graph.edge_weight,
+                    [tail % graph.horizon for tail in graph.edge_tail])) \
+        == ref.edges
+    assert _collision_sets(graph) == ref.collision_sets
     for (tail, head), e in ref.edge_index_by_pair.items():
         assert graph.edge_index(tail, head) == e
     for _ in range(50):
@@ -888,8 +898,8 @@ def test_one_base_augmented_twice_is_left_unchanged():
     ref_base, ref_graphs = _reference_graph(scenario, [first, second])
     base = build_time_expanded_graph(scenario)
     before = copy.deepcopy({name: getattr(base, name) for name in (
-        "edge_tail", "edge_head", "edge_kind", "edge_weight", "edge_time",
-        "out_edges", "in_edges", "conn_by_time")})
+        "edge_tail", "edge_head", "edge_kind", "edge_weight",
+        "out_edges", "in_edges")})
     g1 = augment(base, first)
     g2 = augment(base, second)
     for graph, ref in zip((g1, g2), ref_graphs):
