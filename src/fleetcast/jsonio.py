@@ -1,7 +1,8 @@
 """Canonical JSON helpers shared by the scenario/plan/report file formats.
 
-All files are written with sorted keys, two-space indentation and a trailing
-newline so that identical payloads serialize to byte-identical documents.
+All files are written in one canonical form, `json.dumps(doc, indent=2,
+sort_keys=True, allow_nan=False)` plus a trailing newline, so that identical
+payloads serialize to byte-identical documents.
 Every document carries a `format` field naming its schema and version.
 `check_int` and `check_number` are the one copy of the integer and number
 rules that file contents and constructor arguments are checked against.
@@ -10,6 +11,7 @@ rules that file contents and constructor arguments are checked against.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from math import isfinite
 from pathlib import Path
 
@@ -58,8 +60,103 @@ def _int_key(key):
     return value if str(value) == key else None
 
 
+# CPython writes any indented JSON with its pure-Python encoder; the C one
+# writes compact JSON only. `canonical_dumps` spells out the indented form
+# itself and hands the C encoder the arrays that carry the bulk of a file.
+_encode_compact = json.JSONEncoder(allow_nan=False).encode
+_encode_str = json.encoder.encode_basestring_ascii
+_NUMBERS = frozenset((int, float))
+_ARRAYS = frozenset((list, tuple))
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)` plus a
+    trailing newline, character for character."""
+    return _text(obj, "\n") + "\n"
+
+
+def _text(obj, newline) -> str:
+    """The indented JSON text of `obj`; `newline` is a line break plus the
+    indentation of the line `obj` starts on."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not isfinite(obj):
+            raise ValueError(
+                f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        depth = _numeric_depth(obj)
+        if depth:
+            return _reindent(_encode_compact(obj), depth, newline)
+        items = [_text(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{_key(key)}: {_text(value, inner)}"
+                 for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(
+        f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    """An object key, quoted as the JSON encoder quotes it."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_text(key, "")}"'    # a scalar's text needs no escape
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _numeric_depth(items) -> int:
+    """How many lists deep the leaves of the non-empty list `items` sit if
+    every leaf is an int or a float, all at one depth, and no list on the
+    way is empty; else 0. Bools, int and float subclasses count as no
+    number. One pass per level, not per item, keeps the test cheap.
+    """
+    depth = 1
+    while True:
+        kinds = set(map(type, items))
+        if kinds <= _NUMBERS:
+            return depth
+        if not (kinds <= _ARRAYS and all(items)):
+            return 0
+        items = list(chain.from_iterable(items))
+        depth += 1
+
+
+def _reindent(text, depth, newline) -> str:
+    """The compact `text` of a list whose number leaves all sit `depth`
+    lists deep, indented as after `newline`. A number literal holds no
+    bracket, comma or space, so each bracket run and ", " is a boundary.
+    """
+    indents = [newline + "  " * level for level in range(depth + 1)]
+    body = text[depth:-depth]
+    for closed in range(depth - 1, 0, -1):    # the longest runs first
+        body = body.replace(
+            "]" * closed + ", " + "[" * closed,
+            "".join(indents[depth - i] + "]" for i in range(1, closed + 1))
+            + "," + indents[depth - closed]
+            + "".join("[" + indents[depth - closed + i]
+                      for i in range(1, closed + 1)))
+    body = body.replace(", ", "," + indents[depth])
+    return ("".join("[" + indents[level] for level in range(1, depth + 1))
+            + body
+            + "".join(indents[level] + "]" for level in range(depth - 1, -1, -1)))
 
 
 def write_json(path, obj) -> None:
