@@ -50,8 +50,15 @@ class ExperimentRow:
 
 
 def _resolve_out(out, default_name) -> Path:
+    """The file to write: `out`, whose directory must exist, or `default_name`
+    in $FLEETCAST_OUT_DIR (made if missing). Commands call it before their
+    work, so that a bad `--out` costs no solve."""
     if out is not None:
-        return Path(out)
+        path = Path(out)
+        if not path.parent.is_dir():
+            raise click.UsageError(
+                f"--out {out}: directory {path.parent} does not exist")
+        return path
     base = Path(os.environ.get("FLEETCAST_OUT_DIR", "."))
     base.mkdir(parents=True, exist_ok=True)
     return base / default_name
@@ -63,11 +70,14 @@ def _parse_seeds(spec: str) -> list[int]:
         chunk = chunk.strip()
         if not chunk:
             continue
+        dash = chunk.find("-", 1)   # a leading "-" is a sign: "-3--1"
+        lo, hi = (chunk[:dash], chunk[dash + 1:]) if dash > 0 else (chunk, chunk)
         try:
-            lo, hi = chunk.split("-", 1) if "-" in chunk[1:] else (chunk, chunk)
             lo, hi = int(lo), int(hi)
         except ValueError:
             raise click.UsageError(f"bad seed {chunk!r} in --seeds") from None
+        if hi < lo:
+            raise click.UsageError(f"reversed range {chunk!r} in --seeds")
         if hi - lo >= MAX_SEEDS - len(seeds):
             raise click.UsageError(f"--seeds names more than {MAX_SEEDS} seeds")
         seeds.extend(range(lo, hi + 1))
@@ -227,8 +237,8 @@ def cli():
 def cmd_gen(profile, seed, out, **params):
     """Generate a seeded scenario file."""
     config = _make_config(profile, seed, params)
-    scenario = generate_scenario(config, extra_provenance={"profile": profile})
     path = _resolve_out(out, f"scenario-{profile}-s{seed}.json")
+    scenario = generate_scenario(config, extra_provenance={"profile": profile})
     save_scenario(scenario, path)
     click.echo(f"wrote {path} (|U|={scenario.uav_count} |I|={len(scenario.infos)} "
                f"T={scenario.horizon})")
@@ -246,9 +256,9 @@ def cmd_gen(profile, seed, out, **params):
 def cmd_solve(ctx, scenario_file, method, r_seed, budget_nodes, budget_seconds,
               max_restarts, out, unit):
     """Solve a scenario with one method and write a report file."""
+    path = _resolve_out(out, f"report-{method}-{Path(scenario_file).stem}.json")
     _, graph, report = _solve((scenario_file, method, r_seed, budget_nodes,
                                budget_seconds, max_restarts))
-    path = _resolve_out(out, f"report-{method}-{Path(scenario_file).stem}.json")
     save_report(graph, report, path)
     shown = ("-" if report.objective is None
              else f"{report.objective * UNIT_FACTORS[unit]:.6g} {unit}")
@@ -266,13 +276,13 @@ def cmd_solve(ctx, scenario_file, method, r_seed, budget_nodes, budget_seconds,
 @click.option("--max-variables", type=int, default=500_000, show_default=True)
 def cmd_lp(scenario_file, out, max_variables):
     """Export the instance as a solver-neutral LP document."""
+    path = _resolve_out(out, f"{Path(scenario_file).stem}.lp")
     scenario = load_scenario(scenario_file)
     graph = build_time_expanded_graph(scenario)
     text = export_lp(graph, max_variables=max_variables)
     problems = lint_lp(text)
     if problems:
         raise InternalError("exported LP failed its own lint: " + problems[0])
-    path = _resolve_out(out, f"{Path(scenario_file).stem}.lp")
     Path(path).write_text(text, encoding="utf-8")
     n_lines = text.count("\n")   # every line of the export ends in "\n"
     click.echo(f"wrote {path} ({n_lines} lines)")
@@ -311,6 +321,7 @@ def cmd_compare(scenario_files, methods, r_seed, budget_nodes, budget_seconds,
                 f"scenario files {stems[stem]} and {path} share the stem "
                 f"{stem!r}, which names their rows")
         stems[stem] = path
+    csv_path = _resolve_out(out, "compare.csv")
 
     tasks = [(path, method, r_seed, budget_nodes, budget_seconds, max_restarts)
              for path in scenario_files for method in method_list]
@@ -332,9 +343,8 @@ def cmd_compare(scenario_files, methods, r_seed, budget_nodes, budget_seconds,
             r.deviation_pct = 0.0
     rows.extend(_mean_rows(rows, method_list))
 
-    path = _resolve_out(out, "compare.csv")
-    _write_compare_csv(path, rows)
-    click.echo(f"wrote {path}")
+    _write_compare_csv(csv_path, rows)
+    click.echo(f"wrote {csv_path}")
     if markdown:
         click.echo(_markdown_table(rows))
 
@@ -409,12 +419,12 @@ def cmd_sweep(variable, values, seeds, method, profile, r_seed, budget_nodes,
     if not value_list:
         raise click.UsageError("no sweep values given")
     seed_list = _parse_seeds(seeds)
+    path = _resolve_out(out, f"sweep-{variable}.csv")
     tasks = [(_make_config(profile, seed, {**params, field: value}), method,
               r_seed, budget_nodes, budget_seconds, max_restarts)
              for value in value_list for seed in seed_list]
     objectives = [report.objective for _, report in _solve_all(tasks, jobs)]
 
-    path = _resolve_out(out, f"sweep-{variable}.csv")
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(SWEEP_CSV_HEADER + "\n")
         writer = csv.writer(handle)

@@ -168,11 +168,13 @@ def _no_constant(name):
 
 
 def read_json(path, expected_format: str) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        obj = json.loads(text, parse_constant=_no_constant)
-    except ValueError as exc:   # also an integer too long to convert
+        obj = json.loads(Path(path).read_text(encoding="utf-8"),
+                         parse_constant=_no_constant)
+    except ValueError as exc:   # also not UTF-8, or an integer too long
         raise FormatError(f"{path}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{path}: not valid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: expected a JSON object at top level")
     found = obj.get("format")

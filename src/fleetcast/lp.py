@@ -31,26 +31,22 @@ LP_HEADER = "\\ fleetcast-lp/1"
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"  # exponents intact
+_RHS = rf"[-+]?{_NUMBER}"
 _NAME_RE = re.compile(rf"^{_NAME}$")
-_TOKEN_RE = re.compile(
-    rf"{_NAME}"             # variable name
-    rf"|{_NUMBER}"          # number
-    r"|[-+]"                # sign
-    r"|\S")                 # anything else: flagged
-_RHS_RE = re.compile(rf"[-+]?{_NUMBER}")
+# A linear expression as export_lp writes it: terms are `[coefficient ]name`,
+# split by " + " or " - ", the first optionally led by "- ".
+_EXPR = rf"(?:- )?(?:{_NUMBER} )?{_NAME}(?: [-+] (?:{_NUMBER} )?{_NAME})*"
+# The objective is one line, `name: expression`; a constraint row adds its
+# sense and right-hand side. Group 1 of either is the name, group 2 the
+# expression.
+_OBJECTIVE_RE = re.compile(rf"({_NAME}): ({_EXPR})")
+_ROW_RE = re.compile(rf"({_NAME}): ({_EXPR}) (?:<=|>=|=) {_RHS}")
+_BINARIES_RE = re.compile(rf"{_NAME}(?: {_NAME})*")
 # A Bounds line, tokens one space apart: `lo <= name`, `lo <= name <= hi`,
 # `name >= lo`, `name <= hi` or `name free`, each bound a right-hand side.
 # Only lint_lp needs it, so it is compiled there, on first use.
-_BOUND = (rf"{_RHS_RE.pattern} <= {_NAME}(?: <= {_RHS_RE.pattern})?"
-          rf"|{_NAME} (?:[<>]= {_RHS_RE.pattern}|free)")
-# A constraint row as export_lp writes it: terms are `[coefficient ]name`,
-# split by " + " or " - ", the first optionally led by "- ". Such a row lints
-# clean but for a duplicate name; any other row is checked token by token.
-_ROW_RE = re.compile(
-    rf"({_NAME}): ((?:- )?(?:{_NUMBER} )?{_NAME}(?: [-+] (?:{_NUMBER} )?{_NAME})*)"
-    rf" (?:<=|>=|=) [-+]?{_NUMBER}")
-_BINARIES_RE = re.compile(rf"{_NAME}(?: {_NAME})*")
-_SENSES = ("<=", ">=", "=")
+_BOUND = (rf"{_RHS} <= {_NAME}(?: <= {_RHS})?"
+          rf"|{_NAME} (?:[<>]= {_RHS}|free)")
 
 
 def export_lp(graph: TimeExpandedGraph, infos=None,
@@ -165,15 +161,13 @@ def _term(coef, var: str) -> str:
 def lint_lp(text: str) -> list[str]:
     """Validate an LP document; returns a list of problems, empty when clean.
 
-    Checks the section layout, that every row parses as terms/sense/rhs, that
-    names are well-formed and unique, and that every referenced variable is
-    declared binary or carries an explicit bound. A right-hand side, and each
-    bound of a Bounds line, must be an optionally signed number of the
-    coefficient grammar.
-
-    Rows and Binaries lines in the form export_lp writes pass with one
-    regular-expression match each; any other line goes through the checks
-    token by token, so a document gets the same messages either way.
+    Checks the section layout, that the objective, every constraint row and
+    every Binaries line take the form export_lp writes (one regular
+    expression each), that constraint names are unique, and that every
+    referenced variable is declared binary or carries an explicit bound. A
+    right-hand side, and each bound of a Bounds line, is an optionally
+    signed number of the coefficient grammar. A line outside its section's
+    form gets one message that quotes it.
     """
     errors: list[str] = []
     lines = [ln.strip() for ln in text.splitlines()]
@@ -199,85 +193,33 @@ def lint_lp(text: str) -> list[str]:
     referenced: set[str] = set()    # also holds signs and coefficients
     declared: set[str] = set()
 
-    def parse_expr(expr, where):
-        coef = None
-        seen_terms = 0
-        for tok in _TOKEN_RE.findall(expr):
-            if tok in ("+", "-"):
-                if coef is not None:
-                    errors.append(f"{where}: dangling coefficient")
-                    return 0
-                continue
-            if _NAME_RE.match(tok):
-                referenced.add(tok)
-                seen_terms += 1
-                coef = None
-                continue
-            try:
-                float(tok)
-            except ValueError:
-                errors.append(f"{where}: unparseable token {tok!r}")
-                return 0
-            if coef is not None:
-                errors.append(f"{where}: two coefficients in a row")
-                return 0
-            coef = tok
-        if coef is not None:
-            errors.append(f"{where}: dangling coefficient")
-        return seen_terms
-
-    # objective
-    obj_lines = lines[indices["minimize"] + 1:indices["subject to"]]
-    if not obj_lines:
+    objective = lines[indices["minimize"] + 1:indices["subject to"]]
+    if not objective:
         errors.append("empty objective")
-    else:
-        expr = " ".join(obj_lines)
-        if ":" in expr:
-            expr = expr.split(":", 1)[1]
-        parse_expr(expr, "objective")
+    for k, ln in enumerate(objective):
+        match = _OBJECTIVE_RE.fullmatch(ln)
+        if match is None or k:      # the objective is one line
+            errors.append(f"malformed objective: {ln!r}")
+        else:
+            referenced.update(match[2].split())
 
     row_names = set()
     for ln in lines[indices["subject to"] + 1:indices["binaries"]]:
         match = _ROW_RE.fullmatch(ln)
-        if match is not None:
-            name, lhs = match.groups()
-            if name in row_names:
-                errors.append(f"duplicate constraint name {name!r}")
-            row_names.add(name)
-            referenced.update(lhs.split())
+        if match is None:
+            errors.append(f"malformed constraint row: {ln!r}")
             continue
-        if ":" not in ln:
-            errors.append(f"constraint without a name: {ln!r}")
-            continue
-        name, rest = ln.split(":", 1)
-        name = name.strip()
-        if not _NAME_RE.match(name):
-            errors.append(f"bad constraint name {name!r}")
+        name, lhs = match.groups()
         if name in row_names:
             errors.append(f"duplicate constraint name {name!r}")
         row_names.add(name)
-        sense = None
-        for candidate in _SENSES:
-            if candidate in rest:
-                sense = candidate
-                break
-        if sense is None:
-            errors.append(f"{name}: no relational operator")
-            continue
-        lhs, rhs = rest.rsplit(sense, 1)
-        if not _RHS_RE.fullmatch(rhs.strip()):
-            errors.append(f"{name}: right-hand side {rhs.strip()!r} not numeric")
-        if parse_expr(lhs, name) == 0:
-            errors.append(f"{name}: no variables on the left-hand side")
+        referenced.update(lhs.split())
 
     for ln in lines[indices["binaries"] + 1:indices["bounds"]]:
         if _BINARIES_RE.fullmatch(ln):
             declared.update(ln.split())
-            continue
-        for tok in ln.split():
-            if not _NAME_RE.match(tok):
-                errors.append(f"bad binary name {tok!r}")
-            declared.add(tok)
+        else:
+            errors.append(f"malformed binaries line: {ln!r}")
 
     bound_line = re.compile(_BOUND).fullmatch   # re caches the compiled form
     for ln in lines[indices["bounds"] + 1:indices["end"]]:

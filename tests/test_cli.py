@@ -7,7 +7,9 @@ import json
 import pytest
 
 from fleetcast.cli import cli, main
-from fleetcast.lp import lint_lp
+from fleetcast.graph import build_time_expanded_graph
+from fleetcast.lp import export_lp, lint_lp
+from fleetcast.scenario import load_scenario
 
 
 def run(*argv):
@@ -125,16 +127,35 @@ def test_lp_command_reports_line_count(micro_scenario, tmp_path, capsys):
     assert capsys.readouterr().out == f"wrote {out} ({n_lines} lines)\n"
 
 
+def _nan_right_hand_side(export):
+    """A document of its own whose one row has the right-hand side `nan`."""
+    row = "c1: P_0 >= nan"
+    return (f"\\ fleetcast-lp/1\nMinimize\n obj: P_0\nSubject To\n {row}\n"
+            "Binaries\nBounds\n 0 <= P_0\nEnd\n"), row
+
+
+def _joined_sign(export):
+    """The real export with one constraint row's ` + ` written as `+`."""
+    lines = export.split("\n")
+    k = next(k for k, line in enumerate(lines)
+             if line.startswith(" c") and " + " in line)
+    lines[k] = lines[k].replace(" + ", "+", 1)
+    return "\n".join(lines), lines[k].strip()
+
+
+@pytest.mark.parametrize("break_export", [_nan_right_hand_side, _joined_sign],
+                         ids=["nan-rhs", "joined-sign"])
 def test_lp_command_exits_3_when_export_fails_its_lint(micro_scenario, tmp_path,
-                                                       monkeypatch, capsys):
+                                                       monkeypatch, capsys,
+                                                       break_export):
     # an exporter bug, not a user error: nothing is written and exit code is 3
-    broken = ("\\ fleetcast-lp/1\nMinimize\n obj: P_0\nSubject To\n"
-              " c1: P_0 >= nan\nBinaries\nBounds\n 0 <= P_0\nEnd\n")
+    graph = build_time_expanded_graph(load_scenario(micro_scenario))
+    broken, bad_row = break_export(export_lp(graph))
     monkeypatch.setattr("fleetcast.cli.export_lp", lambda graph, **_: broken)
     out = tmp_path / "model.lp"
     assert run("lp", str(micro_scenario), "--out", str(out)) == 3
     err = capsys.readouterr().err
-    assert "failed its own lint: c1: right-hand side 'nan' not numeric" in err
+    assert f"failed its own lint: malformed constraint row: {bad_row!r}" in err
     assert not out.exists()
 
 

@@ -112,6 +112,10 @@ def test_no_command_line_exits_3(work, data):
       "exact,mpf"), "the stem 's'"),
     (("compare", "{base}", "--methods", "mpf,mpf"),
      "method 'mpf' is listed twice"),
+    (("sweep", "--variable", "packet_size", "--values", "100",
+      "--seeds", "1,5-3"), "reversed range '5-3'"),
+    (("sweep", "--variable", "packet_size", "--values", "100",
+      "--seeds", "-1--3"), "reversed range '-1--3'"),
 ])
 def test_bad_value_exits_1_and_names_it(work, capsys, argv, named):
     out = work / "regression.out"
@@ -136,6 +140,39 @@ def test_bad_scenario_file_exits_1(work, capsys, where, value):
                "--out", str(out)) == 1
     assert where[-1] in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "lp"])
+@pytest.mark.parametrize("content, named", [
+    (b"\xff", "can't decode byte 0xff"),
+    (b"[" * 200_000 + b"]" * 200_000, "nested too deeply")],
+    ids=["not-utf8", "nested-too-deeply"])
+def test_scenario_file_that_is_no_json_text_exits_1(work, capsys, command,
+                                                    content, named):
+    scenario = work / "no-json-text.json"
+    scenario.write_bytes(content)
+    out = work / "no-json-text.out"
+    argv = ("--method", "mpf") if command == "solve" else ()
+    assert run(command, str(scenario), *argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert str(scenario) in err and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--profile", "micro", "--seed", "1"),
+    ("solve", "{base}", "--method", "mpf"),
+    ("lp", "{base}"),
+    ("compare", "{base}", "--methods", "mpf"),
+    ("sweep", "--profile", "micro", "--variable", "uav_count", "--values", "2",
+     "--seeds", "0"),
+], ids=lambda argv: argv[0])
+def test_out_in_a_missing_directory_exits_1(work, capsys, argv):
+    out = work / "missing" / "out.file"
+    argv = [arg.format(base=work / "base.json") for arg in argv]
+    assert run(*argv, "--out", str(out)) == 1
+    assert f"directory {out.parent} does not exist" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_omitted_destination_bound_comes_from_the_profile(tmp_path):
@@ -185,6 +222,11 @@ def test_sizes_that_only_exhaust_memory_exit_1(work, capsys, monkeypatch,
     assert run(*argv, "--out", str(out)) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_seed_ranges_may_start_below_zero():
+    assert _parse_seeds("-3--1") == [-3, -2, -1]
+    assert _parse_seeds("-2-2,-5") == [-2, -1, 0, 1, 2, -5]
 
 
 def test_seed_ranges_are_sized_before_they_are_expanded():

@@ -177,7 +177,7 @@ def test_lint_rejects_malformed_documents():
     assert lint_lp(undeclared) == ["variable y is never declared binary or bounded"]
     bad_rhs = ("Minimize\n obj: P_0\nSubject To\n c1: P_0 >= q\n"
                "Binaries\nBounds\n 0 <= P_0\nEnd\n")
-    assert lint_lp(bad_rhs) == ["c1: right-hand side 'q' not numeric"]
+    assert lint_lp(bad_rhs) == ["malformed constraint row: 'c1: P_0 >= q'"]
     dup = ("Minimize\n obj: P_0\nSubject To\n c1: P_0 >= 0\n c1: P_0 >= 0\n"
            "Binaries\nBounds\n 0 <= P_0\nEnd\n")
     assert lint_lp(dup) == ["duplicate constraint name 'c1'"]
@@ -192,8 +192,9 @@ def one_row(row):
                                  "0x10", "1e", "- 1", "+-1", "1 2",
                                  "\u0663", "\uff11", "1\u0663"])
 def test_lint_rejects_right_hand_sides_that_are_no_lp_numbers(rhs):
-    assert lint_lp(one_row(f"c1: P_0 >= {rhs}")) == [
-        f"c1: right-hand side {rhs!r} not numeric"]
+    row = f"c1: P_0 >= {rhs}"
+    assert lint_lp(one_row(row)) == [f"malformed constraint row: {row!r}"]
+    assert _reference_lint_lp(one_row(row)) != []
 
 
 @pytest.mark.parametrize("rhs", ["1", "-1", "+1", "0.5", ".5", "5.", "1e5",
@@ -202,7 +203,28 @@ def test_lint_accepts_right_hand_sides_that_are_lp_numbers(rhs):
     assert lint_lp(one_row(f"c1: P_0 >= {rhs}")) == []
 
 
-# --- differential check against the token-by-token lint ------------------
+# The token-by-token reference below accepts each edit; the exporter writes
+# a sign with a space on each side, names its objective, and parts names by
+# one space.
+OUTSIDE_THE_FORM = ("Minimize\n obj: P_0\nSubject To\n c1: x + y >= 1\n"
+                    "Binaries\n x y\n a b\nBounds\n 0 <= P_0\nEnd\n")
+
+
+@pytest.mark.parametrize("line, edited, kind", [
+    ("c1: x + y >= 1", "c1: x+y >= 1", "constraint row"),
+    ("c1: x + y >= 1", "c1: + x >= 1", "constraint row"),
+    ("c1: x + y >= 1", "c1: x - - y >= 1", "constraint row"),
+    ("obj: P_0", "1x: P_0", "objective"),
+    ("a b", "a  b", "binaries line"),
+], ids=["joined-sign", "leading-plus", "double-minus", "objective-label",
+        "binaries-double-space"])
+def test_lint_rejects_lines_outside_the_exporter_form(line, edited, kind):
+    text = OUTSIDE_THE_FORM.replace(line, edited)
+    assert lint_lp(OUTSIDE_THE_FORM) == _reference_lint_lp(text) == []
+    assert lint_lp(text) == [f"malformed {kind}: {edited!r}"]
+
+
+# --- soundness against the token-by-token lint ---------------------------
 
 _REF_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _REF_NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
@@ -219,11 +241,13 @@ _REF_SENSES = ("<=", ">=", "=")
 
 
 def _reference_lint_lp(text):
-    """The token-by-token lint that predates the row grammar fast path.
+    """The token-by-token lint that predates the one-grammar lint.
 
     Kept as it was, except that a right-hand side must be an optionally
     signed LP number rather than anything `float` accepts, and that a bound
-    line must take one of the forms in _REF_BOUND_FORMS.
+    line must take one of the forms in _REF_BOUND_FORMS. It accepts more
+    than the exporter's form (`x+y`, `+ x`, `x - - y`, any objective label),
+    so lint_lp must flag every document it flags, not repeat its messages.
     """
     errors = []
     lines = [ln.strip() for ln in text.splitlines()]
@@ -378,6 +402,18 @@ def test_lint_keeps_the_message_for_bound_lines_without_a_variable():
             "variable P_0 is never declared binary or bounded"]
 
 
+LAYOUT_MESSAGES = ("missing section", "duplicate section", "sections out of order")
+
+
+def assert_flags_what_the_reference_flags(text):
+    """lint_lp flags every document the reference flags, and reports a
+    broken section layout with the reference's own messages."""
+    found = lint_lp(text)
+    assert found or not _reference_lint_lp(text), text
+    if found and found[0].startswith(LAYOUT_MESSAGES):
+        assert found == _reference_lint_lp(text)
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
 def test_lint_matches_reference_on_exported_documents(name):
     text = export_lp(build_time_expanded_graph(PINNED_INSTANCES[name]()))
@@ -469,22 +505,21 @@ def _line_edits(line):
             yield line[:m.start()] + odd + line[m.end():]
 
 
-def test_lint_matches_reference_on_single_line_edits():
+def test_lint_flags_what_the_reference_flags_on_single_line_edits():
     lines = export_lp(build_time_expanded_graph(scientific_pair())).split("\n")
     for k, line in enumerate(lines):
         for edited in _line_edits(line):
-            text = "\n".join(lines[:k] + [edited] + lines[k + 1:])
-            assert lint_lp(text) == _reference_lint_lp(text), edited
+            assert_flags_what_the_reference_flags(
+                "\n".join(lines[:k] + [edited] + lines[k + 1:]))
 
 
 @given(st.data())
-@settings(max_examples=300, deadline=None, derandomize=True)
-def test_lint_matches_reference_on_mutants(data):
+@settings(max_examples=3000, deadline=None, derandomize=True)
+def test_lint_flags_what_the_reference_flags_on_mutants(data):
     lines = list(data.draw(st.sampled_from(MUTATION_BASES)))
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(data, lines)
-    text = "\n".join(lines)
-    assert lint_lp(text) == _reference_lint_lp(text)
+    assert_flags_what_the_reference_flags("\n".join(lines))
 
 
 @given(st.sampled_from(["c1", "c_2", "1c", "", "c 1", "é"]),
@@ -498,13 +533,15 @@ def test_lint_matches_reference_on_mutants(data):
        st.sampled_from(["<= ", ">= ", "= ", "", "<=", "=< ", "<= <= ", "> "]),
        st.sampled_from(["0", "1", "-1", "+1", "2.5e+3", "1_000", "nan", "٣",
                         "", "x", "1 2", "- 1"]),
-       st.lists(st.sampled_from(["x", "P_0", "e", "1x", "c1"]), max_size=3))
+       st.lists(st.sampled_from(["x", "P_0", "e", "1x", "c1"]), max_size=3),
+       st.integers(1, 2))
 @settings(max_examples=600, deadline=None, derandomize=True)
-def test_lint_matches_reference_on_random_rows(name, colon, terms, sense, rhs,
-                                              binaries):
+def test_lint_flags_what_the_reference_flags_on_random_rows(name, colon, terms,
+                                                           sense, rhs, binaries,
+                                                           copies):
     lhs = "".join(sign + coefs + var + sep for sign, coefs, var, sep in terms)
-    row = f"{name}{colon}{lhs}{sense}{rhs}"
+    rows = f" {name}{colon}{lhs}{sense}{rhs}\n" * copies
     text = ("Minimize\n obj: P_0\nSubject To\n c0: x + 2 P_0 >= 1\n"
-            f" {row}\n {row}\nBinaries\n x {' '.join(binaries)}\n"
+            f"{rows}Binaries\n x {' '.join(binaries)}\n"
             "Bounds\n 0 <= P_0\nEnd\n")
-    assert lint_lp(text) == _reference_lint_lp(text)
+    assert_flags_what_the_reference_flags(text)
