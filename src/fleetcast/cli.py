@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +31,7 @@ from .scenario import CACHE_CAPACITIES, load_scenario, save_scenario
 METHODS = (METHOD_EXACT, *HEURISTIC_KINDS)
 UNIT_FACTORS = {"J": 1.0, "mJ": 1e3, "uJ": 1e6, "nJ": 1e9}
 MAX_SEEDS = 10 ** 5  # per --seeds, counted before a range is expanded
+_INTEGER_RE = re.compile("-?[0-9]+")
 
 COMPARE_CSV_HEADER = "# format: fleetcast-compare-csv/1 (objectives in joules)"
 SWEEP_CSV_HEADER = "# format: fleetcast-sweep-csv/1 (objectives in joules)"
@@ -64,6 +66,39 @@ def _resolve_out(out, default_name) -> Path:
     return base / default_name
 
 
+def _integer(text: str) -> int:
+    """`text` read as an optional leading `-` and ASCII digits, the one rule
+    for every integer on the command line; ValueError for anything else,
+    such as `1_0`, ` 3` or `٣`, which `int()` alone would take."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+class _Integer:
+    """Mixin reading a click integer type's string values with `_integer`."""
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, str):
+            try:
+                value = _integer(value)
+            except ValueError:
+                self.fail(f"{value!r} is not an integer (an optional '-' "
+                          "and the digits 0-9)", param, ctx)
+        return super().convert(value, param, ctx)
+
+
+class _Int(_Integer, click.types.IntParamType):
+    pass
+
+
+class _IntRange(_Integer, click.IntRange):
+    pass
+
+
+_INT = _Int()
+
+
 def _parse_seeds(spec: str) -> list[int]:
     seeds = []
     for chunk in spec.split(","):
@@ -73,7 +108,7 @@ def _parse_seeds(spec: str) -> list[int]:
         dash = chunk.find("-", 1)   # a leading "-" is a sign: "-3--1"
         lo, hi = (chunk[:dash], chunk[dash + 1:]) if dash > 0 else (chunk, chunk)
         try:
-            lo, hi = int(lo), int(hi)
+            lo, hi = _integer(lo), _integer(hi)
         except ValueError:
             raise click.UsageError(f"bad seed {chunk!r} in --seeds") from None
         if hi < lo:
@@ -99,11 +134,11 @@ def _options(*options):
 #: from the flag's unit to the field's (or None), and help text. The two
 #: destination bounds are the ends of `destinations_per_info`.
 GEN_FLAGS = {
-    "--uavs": ("uav_count", click.INT, None, "Fleet size."),
-    "--infos": ("info_count", click.INT, None,
+    "--uavs": ("uav_count", _INT, None, "Fleet size."),
+    "--infos": ("info_count", _INT, None,
                 "Number of informations to disseminate."),
-    "--horizon": ("horizon", click.INT, None, "Number of time units."),
-    "--channels": ("channels", click.INT, None,
+    "--horizon": ("horizon", _INT, None, "Number of time units."),
+    "--channels": ("channels", _INT, None,
                    "Channel budget per time unit."),
     "--area": ("area_side", click.FLOAT, None,
                "Side of the square operating area (m)."),
@@ -111,13 +146,13 @@ GEN_FLAGS = {
                 "Max UAV displacement per time unit (m)."),
     "--gather-radius": ("gather_radius", click.FLOAT, None,
                         "Pickup radius around an information's location (m)."),
-    "--subranges": ("subrange_count", click.INT, None,
+    "--subranges": ("subrange_count", _INT, None,
                     "Number of nested power subranges."),
     "--max-range": ("max_range", click.FLOAT, None,
                     "Outermost communication radius (m)."),
-    "--dest-min": ("dest_min", click.INT, None,
+    "--dest-min": ("dest_min", _INT, None,
                    "Min destination UAVs per information."),
-    "--dest-max": ("dest_max", click.INT, None,
+    "--dest-max": ("dest_max", _INT, None,
                    "Max destination UAVs per information."),
     "--packet-kb": ("packet_bits", click.FLOAT, lambda kb: int(round(kb * 8000)),
                     "Packet size in KB (1 KB = 1000 bytes)."),
@@ -150,17 +185,17 @@ def _not_nan(ctx, param, value):
 
 
 _solver_options = _options(
-    click.option("--seed", "r_seed", type=int, default=0, show_default=True,
+    click.option("--seed", "r_seed", type=_INT, default=0, show_default=True,
                  help="Shuffle seed for the random ordering."),
-    click.option("--budget-nodes", type=click.IntRange(min=1),
+    click.option("--budget-nodes", type=_IntRange(min=1),
                  default=5_000_000, show_default=True),
     click.option("--budget-seconds", type=click.FloatRange(min=0, min_open=True),
                  default=300.0, show_default=True, callback=_not_nan,
                  help="Wall-clock limit for exact; inf means none."),
-    click.option("--max-restarts", type=click.IntRange(min=0), default=None,
+    click.option("--max-restarts", type=_IntRange(min=0), default=None,
                  help="Greedy restart cap (default: one per information)."))
 
-_jobs_option = click.option("--jobs", type=click.IntRange(min=1), default=1,
+_jobs_option = click.option("--jobs", type=_IntRange(min=1), default=1,
                             show_default=True)
 
 
@@ -230,7 +265,7 @@ def cli():
 @cli.command("gen")
 @click.option("--profile", type=click.Choice(sorted(PROFILES)), default="paper",
               show_default=True, help="Base parameter profile.")
-@click.option("--seed", type=int, required=True, help="Generator seed.")
+@click.option("--seed", type=_INT, required=True, help="Generator seed.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Scenario file to write.")
 @_gen_options
@@ -273,7 +308,7 @@ def cmd_solve(ctx, scenario_file, method, r_seed, budget_nodes, budget_seconds,
 @click.argument("scenario_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="LP file to write.")
-@click.option("--max-variables", type=int, default=500_000, show_default=True)
+@click.option("--max-variables", type=_INT, default=500_000, show_default=True)
 def cmd_lp(scenario_file, out, max_variables):
     """Export the instance as a solver-neutral LP document."""
     path = _resolve_out(out, f"{Path(scenario_file).stem}.lp")
@@ -415,7 +450,7 @@ def cmd_sweep(variable, values, seeds, method, profile, r_seed, budget_nodes,
               budget_seconds, max_restarts, jobs, out, **params):
     """Sweep one variable over seeded instances; emit mean objectives."""
     field, kind, _, _ = GEN_FLAGS[SWEEP_FLAGS[variable]]
-    value_list = [kind(v) for v in values.split(",") if v.strip()]
+    value_list = [kind(v.strip()) for v in values.split(",") if v.strip()]
     if not value_list:
         raise click.UsageError("no sweep values given")
     seed_list = _parse_seeds(seeds)

@@ -40,7 +40,10 @@ class TimeExpandedGraph:
     solver names them: `edge_tail`, `edge_head`, `edge_kind` (a KIND_* code)
     and `edge_weight`, ordered by layer, then tail UAV, then head UAV. An
     edge's layer is its tail's; `out_edges` and `in_edges` list each vertex's
-    edges. `min_connectivity_weight`, the smallest entry of the builder's
+    edges. `caching_edge[v]` is v's caching edge into v + 1, -1 in the last
+    layer; the last vertex is in the last layer, so `caching_edge[v - 1]` is
+    the caching edge into v for every v, -1 in the first layer (index -1
+    included). `min_connectivity_weight`, the smallest entry of the builder's
     subrange-weight table, bounds every connectivity weight from below (inf
     without UAVs). Equality is identity; the repr omits the lists.
     """
@@ -55,6 +58,7 @@ class TimeExpandedGraph:
     edge_weight: list[float]
     out_edges: list[list[int]]
     in_edges: list[list[int]]
+    caching_edge: list[int]
     min_connectivity_weight: float
     infos: tuple[InfoSpec, ...]
 
@@ -114,6 +118,7 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
     tails, heads, kinds, weights = [], [], [], []
     out_edges = [[] for _ in range(uav_count * horizon)]
     in_edges = [[] for _ in range(uav_count * horizon)]
+    caching_edge = [-1] * (uav_count * horizon)
 
     radii = [scenario.radii_for(u) for u in range(uav_count)]
     weight_of = [[subrange_weight(scenario.radio, r) for r in rs] for rs in radii]
@@ -128,13 +133,14 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
                     if t + 1 == horizon:
                         continue
                     head, kind, weight = tail + 1, KIND_CACHING, 0.0
+                    e = caching_edge[tail] = len(tails)
                 else:
                     dist = math.dist(position, layer[u2])
                     if dist > r[-1]:
                         continue
                     head, kind = ids[u2], KIND_CONNECTIVITY
                     weight = weight_of[u][bisect_left(r, dist)]
-                e = len(tails)
+                    e = len(tails)
                 tails.append(tail)
                 heads.append(head)
                 kinds.append(kind)
@@ -145,8 +151,8 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
     min_weight = min((w for ws in weight_of for w in ws), default=math.inf)
     return TimeExpandedGraph(
         uav_count, horizon, scenario.channels, scenario.cache_capacity,
-        tails, heads, kinds, weights, out_edges, in_edges, min_weight,
-        tuple(sorted(scenario.infos, key=lambda i: i.id)))
+        tails, heads, kinds, weights, out_edges, in_edges, caching_edge,
+        min_weight, tuple(sorted(scenario.infos, key=lambda i: i.id)))
 
 
 def augment(graph: TimeExpandedGraph, infos) -> TimeExpandedGraph:
@@ -168,7 +174,10 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     steps cost the weight minus the walked vertex's residual `power` (never
     below zero); caching steps cost nothing. The discount is keyed on the
     vertex being walked, which is the tail of a forward edge but the head of
-    a backward one, so backward callers pass an empty residual state.
+    a backward one, so backward callers pass an empty residual state. A
+    vertex's caching step is read from `caching_edge`, not from `adjacency`:
+    its own entry forward, its predecessor's backward (see
+    `TimeExpandedGraph`), so `ends` also tells the direction.
 
     Late seeds: the `late` vertices enter at distance 0, in id order, once
     no distance-0 heap entry is left, which is before the level-0 pending
@@ -177,6 +186,14 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     when the late seed has the lower id. A late seed that is already done is
     skipped. When they enter, every vertex with a finite `dist` has `dist` 0
     and is done, so a late seed that is not done still has parent -1.
+    All late seeds are admitted at once, each given `dist` 0, and then wait
+    in a sorted queue instead of the heap: the next vertex settled is the
+    smaller of (0.0, next queued seed) and the heap's top, which is the pop
+    order the heap would give with the seeds pushed. No entry ties, because
+    nothing is pushed at key 0 onto a vertex whose `dist` is already 0, and
+    a pending relaxation waits for the queue to empty, as it would wait for
+    the heap entries at its level. `dist` 0 also stops a caching chain at a
+    later late seed, which keeps parent -1 and starts its own chain.
 
     Channel budget: connectivity edges stay inside one time unit, so every
     connectivity edge in `adjacency[v]` lies in v's own layer, `v % horizon`,
@@ -211,7 +228,19 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     what the heap would pop next. Every heap entry is above (d, v) and none
     is (d, h); forward, h = v + 1 and no vertex id lies between them;
     backward, h = v - 1 is below (d, v). v pushes nothing else at key d:
-    its connectivity steps wait for the level end.
+    its connectivity steps wait for the level end. The rest of the chain
+    runs in a tight loop that only marks each vertex done, queues it as
+    pending if its layer has a free channel (it is settled even in a closed
+    layer, but none of its steps is read there), and gives its caching
+    neighbour `dist` d and parent. That is all the per-vertex path would do:
+    every chain vertex is a copy of v's UAV at distance d, so none is a
+    feeder (settling one ends the search) and `ub` cannot change
+    along the chain; and none has a discount while it is no `power` key,
+    so it is as fast as v and passes the same `d + step > ub` test. Greedy
+    `power` keys are seeds, at `dist` 0 from the start, which no chain
+    enters; a chain vertex that is a key anyway leaves the tight loop and
+    takes the full per-vertex path. The loop sets `level` to d before it
+    queues anything: v, in a closed layer, may have queued nothing at d.
 
     Goal: a forward search may name a `goal` UAV. Its copies `goal * H + t`,
     one per layer, are the feeders, and the search ends when it settles the
@@ -269,6 +298,8 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     horizon = graph.horizon
     channels = graph.channels
     wmin = graph.min_connectivity_weight
+    caching = graph.caching_edge  # v's caching step is caching[v - back]
+    back = 1 if ends is graph.edge_tail else 0
     # target bound: feeds marks the goal's copies, from `first` on, and
     # feed_in[t] maps layer t's connectivity in-edges by tail, on first use
     feeds = bytearray(graph.vertex_count)
@@ -283,9 +314,10 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
         if set(seeds).issuperset(power):
             step = wmin
     late = sorted(late)
+    queue, q = [], 0  # admitted late seeds in id order, queue[q] next
     pending = []  # vertices settled at `level` with steps above it
     level = 0.0
-    while heap or pending or late:
+    while heap or pending or late or q < len(queue):
         if late and (not heap or heap[0][0] > 0.0):
             for v in late:  # see late seeds
                 if done[v]:
@@ -295,10 +327,17 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
                 elif step > ub:
                     continue
                 dist[v] = 0.0
-                heappush(heap, (0.0, v))
+                queue.append(v)
             late = ()
             continue
-        if pending and (not heap or heap[0][0] > level):
+        if q < len(queue):  # (0.0, queue[q]) merged with the heap
+            v = queue[q]
+            if heap and heap[0] < (0.0, v):
+                d, v = heappop(heap)
+            else:
+                d = 0.0
+                q += 1
+        elif pending and (not heap or heap[0][0] > level):
             if goal is not None:  # feeders first, see the target bound
                 for v in pending:
                     t = v % horizon
@@ -339,7 +378,8 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
                         heappush(heap, (nd, head))
             pending = []
             continue
-        d, v = heappop(heap)
+        else:
+            d, v = heappop(heap)
         if done[v]:
             continue
         while True:  # v, then the caching chain it starts
@@ -378,26 +418,33 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
                     if later:
                         pending.append(v)
                         level = d
-            chain = -1
-            for e in adjacency[v]:  # caching: zero cost
-                if not kinds[e]:
-                    continue
+            e = caching[v - back]  # caching: zero cost
+            if e < 0:
+                break
+            head = ends[e]
+            if done[head] or not d < dist[head] or d + step > ub:
+                break  # v is no feeder, so neither is its caching neighbour
+            dist[head] = d
+            parent[head] = e
+            if not fast:
+                heappush(heap, (d, head))
+                break
+            level = d  # see caching chains
+            v = head
+            while v not in power:  # the rest of the chain, see caching chains
+                done[v] = 1
+                if channel_used[v % horizon] < channels:
+                    pending.append(v)
+                e = caching[v - back]
+                if e < 0:
+                    break
                 head = ends[e]
                 if done[head] or not d < dist[head]:
-                    continue
-                if feeds[head]:
-                    if d > ub:
-                        continue
-                    ub = d
-                elif d + step > ub:
-                    continue
+                    break
                 dist[head] = d
                 parent[head] = e
-                if fast:
-                    chain = head
-                else:
-                    heappush(heap, (d, head))
-            if chain < 0:
-                break
-            v = chain
+                v = head
+            else:
+                continue  # a `power` key: the full per-vertex path
+            break
     return dist, parent, -1

@@ -8,6 +8,7 @@ before anything is generated.
 """
 
 import json
+import re
 
 import click
 import pytest
@@ -235,3 +236,47 @@ def test_seed_ranges_are_sized_before_they_are_expanded():
     assert _parse_seeds(f"1-{MAX_SEEDS - 1},0") == list(range(1, MAX_SEEDS)) + [0]
     with pytest.raises(click.UsageError, match="more than"):
         _parse_seeds(f"1-{MAX_SEEDS - 1},0,7")
+
+
+@pytest.mark.parametrize("spec", ["1_0", "1 - 3", "٣", "+3", "1-٣",
+                                  "0x1", "3.0", "1 0"])
+def test_seeds_are_ascii_digits_with_an_optional_minus(spec):
+    with pytest.raises(click.UsageError, match=re.escape(f"bad seed {spec!r}")):
+        _parse_seeds(spec)
+
+
+def test_seed_items_may_be_spaced_around_commas():
+    assert _parse_seeds(" 1-2 , -0,007 ") == [1, 2, 0, 7]
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--profile", "micro", "--seed", "{value}"),
+    ("gen", "--profile", "micro", "--seed", "1", "--uavs", "{value}"),
+    ("solve", "{base}", "--method", "exact", "--budget-nodes", "{value}"),
+], ids=["gen-seed", "uavs", "budget-nodes"])
+@pytest.mark.parametrize("value", ["1_0", " 3", "3 ", "٣", "+3"])
+def test_integer_flags_are_ascii_digits_with_an_optional_minus(
+        work, capsys, argv, value):
+    out = work / "strict-int.out"
+    out.unlink(missing_ok=True)
+    argv = [arg.format(base=work / "base.json", value=value) for arg in argv]
+    assert run(*argv, "--out", str(out)) == 1
+    assert f"{value!r} is not an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integer_flags_take_a_leading_minus(work):
+    # the rule admits "-": the range check, not the reader, refuses it
+    assert run("gen", "--profile", "micro", "--seed", "-7",
+               "--out", str(work / "minus.json")) == 0
+    assert run("solve", str(work / "base.json"), "--method", "mpf",
+               "--max-restarts", "-1", "--out", str(work / "minus.out")) == 1
+
+
+def test_sweep_counts_follow_the_integer_rule(work, capsys):
+    out = work / "sweep-strict.csv"
+    assert run("sweep", "--profile", "micro", "--variable", "uav_count",
+               "--values", "3,1_0", "--seeds", "0", "--out", str(out)) == 1
+    assert "'1_0' is not an integer" in capsys.readouterr().err
+    assert run("sweep", "--profile", "micro", "--variable", "uav_count",
+               "--values", "3, 4", "--seeds", "0", "--out", str(out)) == 0

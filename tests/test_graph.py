@@ -23,6 +23,7 @@ from fleetcast.gen import generate_scenario, make_config
 from fleetcast.graph import (CACHING, CONNECTIVITY, KIND_CACHING,
                              KIND_CONNECTIVITY, KIND_NAMES, _shortest_paths,
                              augment, build_time_expanded_graph)
+from fleetcast import heuristic
 from fleetcast.heuristic import (HeuristicKind, ResidualState, _walk_back,
                                  build_tree, greedy_plan)
 from fleetcast.jsonio import canonical_dumps
@@ -491,16 +492,19 @@ def _flat_graph(uav_count, horizon, conn, channels=1):
     vertex_count = uav_count * horizon
     out_edges = [[] for _ in range(vertex_count)]
     in_edges = [[] for _ in range(vertex_count)]
-    for e, (tail, head, _, _) in enumerate(edges):
+    caching_edge = [-1] * vertex_count
+    for e, (tail, head, kind, _) in enumerate(edges):
         out_edges[tail].append(e)
         in_edges[head].append(e)
+        if kind:
+            caching_edge[tail] = e
     tails, heads, kinds, weights = ([edge[i] for edge in edges]
                                     for i in range(4))
     return SimpleNamespace(
         edge_tail=tails, edge_head=heads, edge_kind=kinds, edge_weight=weights,
         uav_count=uav_count, horizon=horizon,
         channels=channels, vertex_count=vertex_count,
-        out_edges=out_edges, in_edges=in_edges,
+        out_edges=out_edges, in_edges=in_edges, caching_edge=caching_edge,
         min_connectivity_weight=min(conn.values(), default=math.inf))
 
 
@@ -635,6 +639,125 @@ def test_kernel_late_seeds_follow_the_seeds_zero_closure():
     assert (dist[2], parent[2], parent[0]) == (0.0, -1, -1)
     _assert_kernel_matches_reference(graph, [0, 5], power={5: 1.0},
                                      late=late)
+
+
+def test_kernel_late_seed_on_a_caching_chain_starts_its_own():
+    # late seeds (0,0) and (0,2): the chain from (0,0) stops at (0,2), whose
+    # `dist` is 0 already, so (0,2) keeps parent -1 and chains on to (0,3)
+    graph = _flat_graph(2, 4, {(1, 0, 1): 1.0})
+    dist, parent, _ = _shortest_paths(graph, (), graph.out_edges,
+                                      graph.edge_head, (), {}, [0] * 4,
+                                      late=[2, 0])
+    assert dist[:4] == [0.0] * 4
+    assert [parent[v] if parent[v] < 0 else graph.edge_tail[parent[v]]
+            for v in range(4)] == [-1, 0, -1, 2]
+    _assert_kernel_matches_reference(graph, [], late=[2, 0])
+    _assert_kernel_matches_reference(graph, [5], late=[0, 2, 3])
+
+
+def test_kernel_chain_through_a_closed_layer():
+    # seed (0,0) chains through (0,1), in a closed layer, to (0,3): (0,1) is
+    # settled at 0 but its edge into (1,1) is never relaxed, and UAV 1 is
+    # first reached in layer 2
+    conn = {(0, 1, 1): 1.0, (0, 1, 2): 2.0}
+    graph = _flat_graph(2, 4, conn)
+    used = [0, 1, 0, 0]
+    dist, parent, _ = _shortest_paths(graph, [0], graph.out_edges,
+                                      graph.edge_head, (), {}, used)
+    assert dist == [0.0] * 4 + [math.inf, math.inf, 2.0, 2.0]
+    assert graph.edge_tail[parent[1]] == 0 and graph.edge_tail[parent[6]] == 2
+    _assert_kernel_matches_reference(graph, [0], channel_used=used)
+    dist, _, reached = _forward(graph, [0], {}, 1)
+    assert reached == 5 and dist[5] == 1.0  # the open layer takes (0,1)'s edge
+    _assert_kernel_matches_reference(graph, [0], channel_used=used,
+                                     late=[2])
+
+
+def test_kernel_chain_from_a_closed_layer_keeps_its_level():
+    # (1,0), discounted and with no edge out, is settled at 1.0 and pushes
+    # (1,1), in a closed layer; (1,1) queues nothing and chains on to (1,2),
+    # whose edge into (2,2) waits for the end of level 1.0, not of level 0
+    conn = {(0, 1, 0): 1.0, (1, 2, 2): 1.0}
+    graph = _flat_graph(3, 4, conn)
+    used, power = [0, 1, 0, 0], {4: 0.5}
+    dist, parent, _ = _shortest_paths(graph, [0], graph.out_edges,
+                                      graph.edge_head, (), power, used)
+    assert dist[5:8] == [1.0] * 3 and dist[10] == 2.0
+    _assert_kernel_matches_reference(graph, [0], power=power,
+                                     channel_used=used)
+
+
+def test_kernel_chain_vertex_with_a_discount_takes_the_full_path():
+    # (0,2) is on seed (0,0)'s chain and, unlike any greedy chain vertex, a
+    # `power` key: it must relax its now free step into (1,2) while it is
+    # settled, before seed (2,2) pops and offers the same 0
+    conn = {(0, 1, 2): 1.0, (2, 1, 2): 1.0}
+    graph = _flat_graph(3, 4, conn)
+    seeds, power = [0, 10], {2: 1.0, 10: 1.0}
+    dist, parent, _ = _shortest_paths(graph, seeds, graph.out_edges,
+                                      graph.edge_head, (), power, [0] * 4)
+    assert dist[6] == 0.0 and graph.edge_tail[parent[6]] == 2
+    _assert_kernel_matches_reference(graph, seeds, power=power)
+
+
+def _paper_graphs():
+    for seed in (1, 2, 5):
+        yield build_time_expanded_graph(generate_scenario(make_config(
+            "paper", seed, uav_count=8, info_count=4, horizon=120,
+            channels=1, area_side=150.0)))
+
+
+def test_kernel_matches_reference_on_greedy_searches(monkeypatch):
+    # every search the greedy makes on paper-profile scenarios, with the
+    # real source copies as late seeds and the committed state's deletions,
+    # discounts and closed layers, both with its goal and without
+    searches = []
+
+    def recording(graph, seeds, adjacency, ends, deleted, power, used,
+                  goal=None, late=()):
+        searches.append((graph, sorted(seeds), adjacency, ends, set(deleted),
+                         dict(power), list(used), goal, sorted(late)))
+        return _shortest_paths(graph, seeds, adjacency, ends, deleted, power,
+                               used, goal, late)
+
+    monkeypatch.setattr(heuristic, "_shortest_paths", recording)
+    for graph in _paper_graphs():
+        for kind in ("mpf", "muf"):
+            greedy_plan(graph, graph.infos, HeuristicKind(kind))
+    monkeypatch.undo()
+    chained = closed = 0
+    for graph, seeds, adjacency, ends, deleted, power, used, goal, late \
+            in searches:
+        args = (graph, seeds, adjacency, ends, deleted, power, used, {})
+        dist, parent, reached = _shortest_paths(*args[:7], goal, late)
+        ref_dist, ref_parent, ref_reached = _reference_shortest_paths(
+            *args, goal, late)
+        assert reached == ref_reached
+        if reached >= 0:
+            assert dist[reached] == ref_dist[reached]
+            assert _walk_back(graph, parent, reached) \
+                == _walk_back(graph, ref_parent, reached)
+        full = _shortest_paths(*args[:7], None, late)
+        assert full == _reference_shortest_paths(*args, None, late)
+        chained += sum(d == 0.0 and e >= 0 and graph.edge_kind[e]
+                       for d, e in zip(full[0], full[1]))
+        closed += any(n >= graph.channels for n in used)
+    assert len(searches) >= 30 and closed > 0
+    assert chained > 5_000  # long distance-0 caching chains were walked
+
+
+def test_kernel_matches_reference_on_backward_searches():
+    # the distance tables `exact` builds: every UAV's copies, walked back
+    # over `in_edges`, with no residual state and with closed layers
+    for graph in _paper_graphs():
+        closed = [graph.channels * (t % 5 == 0) for t in range(graph.horizon)]
+        for uav in range(graph.uav_count):
+            copies = [graph.vertex_id(uav, t) for t in range(graph.horizon)]
+            for used in ([0] * graph.horizon, closed):
+                args = (graph, copies, graph.in_edges, graph.edge_tail, (),
+                        {}, used)
+                assert _shortest_paths(*args) \
+                    == _reference_shortest_paths(*args, {})
 
 
 # --- the kernel's target bound --------------------------------------------
@@ -838,6 +961,11 @@ def _reference_graph(scenario, info_sets=()):
 def _assert_same_graph(graph, ref, rng):
     for name in ("out_edges", "in_edges"):
         assert getattr(graph, name) == getattr(ref, name), name
+    for v in range(ref.vertex_count):
+        out = [e for e in ref.out_edges[v] if ref.edges[e].kind == CACHING]
+        into = [e for e in ref.in_edges[v] if ref.edges[e].kind == CACHING]
+        assert [graph.caching_edge[v]] == (out or [-1])
+        assert [graph.caching_edge[v - 1]] == (into or [-1])
     assert graph.vertex_count == ref.vertex_count
     assert graph.edges == range(len(ref.edges))
     assert list(zip(graph.edges, graph.edge_tail, graph.edge_head,
@@ -899,7 +1027,7 @@ def test_one_base_augmented_twice_is_left_unchanged():
     base = build_time_expanded_graph(scenario)
     before = copy.deepcopy({name: getattr(base, name) for name in (
         "edge_tail", "edge_head", "edge_kind", "edge_weight",
-        "out_edges", "in_edges")})
+        "out_edges", "in_edges", "caching_edge")})
     g1 = augment(base, first)
     g2 = augment(base, second)
     for graph, ref in zip((g1, g2), ref_graphs):

@@ -1,6 +1,7 @@
 """LP export: worked variable counts, pinned bytes, lint pass, size cap."""
 
 import hashlib
+import random
 import re
 
 import pytest
@@ -522,26 +523,60 @@ def test_lint_flags_what_the_reference_flags_on_mutants(data):
     assert_flags_what_the_reference_flags("\n".join(lines))
 
 
-@given(st.sampled_from(["c1", "c_2", "1c", "", "c 1", "é"]),
-       st.sampled_from([": ", ":", " : ", " "]),
-       st.lists(st.tuples(
-           st.sampled_from(["", "+ ", "- ", "+", "-", "+ - ", "* "]),
-           st.sampled_from(["", "2 ", "2 3 ", "0.5 ", "1e-05 ", "1e ", "٣ ",
-                            "1_0 ", "2", ".5 "]),
-           st.sampled_from(["x", "P_0", "a_0_1", "e", "E5", "", "1x", "é"]),
-           st.sampled_from([" ", "", "  ", "\t"])), min_size=1, max_size=5),
-       st.sampled_from(["<= ", ">= ", "= ", "", "<=", "=< ", "<= <= ", "> "]),
-       st.sampled_from(["0", "1", "-1", "+1", "2.5e+3", "1_000", "nan", "٣",
-                        "", "x", "1 2", "- 1"]),
-       st.lists(st.sampled_from(["x", "P_0", "e", "1x", "c1"]), max_size=3),
-       st.integers(1, 2))
-@settings(max_examples=600, deadline=None, derandomize=True)
-def test_lint_flags_what_the_reference_flags_on_random_rows(name, colon, terms,
-                                                           sense, rhs, binaries,
-                                                           copies):
-    lhs = "".join(sign + coefs + var + sep for sign, coefs, var, sep in terms)
-    rows = f" {name}{colon}{lhs}{sense}{rhs}\n" * copies
-    text = ("Minimize\n obj: P_0\nSubject To\n c0: x + 2 P_0 >= 1\n"
-            f"{rows}Binaries\n x {' '.join(binaries)}\n"
-            "Bounds\n 0 <= P_0\nEnd\n")
-    assert_flags_what_the_reference_flags(text)
+# the parts of a random row, and (EXPORTER_*) of a row of the exporter's form
+ROW_NAMES = ["c1", "c_2", "1c", "", "c 1", "é"]
+ROW_COLONS = [": ", ":", " : ", " "]
+TERM_SIGNS = ["", "+ ", "- ", "+", "-", "+ - ", "* "]
+TERM_COEFS = ["", "2 ", "2 3 ", "0.5 ", "1e-05 ", "1e ", "٣ ", "1_0 ", "2",
+              ".5 "]
+TERM_VARS = ["x", "P_0", "a_0_1", "e", "E5", "", "1x", "é"]
+TERM_SEPS = [" ", "", "  ", "\t"]
+ROW_SENSES = ["<= ", ">= ", "= ", "", "<=", "=< ", "<= <= ", "> "]
+ROW_RHS = ["0", "1", "-1", "+1", "2.5e+3", "1_000", "nan", "٣", "", "x",
+           "1 2", "- 1"]
+EXTRA_BINARIES = ["x", "P_0", "e", "1x", "c1"]
+EXPORTER_COEFS = ["", "2 ", "0.5 ", "1e-05 ", "21.600000000000005 "]
+EXPORTER_VARS = ["x", "P_0"]  # declared by every document below
+EXPORTER_RHS = ["0", "1", "-1", "+1", "2.5e+3"]
+EXPORTER_BINARIES = ["x", "P_0", "e", "c1"]
+
+
+def _random_row(rng):
+    """Any row from the parts above, once or twice (a duplicate name)."""
+    terms = "".join(rng.choice(TERM_SIGNS) + rng.choice(TERM_COEFS)
+                    + rng.choice(TERM_VARS) + rng.choice(TERM_SEPS)
+                    for _ in range(rng.randint(1, 5)))
+    row = (f" {rng.choice(ROW_NAMES)}{rng.choice(ROW_COLONS)}{terms}"
+           f"{rng.choice(ROW_SENSES)}{rng.choice(ROW_RHS)}\n")
+    return row * rng.randint(1, 2)
+
+
+def _exporter_row(rng):
+    """A row of the form `export_lp` writes, over declared names."""
+    terms = [rng.choice(EXPORTER_COEFS) + rng.choice(EXPORTER_VARS)
+             for _ in range(rng.randint(1, 5))]
+    lhs = rng.choice(["", "- "]) + terms[0] + "".join(
+        rng.choice([" + ", " - "]) + term for term in terms[1:])
+    return (f" {rng.choice(ROW_NAMES[:2])}: {lhs} "
+            f"{rng.choice(['<=', '>=', '='])} {rng.choice(EXPORTER_RHS)}\n")
+
+
+def test_lint_flags_what_the_reference_flags_on_random_rows():
+    # one document in three holds a row of the exporter's form, which both
+    # lints must accept; the others draw every part at random, and the
+    # reference rejects nearly all of them
+    rng = random.Random(2026)
+    accepted = 0
+    for k in range(600):
+        exporter_form = k % 3 == 0
+        row = _exporter_row(rng) if exporter_form else _random_row(rng)
+        names = EXPORTER_BINARIES if exporter_form else EXTRA_BINARIES
+        binaries = " ".join(rng.choices(names, k=rng.randint(0, 3)))
+        text = ("Minimize\n obj: P_0\nSubject To\n c0: x + 2 P_0 >= 1\n"
+                f"{row}Binaries\n x {binaries}\n"
+                "Bounds\n 0 <= P_0\nEnd\n")
+        if exporter_form:
+            assert lint_lp(text) == _reference_lint_lp(text) == [], text
+        accepted += not _reference_lint_lp(text)
+        assert_flags_what_the_reference_flags(text)
+    assert accepted >= 600 // 3
