@@ -10,7 +10,6 @@ carry measured runtimes.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -32,6 +31,8 @@ METHODS = (METHOD_EXACT, *HEURISTIC_KINDS)
 UNIT_FACTORS = {"J": 1.0, "mJ": 1e3, "uJ": 1e6, "nJ": 1e9}
 MAX_SEEDS = 10 ** 5  # per --seeds, counted before a range is expanded
 _INTEGER_RE = re.compile("-?[0-9]+")
+_REAL_RE = re.compile("[-+]?(?:(?:[0-9]+[.]?[0-9]*|[.][0-9]+)(?:[eE][-+]?[0-9]+)?"
+                      "|[iI][nN][fF])")
 
 COMPARE_CSV_HEADER = "# format: fleetcast-compare-csv/1 (objectives in joules)"
 SWEEP_CSV_HEADER = "# format: fleetcast-sweep-csv/1 (objectives in joules)"
@@ -75,17 +76,38 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-class _Integer:
-    """Mixin reading a click integer type's string values with `_integer`."""
+def _real(text: str) -> float:
+    """`text` read as an optional sign, then ASCII digits with an optional
+    fraction and exponent, or `inf` in any case: the one rule for every
+    float on the command line; ValueError for anything else, such as `5_5`,
+    ` 6`, `٥٥` or `nan`, which `float()` alone would take."""
+    if not _REAL_RE.fullmatch(text):
+        raise ValueError(f"{text!r} is not a number")
+    return float(text)
+
+
+class _Strict:
+    """Mixin reading a click number type's string values with `read`, and
+    naming its `rule` when one does not follow it."""
 
     def convert(self, value, param, ctx):
         if isinstance(value, str):
             try:
-                value = _integer(value)
-            except ValueError:
-                self.fail(f"{value!r} is not an integer (an optional '-' "
-                          "and the digits 0-9)", param, ctx)
+                value = self.read(value)
+            except ValueError as exc:
+                self.fail(f"{exc} ({self.rule})", param, ctx)
         return super().convert(value, param, ctx)
+
+
+class _Integer(_Strict):
+    read = staticmethod(_integer)
+    rule = "an optional '-' and the digits 0-9"
+
+
+class _Real(_Strict):
+    read = staticmethod(_real)
+    rule = ("an optional sign, then the digits 0-9 with an optional fraction "
+            "and exponent, or inf")
 
 
 class _Int(_Integer, click.types.IntParamType):
@@ -96,7 +118,16 @@ class _IntRange(_Integer, click.IntRange):
     pass
 
 
+class _Float(_Real, click.types.FloatParamType):
+    pass
+
+
+class _FloatRange(_Real, click.FloatRange):
+    pass
+
+
 _INT = _Int()
+_FLOAT = _Float()
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -140,28 +171,28 @@ GEN_FLAGS = {
     "--horizon": ("horizon", _INT, None, "Number of time units."),
     "--channels": ("channels", _INT, None,
                    "Channel budget per time unit."),
-    "--area": ("area_side", click.FLOAT, None,
+    "--area": ("area_side", _FLOAT, None,
                "Side of the square operating area (m)."),
-    "--speed": ("speed", click.FLOAT, None,
+    "--speed": ("speed", _FLOAT, None,
                 "Max UAV displacement per time unit (m)."),
-    "--gather-radius": ("gather_radius", click.FLOAT, None,
+    "--gather-radius": ("gather_radius", _FLOAT, None,
                         "Pickup radius around an information's location (m)."),
     "--subranges": ("subrange_count", _INT, None,
                     "Number of nested power subranges."),
-    "--max-range": ("max_range", click.FLOAT, None,
+    "--max-range": ("max_range", _FLOAT, None,
                     "Outermost communication radius (m)."),
     "--dest-min": ("dest_min", _INT, None,
                    "Min destination UAVs per information."),
     "--dest-max": ("dest_max", _INT, None,
                    "Max destination UAVs per information."),
-    "--packet-kb": ("packet_bits", click.FLOAT, lambda kb: int(round(kb * 8000)),
+    "--packet-kb": ("packet_bits", _FLOAT, lambda kb: int(round(kb * 8000)),
                     "Packet size in KB (1 KB = 1000 bytes)."),
-    "--bandwidth-mhz": ("bandwidth_hz", click.FLOAT, lambda mhz: mhz * 1e6,
+    "--bandwidth-mhz": ("bandwidth_hz", _FLOAT, lambda mhz: mhz * 1e6,
                         "Channel bandwidth in MHz."),
-    "--alpha": ("path_loss_exponent", click.FLOAT, None, "Path-loss exponent."),
-    "--noise-density": ("noise_density", click.FLOAT, None,
+    "--alpha": ("path_loss_exponent", _FLOAT, None, "Path-loss exponent."),
+    "--noise-density": ("noise_density", _FLOAT, None,
                         "Noise spectral density (W/Hz)."),
-    "--slot-seconds": ("slot_seconds", click.FLOAT, None,
+    "--slot-seconds": ("slot_seconds", _FLOAT, None,
                        "Length of one time unit (s)."),
     "--cache": ("cache_capacity", click.Choice(CACHE_CAPACITIES), None,
                 "How many informations a UAV may cache across a step."),
@@ -177,20 +208,13 @@ _gen_options = _options(*(
     for flag, (field, kind, _, help_text) in GEN_FLAGS.items()))
 
 
-def _not_nan(ctx, param, value):
-    """`FloatRange` lets NaN through: every comparison with it is false."""
-    if math.isnan(value):
-        raise click.BadParameter(f"{value} is not a number")
-    return value
-
-
 _solver_options = _options(
     click.option("--seed", "r_seed", type=_INT, default=0, show_default=True,
                  help="Shuffle seed for the random ordering."),
     click.option("--budget-nodes", type=_IntRange(min=1),
                  default=5_000_000, show_default=True),
-    click.option("--budget-seconds", type=click.FloatRange(min=0, min_open=True),
-                 default=300.0, show_default=True, callback=_not_nan,
+    click.option("--budget-seconds", type=_FloatRange(min=0, min_open=True),
+                 default=300.0, show_default=True,
                  help="Wall-clock limit for exact; inf means none."),
     click.option("--max-restarts", type=_IntRange(min=0), default=None,
                  help="Greedy restart cap (default: one per information)."))

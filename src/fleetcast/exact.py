@@ -44,8 +44,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import filterfalse
 
-from .graph import (KIND_CACHING, KIND_CONNECTIVITY, TimeExpandedGraph,
-                    _shortest_paths)
+from .graph import KIND_CONNECTIVITY, TimeExpandedGraph, _shortest_paths
 from .heuristic import HeuristicKind, greedy_plan
 from .plan import Plan, _energy
 from .report import (METHOD_EXACT, STATUS_FEASIBLE, STATUS_INFEASIBLE,
@@ -105,18 +104,14 @@ class _Search:
         self.incumbent_key = None
         self.guard = 0.0
 
-        # out-edges per vertex for path generation: at most one caching
-        # edge as (e, head), and the connectivity edges as (e, head, weight)
-        self.cache_out = [None] * graph.vertex_count
+        # connectivity out-edges per vertex for path generation, as
+        # (e, head, weight); the caching step is the graph's `caching_edge`
         self.conn_out = [[] for _ in range(graph.vertex_count)]
         for v in range(graph.vertex_count):
             for e in graph.out_edges[v]:
-                kind = graph.edge_kind[e]
-                if kind == KIND_CONNECTIVITY:
+                if graph.edge_kind[e] == KIND_CONNECTIVITY:
                     self.conn_out[v].append(
                         (e, graph.edge_head[e], graph.edge_weight[e]))
-                elif kind == KIND_CACHING:
-                    self.cache_out[v] = (e, graph.edge_head[e])
 
         # admissible remaining-distance estimates steer path generation:
         # channel-free cheapest distances from every vertex to a copy of uav
@@ -348,7 +343,7 @@ class _Search:
         cache_used = self.cache_used
         kinds = graph.edge_kind
         tails = graph.edge_tail
-        cache_out = self.cache_out
+        caching = graph.caching_edge
         conn_out = self.conn_out
         info_id = info.id
         deadline = self.deadline
@@ -366,9 +361,9 @@ class _Search:
             elif head in dest_copies:
                 yield cost, edges
                 budget = self.incumbent_cost + self.guard - accrued - lb
-            step = cache_out[head]
-            if step is not None:
-                e, h = step
+            e = caching[head]
+            if e >= 0:
+                h = head + 1
                 rest = remaining[h]
                 charge = new_estimate = cost + rest
                 if (h not in supplied and new_estimate < budget
@@ -447,7 +442,7 @@ class _Search:
         if time.perf_counter() > self.deadline:
             raise _BudgetExhausted
         remaining = self.h_to_dest[dest_uav]
-        cache_out = self.cache_out
+        caching = self.graph.caching_edge
         conn_out = self.conn_out
         horizon = self.graph.horizon
         channels = self.graph.channels
@@ -464,9 +459,9 @@ class _Search:
         stack = [(v, 0) for v in supplied if remaining[v] < INF]
         while stack:
             v, hops = stack.pop()
-            step = cache_out[v]
-            if step is not None:
-                e, h = step
+            e = caching[v]
+            if e >= 0:
+                h = v + 1
                 if (least[h] > 0 and remaining[h] < INF
                         and e not in cache_used):
                     if h in dest_copies:

@@ -13,6 +13,7 @@ needed.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
@@ -39,13 +40,17 @@ class TimeExpandedGraph:
     are parallel flat lists over the indices `edges`, by which every plan and
     solver names them: `edge_tail`, `edge_head`, `edge_kind` (a KIND_* code)
     and `edge_weight`, ordered by layer, then tail UAV, then head UAV. An
-    edge's layer is its tail's; `out_edges` and `in_edges` list each vertex's
-    edges. `caching_edge[v]` is v's caching edge into v + 1, -1 in the last
-    layer; the last vertex is in the last layer, so `caching_edge[v - 1]` is
-    the caching edge into v for every v, -1 in the first layer (index -1
-    included). `min_connectivity_weight`, the smallest entry of the builder's
-    subrange-weight table, bounds every connectivity weight from below (inf
-    without UAVs). Equality is identity; the repr omits the lists.
+    edge's layer is its tail's. That order keeps each tail's edges
+    contiguous, so `out_edges[v]` is the `range` of v's out-edges, and
+    `in_edges[v]` is an `array('q')` of v's in-edges in ascending order:
+    neither table holds an int object per edge, which at fleet scale would
+    be a quarter of the graph's memory. `caching_edge[v]` is v's caching edge
+    into v + 1, -1 in the last layer; the last vertex is in the last layer,
+    so `caching_edge[v - 1]` is the caching edge into v for every v, -1 in
+    the first layer (index -1 included). `min_connectivity_weight`, the
+    smallest entry of the builder's subrange-weight table, bounds every
+    connectivity weight from below (inf without UAVs). Equality is
+    identity; the repr omits the tables.
     """
 
     uav_count: int
@@ -56,8 +61,8 @@ class TimeExpandedGraph:
     edge_head: list[int]
     edge_kind: list[int]
     edge_weight: list[float]
-    out_edges: list[list[int]]
-    in_edges: list[list[int]]
+    out_edges: list[range]
+    in_edges: list[array]
     caching_edge: list[int]
     min_connectivity_weight: float
     infos: tuple[InfoSpec, ...]
@@ -116,9 +121,10 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
     """
     horizon, uav_count = scenario.horizon, scenario.uav_count
     tails, heads, kinds, weights = [], [], [], []
-    out_edges = [[] for _ in range(uav_count * horizon)]
-    in_edges = [[] for _ in range(uav_count * horizon)]
+    out_edges = [range(0)] * (uav_count * horizon)
+    in_edges = [array("q") for _ in range(uav_count * horizon)]
     caching_edge = [-1] * (uav_count * horizon)
+    first = 0  # the next tail's first edge
 
     radii = [scenario.radii_for(u) for u in range(uav_count)]
     weight_of = [[subrange_weight(scenario.radio, r) for r in rs] for rs in radii]
@@ -145,8 +151,10 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
                 heads.append(head)
                 kinds.append(kind)
                 weights.append(weight)
-                out_edges[tail].append(e)
                 in_edges[head].append(e)
+            end = len(tails)  # adjacent ranges share their bound
+            out_edges[tail] = range(first, end)
+            first = end
 
     min_weight = min((w for ws in weight_of for w in ws), default=math.inf)
     return TimeExpandedGraph(
@@ -158,8 +166,9 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
 def augment(graph: TimeExpandedGraph, infos) -> TimeExpandedGraph:
     """The graph serving the given infos in place of its own; they must pass
     `check_infos` for its fleet. The constructor builds it from every other
-    field of `graph`, so it adds no vertex or edge, shares every list, and
-    leaves `graph` unchanged."""
+    field of `graph`, so it adds no vertex or edge, shares every table (the
+    edge lists, the `out_edges` ranges, the `in_edges` arrays and
+    `caching_edge`), and leaves `graph` unchanged."""
     infos = tuple(sorted(infos, key=lambda i: i.id))
     check_infos(infos, graph.uav_count, graph.horizon)
     return replace(graph, infos=infos)

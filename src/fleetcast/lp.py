@@ -92,10 +92,10 @@ def export_lp(graph: TimeExpandedGraph, infos=None,
         source_vertices = {graph.vertex_id(u, t) for u, t in info.sources}
         for v in range(n_vertices):
             outs = out_edges[v]
-            ins = " + ".join([a[e] for e in in_edges[v]])
+            ins = " + ".join(map(a.__getitem__, in_edges[v]))
             ins_ = f"{ins} " if ins else ""     # ready for a next term
             if v not in source_vertices:
-                sends = " + ".join([a[e] for e in outs])
+                sends = " + ".join(map(a.__getitem__, outs))
                 sends_ = f"{sends} " if sends else ""
                 if outs:
                     row(f" c1_{i}_{v}: {sends_}{_term(-len(outs), h[v])} <= 0")

@@ -280,3 +280,38 @@ def test_sweep_counts_follow_the_integer_rule(work, capsys):
     assert "'1_0' is not an integer" in capsys.readouterr().err
     assert run("sweep", "--profile", "micro", "--variable", "uav_count",
                "--values", "3, 4", "--seeds", "0", "--out", str(out)) == 0
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("gen", "--profile", "micro", "--seed", "1", "--area"), "5_5"),
+    (("gen", "--profile", "micro", "--seed", "1", "--area"), "٥٥"),
+    (("gen", "--profile", "micro", "--seed", "1", "--speed"), " 6"),
+    (("gen", "--profile", "micro", "--seed", "1", "--alpha"), "nan"),
+    (("solve", "{base}", "--method", "exact", "--budget-seconds"), "1_0"),
+    (("sweep", "--profile", "micro", "--variable", "packet_size", "--seeds",
+      "0", "--values"), "1_0"),
+], ids=["area-underscore", "area-arabic-indic", "speed-space", "alpha-nan",
+        "budget-seconds-underscore", "sweep-values-underscore"])
+def test_float_flags_follow_the_number_rule(work, capsys, argv, value):
+    out = work / "strict-float.out"
+    out.unlink(missing_ok=True)
+    argv = [arg.format(base=work / "base.json") for arg in argv]
+    assert run(*argv, value, "--out", str(out)) == 1
+    assert f"{value!r} is not a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--profile", "micro", "--seed", "1", "--area", "1e3"),
+    ("gen", "--profile", "micro", "--seed", "1", "--speed", ".5"),
+    ("gen", "--profile", "micro", "--seed", "1", "--alpha", "2."),
+    ("gen", "--profile", "micro", "--seed", "1", "--speed", "+6"),
+    ("solve", "{base}", "--method", "exact", "--budget-seconds", "inf"),
+    ("solve", "{base}", "--method", "exact", "--budget-seconds", "+INF"),
+    ("sweep", "--profile", "micro", "--variable", "packet_size",
+     "--values", "2.5E2, 1e3", "--seeds", "0"),
+], ids=["exponent", "no-integer-part", "no-fraction", "plus-sign",
+        "inf", "signed-upper-case-inf", "sweep-values"])
+def test_float_flags_take_signs_fractions_exponents_and_inf(work, argv):
+    argv = [arg.format(base=work / "base.json") for arg in argv]
+    assert run(*argv, "--out", str(work / "float.out")) == 0

@@ -7,6 +7,7 @@ import gc
 import math
 import random
 import weakref
+from array import array
 from bisect import bisect_left
 from collections import namedtuple
 from heapq import heapify, heappop, heappush
@@ -162,6 +163,37 @@ def test_augment_counts():
     assert graph.vertex_count == base.vertex_count == 2 * 4
     assert len(graph.edges) == len(base.edges) == 2 * 4 + 2 * 3
     assert graph.infos == scen.infos
+
+
+ADJACENCY_SCENARIOS = {
+    "micro": lambda: generate_scenario(make_config("micro", 1)),
+    "paper": lambda: generate_scenario(make_config("paper", 1)),
+    # a caching pair, and a UAV out of range that only caches
+    "caching-pair": lambda: instances.static_scenario(
+        positions=[(0, 0), (5, 0), (500, 0)], horizon=4,
+        infos=[InfoSpec(id=0, sources={(0, 0)}, destinations={1})]),
+}
+
+
+@pytest.mark.parametrize("name", ADJACENCY_SCENARIOS)
+def test_adjacency_tables_hold_no_int_per_edge(name):
+    scenario = ADJACENCY_SCENARIOS[name]()
+    graph = build_time_expanded_graph(scenario)
+    for v, outs in enumerate(graph.out_edges):
+        assert type(outs) is range and outs.step == 1
+        assert all(graph.edge_tail[e] == v for e in outs)
+    # the ranges tile the edge indices in edge order: by layer, then tail UAV
+    tiles = [graph.out_edges[graph.vertex_id(u, t)]
+             for t in range(graph.horizon) for u in range(graph.uav_count)]
+    assert [e for outs in tiles for e in outs] == list(graph.edges)
+    for v, ins in enumerate(graph.in_edges):
+        assert type(ins) is array and ins.typecode == "q"
+        assert list(ins) == sorted(ins)
+        assert all(graph.edge_head[e] == v for e in ins)
+    assert sum(map(len, graph.in_edges)) == len(graph.edges)
+    served = augment(graph, scenario.infos[:1])
+    assert served.out_edges is graph.out_edges
+    assert served.in_edges is graph.in_edges
 
 
 def test_augment_two_infos_share_source_vertex():
@@ -959,8 +991,9 @@ def _reference_graph(scenario, info_sets=()):
 
 
 def _assert_same_graph(graph, ref, rng):
-    for name in ("out_edges", "in_edges"):
-        assert getattr(graph, name) == getattr(ref, name), name
+    for name in ("out_edges", "in_edges"):  # contents: ranges and arrays
+        assert [list(x) for x in getattr(graph, name)] \
+            == getattr(ref, name), name
     for v in range(ref.vertex_count):
         out = [e for e in ref.out_edges[v] if ref.edges[e].kind == CACHING]
         into = [e for e in ref.in_edges[v] if ref.edges[e].kind == CACHING]
@@ -1025,18 +1058,22 @@ def test_one_base_augmented_twice_is_left_unchanged():
     first, second = scenario.infos[:2], scenario.infos[1:]
     ref_base, ref_graphs = _reference_graph(scenario, [first, second])
     base = build_time_expanded_graph(scenario)
-    before = copy.deepcopy({name: getattr(base, name) for name in (
-        "edge_tail", "edge_head", "edge_kind", "edge_weight",
-        "out_edges", "in_edges", "caching_edge")})
+    tables = ("edge_tail", "edge_head", "edge_kind", "edge_weight",
+              "out_edges", "in_edges", "caching_edge")
+
+    def contents(graph):  # the adjacency tables hold ranges and arrays
+        return {name: [list(x) if name.endswith("_edges") else x
+                       for x in getattr(graph, name)] for name in tables}
+
+    before = contents(base)
     g1 = augment(base, first)
     g2 = augment(base, second)
     for graph, ref in zip((g1, g2), ref_graphs):
         _assert_same_graph(graph, ref, rng)
     _assert_same_graph(base, ref_base, rng)
-    for name, value in before.items():
-        assert getattr(base, name) == value, name
-    for graph in (g1, g2):      # augment shares every list of its base
-        for name in before:
+    assert contents(base) == before
+    for graph in (g1, g2):      # augment shares every table of its base
+        for name in tables:
             assert getattr(graph, name) is getattr(base, name), name
 
 
