@@ -22,6 +22,9 @@ whereas the in-repo checker serves it for free.
 from __future__ import annotations
 
 import re
+import sys
+from itertools import chain, repeat
+from operator import itemgetter
 
 from .errors import LpSizeError
 from .graph import KIND_CACHING, KIND_CONNECTIVITY, TimeExpandedGraph
@@ -33,15 +36,21 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"  # exponents intact
 _RHS = rf"[-+]?{_NUMBER}"
 _NAME_RE = re.compile(rf"^{_NAME}$")
-# A linear expression as export_lp writes it: terms are `[coefficient ]name`,
-# split by " + " or " - ", the first optionally led by "- ".
-_EXPR = rf"(?:- )?(?:{_NUMBER} )?{_NAME}(?: [-+] (?:{_NUMBER} )?{_NAME})*"
-# The objective is one line, `name: expression`; a constraint row adds its
-# sense and right-hand side. Group 1 of either is the name, group 2 the
-# expression.
+# Possessive quantifiers (CPython 3.11+) keep no backtracking entry per
+# repetition. No grammar below ever needs one, so with or without them each
+# pattern accepts the same lines.
+_POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
+# A linear expression as export_lp writes it: terms are `name` or
+# `coefficient name`, split by " + " or " - ", the first optionally led by
+# "- ". A name never starts with a digit or a dot; a number always does.
+_TERM = rf"(?:{_NAME}|{_NUMBER} {_NAME})"
+_EXPR = rf"(?:- )?{_TERM}(?: [-+] {_TERM})*{_POSSESSIVE}"
+# The objective is one line, `name: expression`, group 1 the name and
+# group 2 the expression. A constraint row adds its sense and right-hand
+# side; its name is what precedes its first ": ".
 _OBJECTIVE_RE = re.compile(rf"({_NAME}): ({_EXPR})")
-_ROW_RE = re.compile(rf"({_NAME}): ({_EXPR}) (?:<=|>=|=) {_RHS}")
-_BINARIES_RE = re.compile(rf"{_NAME}(?: {_NAME})*")
+_ROW_RE = re.compile(rf"{_NAME}: {_EXPR} (?:<=|>=|=) {_RHS}")
+_BINARIES_RE = re.compile(rf"{_NAME}(?: {_NAME})*{_POSSESSIVE}")
 # A Bounds line, tokens one space apart: `lo <= name`, `lo <= name <= hi`,
 # `name >= lo`, `name <= hi` or `name free`, each bound a right-hand side.
 # Only lint_lp needs it, so it is compiled there, on first use.
@@ -69,7 +78,7 @@ def export_lp(graph: TimeExpandedGraph, infos=None,
     out_edges, in_edges = graph.out_edges, graph.in_edges   # in index order
 
     # Each variable name is built once; a row is its unit-coefficient names
-    # joined by " + ", then its other terms formatted by _term.
+    # joined by " + ", then its other terms, each a _lead and a name.
     P = [f"P_{v}" for v in range(n_vertices)]
     a_of, b_of, binaries = [], [], []
     lines = [LP_HEADER, "Minimize", f" obj: {' + '.join(P)}", "Subject To"]
@@ -98,7 +107,7 @@ def export_lp(graph: TimeExpandedGraph, infos=None,
                 sends = " + ".join(map(a.__getitem__, outs))
                 sends_ = f"{sends} " if sends else ""
                 if outs:
-                    row(f" c1_{i}_{v}: {sends_}{_term(-len(outs), h[v])} <= 0")
+                    row(f" c1_{i}_{v}: {sends_}{_lead(-len(outs))}{h[v]} <= 0")
                 row(f" c2_{i}_{v}: {sends_}- {h[v]} >= 0")
             if v not in d:
                 row(f" c3_{i}_{v}: {ins_}- {h[v]} = 0")
@@ -126,7 +135,7 @@ def export_lp(graph: TimeExpandedGraph, infos=None,
                 conn = conn_out[v]
                 if conn:
                     row(f" c8_{i}_{v}: {' + '.join([a[e] for e in conn])} "
-                        f"{_term(-len(conn), b[v])} <= 0")
+                        f"{_lead(-len(conn))}{b[v]} <= 0")
         for t in range(horizon):  # layer t's tails by UAV: edge-index order
             layer = [e for v in range(t, n_vertices, horizon) for e in conn_out[v]]
             if layer:
@@ -134,9 +143,9 @@ def export_lp(graph: TimeExpandedGraph, infos=None,
                     f"<= {graph.channels!r}")
         for v in range(n_vertices):
             for e in conn_out[v]:
-                coef = -weight[e]
-                row(f" c10_{v}_{e}: {P[v]} "
-                    f"{' '.join([_term(coef, a[e]) for a in a_of])} >= 0")
+                lead = _lead(-weight[e])    # the same for every information
+                terms = f" {lead}".join([a[e] for a in a_of])
+                row(f" c10_{v}_{e}: {P[v]} {lead}{terms} >= 0")
         if graph.cache_capacity == CACHE_SINGLE:
             for e in range(n_edges):
                 if kind[e] == KIND_CACHING:
@@ -151,11 +160,27 @@ def export_lp(graph: TimeExpandedGraph, infos=None,
     return "\n".join(lines) + "\n"
 
 
-def _term(coef, var: str) -> str:
-    """A term after the first: `+`/`-` by sign, then `repr(abs(coef))` unless 1."""
-    sign = "+" if coef >= 0 else "-"
+def _lead(coef) -> str:
+    """What precedes the name in a term after the first: `+ ` or `- ` by
+    sign, then `repr(abs(coef))` and a space unless the magnitude is 1."""
+    sign = "+ " if coef >= 0 else "- "
     mag = abs(coef)
-    return f"{sign} {var}" if mag == 1 else f"{sign} {mag!r} {var}"
+    return sign if mag == 1 else f"{sign}{mag!r} "
+
+
+def _section_fits(line_re: re.Pattern, section: list[str]) -> bool:
+    """Whether every line of a section fullmatches `line_re`.
+
+    With possessive quantifiers one match covers the section joined by
+    newlines, with no bytecode and no backtracking entry per line; its
+    pattern is compiled on first use. Without them that match would keep
+    an entry per line, so each line is matched alone.
+    """
+    if _POSSESSIVE:
+        line = line_re.pattern
+        return re.fullmatch(rf"(?:(?:{line})(?:\n(?:{line}))*+)?",
+                            "\n".join(section)) is not None
+    return all(map(line_re.fullmatch, section))
 
 
 def lint_lp(text: str) -> list[str]:
@@ -167,7 +192,7 @@ def lint_lp(text: str) -> list[str]:
     referenced variable is declared binary or carries an explicit bound. A
     right-hand side, and each bound of a Bounds line, is an optionally
     signed number of the coefficient grammar. A line outside its section's
-    form gets one message that quotes it.
+    form, or after End, gets one message that quotes it.
     """
     errors: list[str] = []
     lines = [ln.strip() for ln in text.splitlines()]
@@ -190,7 +215,7 @@ def lint_lp(text: str) -> list[str]:
         errors.append("sections out of order")
         return errors
 
-    referenced: set[str] = set()    # also holds signs and coefficients
+    referenced: set[str] = set()    # also holds other tokens: signs, numbers
     declared: set[str] = set()
 
     objective = lines[indices["minimize"] + 1:indices["subject to"]]
@@ -203,23 +228,36 @@ def lint_lp(text: str) -> list[str]:
         else:
             referenced.update(match[2].split())
 
-    row_names = set()
-    for ln in lines[indices["subject to"] + 1:indices["binaries"]]:
-        match = _ROW_RE.fullmatch(ln)
-        if match is None:
-            errors.append(f"malformed constraint row: {ln!r}")
-            continue
-        name, lhs = match.groups()
-        if name in row_names:
-            errors.append(f"duplicate constraint name {name!r}")
-        row_names.add(name)
-        referenced.update(lhs.split())
+    # A section of well-formed lines (and, for rows, unique names) takes its
+    # verdict and its names from passes that run no bytecode per line. The
+    # loops that word the messages run only on a section that fails them.
+    # A row's tokens after its name include its sense and right-hand side.
+    rows = lines[indices["subject to"] + 1:indices["binaries"]]
+    if (_section_fits(_ROW_RE, rows) and len(rows) == len(set(
+            map(itemgetter(0), map(str.partition, rows, repeat(": ")))))):
+        referenced.update(chain.from_iterable(map(str.split, map(
+            itemgetter(2), map(str.partition, rows, repeat(": "))))))
+    else:
+        row_names = set()
+        for ln in rows:
+            if _ROW_RE.fullmatch(ln) is None:
+                errors.append(f"malformed constraint row: {ln!r}")
+                continue
+            name, _, rest = ln.partition(": ")
+            if name in row_names:
+                errors.append(f"duplicate constraint name {name!r}")
+            row_names.add(name)
+            referenced.update(rest.split())
 
-    for ln in lines[indices["binaries"] + 1:indices["bounds"]]:
-        if _BINARIES_RE.fullmatch(ln):
-            declared.update(ln.split())
-        else:
-            errors.append(f"malformed binaries line: {ln!r}")
+    binaries = lines[indices["binaries"] + 1:indices["bounds"]]
+    if _section_fits(_BINARIES_RE, binaries):
+        declared.update(chain.from_iterable(map(str.split, binaries)))
+    else:
+        for ln in binaries:
+            if _BINARIES_RE.fullmatch(ln):
+                declared.update(ln.split())
+            else:
+                errors.append(f"malformed binaries line: {ln!r}")
 
     bound_line = re.compile(_BOUND).fullmatch   # re caches the compiled form
     for ln in lines[indices["bounds"] + 1:indices["end"]]:
@@ -231,7 +269,10 @@ def lint_lp(text: str) -> list[str]:
             errors.append(f"malformed bound line: {ln!r}")
         declared.update(names)
 
+    for ln in lines[indices["end"] + 1:]:
+        errors.append(f"line after End: {ln!r}")
+
     for var in sorted(referenced - declared):
-        if _NAME_RE.match(var):     # skip the signs and coefficients
+        if _NAME_RE.match(var):     # skip the tokens that are no names
             errors.append(f"variable {var} is never declared binary or bounded")
     return errors

@@ -580,3 +580,189 @@ def test_lint_flags_what_the_reference_flags_on_random_rows():
         accepted += not _reference_lint_lp(text)
         assert_flags_what_the_reference_flags(text)
     assert accepted >= 600 // 3
+
+
+# --- message for message against the row-by-row lint ----------------------
+
+# lint_lp as it was before its section-wide verdicts, copied verbatim with
+# the patterns it read. It words every message line by line, so lint_lp must
+# return its list exactly, order included, apart from the messages for lines
+# after End, which it did not read.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"  # exponents intact
+_RHS = rf"[-+]?{_NUMBER}"
+_NAME_RE = re.compile(rf"^{_NAME}$")
+# A linear expression as export_lp writes it: terms are `[coefficient ]name`,
+# split by " + " or " - ", the first optionally led by "- ".
+_EXPR = rf"(?:- )?(?:{_NUMBER} )?{_NAME}(?: [-+] (?:{_NUMBER} )?{_NAME})*"
+# The objective is one line, `name: expression`; a constraint row adds its
+# sense and right-hand side. Group 1 of either is the name, group 2 the
+# expression.
+_OBJECTIVE_RE = re.compile(rf"({_NAME}): ({_EXPR})")
+_ROW_RE = re.compile(rf"({_NAME}): ({_EXPR}) (?:<=|>=|=) {_RHS}")
+_BINARIES_RE = re.compile(rf"{_NAME}(?: {_NAME})*")
+# A Bounds line, tokens one space apart: `lo <= name`, `lo <= name <= hi`,
+# `name >= lo`, `name <= hi` or `name free`, each bound a right-hand side.
+# Only lint_lp needs it, so it is compiled there, on first use.
+_BOUND = (rf"{_RHS} <= {_NAME}(?: <= {_RHS})?"
+          rf"|{_NAME} (?:[<>]= {_RHS}|free)")
+
+
+def _row_by_row_lint_lp(text: str) -> list[str]:
+    """Validate an LP document; returns a list of problems, empty when clean.
+
+    Checks the section layout, that the objective, every constraint row and
+    every Binaries line take the form export_lp writes (one regular
+    expression each), that constraint names are unique, and that every
+    referenced variable is declared binary or carries an explicit bound. A
+    right-hand side, and each bound of a Bounds line, is an optionally
+    signed number of the coefficient grammar. A line outside its section's
+    form gets one message that quotes it.
+    """
+    errors: list[str] = []
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("\\")]
+
+    section_order = ["minimize", "subject to", "binaries", "bounds", "end"]
+    indices = {}
+    for k, ln in enumerate(lines):
+        key = ln.lower()
+        if key in section_order:
+            if key in indices:
+                errors.append(f"duplicate section {ln!r}")
+            indices[key] = k
+    for name in section_order:
+        if name not in indices:
+            errors.append(f"missing section {name!r}")
+    if errors:
+        return errors
+    if [indices[name] for name in section_order] != sorted(indices.values()):
+        errors.append("sections out of order")
+        return errors
+
+    referenced: set[str] = set()    # also holds signs and coefficients
+    declared: set[str] = set()
+
+    objective = lines[indices["minimize"] + 1:indices["subject to"]]
+    if not objective:
+        errors.append("empty objective")
+    for k, ln in enumerate(objective):
+        match = _OBJECTIVE_RE.fullmatch(ln)
+        if match is None or k:      # the objective is one line
+            errors.append(f"malformed objective: {ln!r}")
+        else:
+            referenced.update(match[2].split())
+
+    row_names = set()
+    for ln in lines[indices["subject to"] + 1:indices["binaries"]]:
+        match = _ROW_RE.fullmatch(ln)
+        if match is None:
+            errors.append(f"malformed constraint row: {ln!r}")
+            continue
+        name, lhs = match.groups()
+        if name in row_names:
+            errors.append(f"duplicate constraint name {name!r}")
+        row_names.add(name)
+        referenced.update(lhs.split())
+
+    for ln in lines[indices["binaries"] + 1:indices["bounds"]]:
+        if _BINARIES_RE.fullmatch(ln):
+            declared.update(ln.split())
+        else:
+            errors.append(f"malformed binaries line: {ln!r}")
+
+    bound_line = re.compile(_BOUND).fullmatch   # re caches the compiled form
+    for ln in lines[indices["bounds"] + 1:indices["end"]]:
+        tokens = ln.split()
+        names = [tok for tok in tokens if _NAME_RE.match(tok) and tok != "free"]
+        if not names:
+            errors.append(f"bound line without a variable: {ln!r}")
+        elif not bound_line(" ".join(tokens)):
+            errors.append(f"malformed bound line: {ln!r}")
+        declared.update(names)
+
+    for var in sorted(referenced - declared):
+        if _NAME_RE.match(var):     # skip the signs and coefficients
+            errors.append(f"variable {var} is never declared binary or bounded")
+    return errors
+
+
+AFTER_END = "line after End: "
+
+
+def assert_same_messages_as_row_by_row(text):
+    found = [m for m in lint_lp(text) if not m.startswith(AFTER_END)]
+    assert found == _row_by_row_lint_lp(text), text
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
+def test_lint_matches_row_by_row_lint_on_exported_documents(name):
+    text = export_lp(build_time_expanded_graph(PINNED_INSTANCES[name]()))
+    assert lint_lp(text) == _row_by_row_lint_lp(text) == []
+
+
+def test_lint_matches_row_by_row_lint_on_single_line_edits():
+    lines = export_lp(build_time_expanded_graph(scientific_pair())).split("\n")
+    for k, line in enumerate(lines):
+        for edited in _line_edits(line):
+            assert_same_messages_as_row_by_row(
+                "\n".join(lines[:k] + [edited] + lines[k + 1:]))
+
+
+@given(st.data())
+@settings(max_examples=3000, deadline=None, derandomize=True)
+def test_lint_matches_row_by_row_lint_on_mutants(data):
+    lines = list(data.draw(st.sampled_from(MUTATION_BASES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, lines)
+    assert_same_messages_as_row_by_row("\n".join(lines))
+
+
+def test_lint_matches_row_by_row_lint_on_random_rows():
+    rng = random.Random(2026)
+    for k in range(3000):
+        exporter_form = k % 3 == 0
+        row = _exporter_row(rng) if exporter_form else _random_row(rng)
+        names = EXPORTER_BINARIES if exporter_form else EXTRA_BINARIES
+        binaries = " ".join(rng.choices(names, k=rng.randint(0, 3)))
+        assert_same_messages_as_row_by_row(
+            "Minimize\n obj: P_0\nSubject To\n c0: x + 2 P_0 >= 1\n"
+            f"{row}Binaries\n x {binaries}\nBounds\n 0 <= P_0\nEnd\n")
+
+
+def test_lint_words_interleaved_row_messages_in_row_order():
+    rows = ["c1: x >= 1", "c1: x >= 1", "bad row", "c1: x >= 1"]
+    text = ("Minimize\n obj: P_0\nSubject To\n"
+            + "".join(f" {row}\n" for row in rows)
+            + "Binaries\nBounds\n 0 <= P_0\nEnd\n")
+    assert lint_lp(text) == [
+        "duplicate constraint name 'c1'",
+        "malformed constraint row: 'bad row'",
+        "duplicate constraint name 'c1'",
+        "variable x is never declared binary or bounded"]
+
+
+def test_lint_reports_each_line_after_end():
+    clean = export_lp(build_time_expanded_graph(instances.asymmetric_pair()))
+    assert lint_lp(clean) == []
+    text = clean + " junk ::: >= q\n\\ a comment\n\n c1: y >= 1\n"
+    assert lint_lp(text) == ["line after End: 'junk ::: >= q'",
+                             "line after End: 'c1: y >= 1'"]
+    # after the Bounds messages, before the undeclared variables
+    text = one_bound("P_0 = 1").replace(" c1: P_0 >= 0", " c1: z >= 0") + "x\n"
+    assert lint_lp(text) == ["malformed bound line: 'P_0 = 1'",
+                             "line after End: 'x'",
+                             "variable z is never declared binary or bounded"]
+
+
+def test_lint_matches_row_by_row_lint_matching_line_by_line(monkeypatch):
+    # interpreters without possessive quantifiers match each line alone
+    monkeypatch.setattr("fleetcast.lp._POSSESSIVE", "")
+    texts = [export_lp(build_time_expanded_graph(caching_pair())),
+             OUTSIDE_THE_FORM.replace("c1: x + y >= 1", "c1: x+y >= 1"),
+             OUTSIDE_THE_FORM.replace("a b", "a  b"),
+             one_row("c1: P_0 >= nan"),
+             one_row("c1: P_0 >= 0\n c1: P_0 >= 0")]
+    found = [lint_lp(text) for text in texts]
+    assert found == [_row_by_row_lint_lp(text) for text in texts]
+    assert found[0] == [] and all(found[1:])
