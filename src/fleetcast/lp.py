@@ -22,7 +22,6 @@ whereas the in-repo checker serves it for free.
 from __future__ import annotations
 
 import re
-import sys
 from itertools import chain, repeat
 from operator import itemgetter
 
@@ -36,21 +35,17 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"  # exponents intact
 _RHS = rf"[-+]?{_NUMBER}"
 _NAME_RE = re.compile(rf"^{_NAME}$")
-# Possessive quantifiers (CPython 3.11+) keep no backtracking entry per
-# repetition. No grammar below ever needs one, so with or without them each
-# pattern accepts the same lines.
-_POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
 # A linear expression as export_lp writes it: terms are `name` or
 # `coefficient name`, split by " + " or " - ", the first optionally led by
 # "- ". A name never starts with a digit or a dot; a number always does.
 _TERM = rf"(?:{_NAME}|{_NUMBER} {_NAME})"
-_EXPR = rf"(?:- )?{_TERM}(?: [-+] {_TERM})*{_POSSESSIVE}"
+_EXPR = rf"(?:- )?{_TERM}(?: [-+] {_TERM})*"
 # The objective is one line, `name: expression`, group 1 the name and
 # group 2 the expression. A constraint row adds its sense and right-hand
 # side; its name is what precedes its first ": ".
 _OBJECTIVE_RE = re.compile(rf"({_NAME}): ({_EXPR})")
 _ROW_RE = re.compile(rf"{_NAME}: {_EXPR} (?:<=|>=|=) {_RHS}")
-_BINARIES_RE = re.compile(rf"{_NAME}(?: {_NAME})*{_POSSESSIVE}")
+_BINARIES_RE = re.compile(rf"{_NAME}(?: {_NAME})*")
 # A Bounds line, tokens one space apart: `lo <= name`, `lo <= name <= hi`,
 # `name >= lo`, `name <= hi` or `name free`, each bound a right-hand side.
 # Only lint_lp needs it, so it is compiled there, on first use.
@@ -168,21 +163,6 @@ def _lead(coef) -> str:
     return sign if mag == 1 else f"{sign}{mag!r} "
 
 
-def _section_fits(line_re: re.Pattern, section: list[str]) -> bool:
-    """Whether every line of a section fullmatches `line_re`.
-
-    With possessive quantifiers one match covers the section joined by
-    newlines, with no bytecode and no backtracking entry per line; its
-    pattern is compiled on first use. Without them that match would keep
-    an entry per line, so each line is matched alone.
-    """
-    if _POSSESSIVE:
-        line = line_re.pattern
-        return re.fullmatch(rf"(?:(?:{line})(?:\n(?:{line}))*+)?",
-                            "\n".join(section)) is not None
-    return all(map(line_re.fullmatch, section))
-
-
 def lint_lp(text: str) -> list[str]:
     """Validate an LP document; returns a list of problems, empty when clean.
 
@@ -233,7 +213,7 @@ def lint_lp(text: str) -> list[str]:
     # loops that word the messages run only on a section that fails them.
     # A row's tokens after its name include its sense and right-hand side.
     rows = lines[indices["subject to"] + 1:indices["binaries"]]
-    if (_section_fits(_ROW_RE, rows) and len(rows) == len(set(
+    if (all(map(_ROW_RE.fullmatch, rows)) and len(rows) == len(set(
             map(itemgetter(0), map(str.partition, rows, repeat(": ")))))):
         referenced.update(chain.from_iterable(map(str.split, map(
             itemgetter(2), map(str.partition, rows, repeat(": "))))))
@@ -250,7 +230,7 @@ def lint_lp(text: str) -> list[str]:
             referenced.update(rest.split())
 
     binaries = lines[indices["binaries"] + 1:indices["bounds"]]
-    if _section_fits(_BINARIES_RE, binaries):
+    if all(map(_BINARIES_RE.fullmatch, binaries)):
         declared.update(chain.from_iterable(map(str.split, binaries)))
     else:
         for ln in binaries:

@@ -408,17 +408,22 @@ LAYOUT_MESSAGES = ("missing section", "duplicate section", "sections out of orde
 
 def assert_flags_what_the_reference_flags(text):
     """lint_lp flags every document the reference flags, and reports a
-    broken section layout with the reference's own messages."""
+    broken section layout with the reference's own messages. It also returns
+    the row-by-row lint's list (below), order included, once the messages
+    for lines after End are dropped."""
     found = lint_lp(text)
     assert found or not _reference_lint_lp(text), text
     if found and found[0].startswith(LAYOUT_MESSAGES):
         assert found == _reference_lint_lp(text)
+    assert ([m for m in found if not m.startswith("line after End: ")]
+            == _row_by_row_lint_lp(text)), text
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
 def test_lint_matches_reference_on_exported_documents(name):
     text = export_lp(build_time_expanded_graph(PINNED_INSTANCES[name]()))
     assert lint_lp(text) == _reference_lint_lp(text) == []
+    assert _row_by_row_lint_lp(text) == []
 
 
 def _mutation_bases():
@@ -584,10 +589,10 @@ def test_lint_flags_what_the_reference_flags_on_random_rows():
 
 # --- message for message against the row-by-row lint ----------------------
 
-# lint_lp as it was before its section-wide verdicts, copied verbatim with
+# lint_lp as it was before its one verdict per section, copied verbatim with
 # the patterns it read. It words every message line by line, so lint_lp must
 # return its list exactly, order included, apart from the messages for lines
-# after End, which it did not read.
+# after End, which it did not read (assert_flags_what_the_reference_flags).
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"  # exponents intact
 _RHS = rf"[-+]?{_NUMBER}"
@@ -687,49 +692,6 @@ def _row_by_row_lint_lp(text: str) -> list[str]:
     return errors
 
 
-AFTER_END = "line after End: "
-
-
-def assert_same_messages_as_row_by_row(text):
-    found = [m for m in lint_lp(text) if not m.startswith(AFTER_END)]
-    assert found == _row_by_row_lint_lp(text), text
-
-
-@pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
-def test_lint_matches_row_by_row_lint_on_exported_documents(name):
-    text = export_lp(build_time_expanded_graph(PINNED_INSTANCES[name]()))
-    assert lint_lp(text) == _row_by_row_lint_lp(text) == []
-
-
-def test_lint_matches_row_by_row_lint_on_single_line_edits():
-    lines = export_lp(build_time_expanded_graph(scientific_pair())).split("\n")
-    for k, line in enumerate(lines):
-        for edited in _line_edits(line):
-            assert_same_messages_as_row_by_row(
-                "\n".join(lines[:k] + [edited] + lines[k + 1:]))
-
-
-@given(st.data())
-@settings(max_examples=3000, deadline=None, derandomize=True)
-def test_lint_matches_row_by_row_lint_on_mutants(data):
-    lines = list(data.draw(st.sampled_from(MUTATION_BASES)))
-    for _ in range(data.draw(st.integers(1, 3))):
-        _mutate(data, lines)
-    assert_same_messages_as_row_by_row("\n".join(lines))
-
-
-def test_lint_matches_row_by_row_lint_on_random_rows():
-    rng = random.Random(2026)
-    for k in range(3000):
-        exporter_form = k % 3 == 0
-        row = _exporter_row(rng) if exporter_form else _random_row(rng)
-        names = EXPORTER_BINARIES if exporter_form else EXTRA_BINARIES
-        binaries = " ".join(rng.choices(names, k=rng.randint(0, 3)))
-        assert_same_messages_as_row_by_row(
-            "Minimize\n obj: P_0\nSubject To\n c0: x + 2 P_0 >= 1\n"
-            f"{row}Binaries\n x {binaries}\nBounds\n 0 <= P_0\nEnd\n")
-
-
 def test_lint_words_interleaved_row_messages_in_row_order():
     rows = ["c1: x >= 1", "c1: x >= 1", "bad row", "c1: x >= 1"]
     text = ("Minimize\n obj: P_0\nSubject To\n"
@@ -754,15 +716,3 @@ def test_lint_reports_each_line_after_end():
                              "line after End: 'x'",
                              "variable z is never declared binary or bounded"]
 
-
-def test_lint_matches_row_by_row_lint_matching_line_by_line(monkeypatch):
-    # interpreters without possessive quantifiers match each line alone
-    monkeypatch.setattr("fleetcast.lp._POSSESSIVE", "")
-    texts = [export_lp(build_time_expanded_graph(caching_pair())),
-             OUTSIDE_THE_FORM.replace("c1: x + y >= 1", "c1: x+y >= 1"),
-             OUTSIDE_THE_FORM.replace("a b", "a  b"),
-             one_row("c1: P_0 >= nan"),
-             one_row("c1: P_0 >= 0\n c1: P_0 >= 0")]
-    found = [lint_lp(text) for text in texts]
-    assert found == [_row_by_row_lint_lp(text) for text in texts]
-    assert found[0] == [] and all(found[1:])
