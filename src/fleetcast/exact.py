@@ -30,9 +30,13 @@ unchanged; only the node count falls.
 
 Until there is an incumbent, nothing bounds a level's path enumeration, so a
 demand that no admissible path can serve would cost a full enumeration that
-finds nothing. Each such level first runs one reachability sweep under the
-enumeration's step rules less the in-layer revisit rule, and returns at once
-when the sweep reaches no copy of the destination. The sweep admits a
+finds nothing. A reachability sweep under the enumeration's step rules less
+the in-layer revisit rule decides such dead demands. A node sweeps its own
+demand before enumerating it, and returns at once when the sweep reaches no
+copy of the destination. It then sweeps its next demand once, in its own
+state: when that sweep fails, every child's own sweep would fail too
+(`_descend` gives the proof), so the node counts its children without
+entering them, instead of running one sweep per child. The sweep admits a
 superset of the enumerated paths, so it skips only enumerations that would
 yield nothing, and it leaves node counts, plans and reports unchanged.
 """
@@ -96,7 +100,7 @@ class _Search:
         self.supplied = {
             info.id: {graph.vertex_id(u, t) for u, t in info.sources}
             for info in infos}
-        self.plan_edges = {info.id: set() for info in infos}
+        self.paths: list[tuple[int, tuple]] = []  # (info id, edges) per level
         self.accrued = 0.0
 
         self.incumbent: Plan | None = None
@@ -167,36 +171,78 @@ class _Search:
     # -- branch and bound -------------------------------------------------
 
     def _descend(self, level):
+        """Enumerate the paths serving demand `level` and descend into each.
+
+        Before the first incumbent, a node whose own sweep succeeds sweeps
+        its next demand once, in its own state. When that fails, the node
+        counts each yielded child against the node budget but does not
+        commit, enter or undo it: the child's own sweep would fail, and it
+        would return with nothing else done (its bound test cannot fire
+        against an infinite incumbent). Proof. A child's state is this
+        node's plus a path P that `_candidate_iter` yielded here.
+        Committing P can only:
+        - raise channel counts, add caching edges in use, and add
+          transmit owners, all P's information; each of these only forbids
+          sweep steps (an owner that is the swept information forbids
+          nothing);
+        - when P serves the swept information, add P's heads to its supply
+          set, which forbids them as heads but makes them new starts.
+        So a child sweep walk from an old start is a walk of this node's
+        sweep. A walk from a head h of P needs a finite remaining distance
+        at h, so every vertex of P before h has one too, and P up to h is a
+        walk of this node's sweep: P's steps keep the sweep's rules and
+        stricter ones (fresh heads, no revisits in a layer). This sweep
+        thus reaches h with at most the k hops P made in h's layer before
+        h, while the child's count in that layer is higher by all of P's
+        hops there, at least k. Every step the child's walk takes from h
+        with j hops this sweep allows with k + j, and later layers only
+        count more in the child. Every child walk therefore maps onto a
+        walk here, which reaches no copy of the next destination (nor is a
+        head of P one, or this sweep would reach it), so the child's sweep
+        fails. No leaf lies below a skipped child, so the incumbent stays
+        infinite for the whole loop, and node counts, plans and reports are
+        unchanged.
+        """
         if level == len(self.demands):
             # _energy(power) is plan_cost of the committed edges, and the
             # sorted pairs are their Plan's lex_key
-            edges_of = self.plan_edges
             self._offer(_energy(self.power), tuple(sorted(
-                (info_id, e) for info_id, edges in edges_of.items()
-                for e in edges)), lambda: Plan(
-                    {info_id: frozenset(edges)
-                     for info_id, edges in edges_of.items()}))
+                (info_id, e) for info_id, edges in self.paths
+                for e in edges)), self._plan)
             return
         lb = self.lb_rest[level]
         if self.accrued + lb >= self.incumbent_cost + self.guard:
             return
         info, dest_uav = self.demands[level]
-        if self.incumbent_cost == INF and not self._reaches(info, dest_uav):
-            return  # the enumeration would yield nothing here
+        dead = False
+        if self.incumbent_cost == INF:
+            if not self._reaches(info, dest_uav):
+                return  # the enumeration would yield nothing here
+            dead = (level + 1 < len(self.demands)
+                    and not self._reaches(*self.demands[level + 1]))
         for cost, edges in self._candidate_iter(info, dest_uav, self.accrued,
                                                 lb, self.next_uav[level]):
             self.nodes += 1
             if self.nodes > self.budget.max_nodes:
                 raise _BudgetExhausted
+            if dead:
+                continue  # the child would refute its demand and return
             undo = self._commit(info.id, edges)
             self._descend(level + 1)
             self._undo(info.id, edges, undo)
+
+    def _plan(self):
+        """The committed paths as a Plan, with every information a key."""
+        activations = dict.fromkeys(self.supplied, ())
+        for info_id, edges in self.paths:
+            activations[info_id] += edges
+        return Plan(activations)
 
     def _commit(self, info_id, edges):
         graph = self.graph
         kinds = graph.edge_kind
         self.supplied[info_id].update(map(graph.edge_head.__getitem__, edges))
-        self.plan_edges[info_id].update(edges)
+        self.paths.append((info_id, edges))
         if self.single_cache:
             self.cache_used.update(filter(kinds.__getitem__, edges))
         channel = self.channel
@@ -222,7 +268,7 @@ class _Search:
         graph = self.graph
         self.supplied[info_id].difference_update(
             map(graph.edge_head.__getitem__, edges))
-        self.plan_edges[info_id].difference_update(edges)
+        self.paths.pop()
         self.cache_used.difference_update(edges)
         channel = self.channel
         transmit = self.transmit
@@ -432,8 +478,12 @@ class _Search:
         report. A state with fewer hops allows every step that one with more
         allows, so a vertex is pushed again only when reached with fewer.
 
-        The sweep costs up to |V|·(channels+1) steps and adds no `pulls`, so
-        it tests the deadline once itself.
+        `_descend` runs it, while there is no incumbent, for a node's own
+        demand and then once per node for the node's next demand, in the
+        node's own state; a False answer for the next demand holds in every
+        child's state as well, so no child sweeps again. The sweep costs up
+        to |V|·(channels+1) steps and adds no `pulls`, so it tests the
+        deadline once itself.
         """
         supplied = self.supplied[info.id]
         dest_copies = self.dest_copies[dest_uav]

@@ -28,6 +28,7 @@ remaining formulation constraints cannot be violated independently.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import FormatError, PlanStructureError
@@ -93,6 +94,7 @@ def check_feasibility(graph: TimeExpandedGraph, plan: Plan) -> FeasibilityReport
     """Evaluate every feasibility rule; structural problems raise instead."""
     _validate_structure(graph, plan)
     tails, heads, kinds = graph.edge_tail, graph.edge_head, graph.edge_kind
+    horizon = graph.horizon
     label = graph.vertex_label
     violations: list[Violation] = []
 
@@ -114,12 +116,12 @@ def check_feasibility(graph: TimeExpandedGraph, plan: Plan) -> FeasibilityReport
 
     # one transmitted info per vertex, and the channel budget per time unit
     vertex_infos: dict[int, set[int]] = {}
-    layer_active = [0] * graph.horizon
+    layer_active = [0] * horizon
     for info_id, edges in plan.activations.items():
         for e in edges:
             if kinds[e] == KIND_CONNECTIVITY:
                 vertex_infos.setdefault(tails[e], set()).add(info_id)
-                layer_active[tails[e] % graph.horizon] += 1
+                layer_active[tails[e] % horizon] += 1
     for v in sorted(vertex_infos):
         owners = vertex_infos[v]
         if len(owners) > 1:
@@ -133,40 +135,53 @@ def check_feasibility(graph: TimeExpandedGraph, plan: Plan) -> FeasibilityReport
 
     for info_id in sorted(plan.activations):
         info = graph.info_by_id(info_id)
+        destinations = info.destinations
         edges = plan.activations[info_id]
-        source_vertices = {graph.vertex_id(u, t) for u, t in info.sources}
-        in_cnt: dict[int, int] = {}
-        out_cnt: dict[int, int] = {}
-        for e in edges:
-            in_cnt[heads[e]] = in_cnt.get(heads[e], 0) + 1
-            out_cnt[tails[e]] = out_cnt.get(tails[e], 0) + 1
-        for v in sorted(set(in_cnt) | set(out_cnt)):
-            ins = in_cnt.get(v, 0)
-            outs = out_cnt.get(v, 0)
-            name = label(v)
-            dest_copy = graph.vertex_uav_time(v)[0] in info.destinations
+        source_vertices = {u * horizon + t for u, t in info.sources}
+        in_cnt = Counter(map(heads.__getitem__, edges))
+        out_cnt = Counter(map(tails.__getitem__, edges))
+        # a vertex's violations are emitted in rule order, and the final
+        # sort orders distinct vertices by label, so vertices go unsorted
+        for v, ins in in_cnt.items():
             if ins > 1:
-                violate("C4" if dest_copy else "C3", info_id, name,
-                        f"vertex {name} has {ins} incoming activations for "
-                        f"info {info_id}")
-            if outs >= 1 and v not in source_vertices and ins != 1:
-                violate("C3", info_id, name,
-                        f"vertex {name} forwards info {info_id} with "
-                        f"{ins} incoming activations instead of 1")
-            if ins == 1 and outs == 0 and not dest_copy:
-                violate("C2", info_id, name,
-                        f"vertex {name} receives info {info_id} but neither "
-                        f"forwards nor delivers it")
+                name = label(v)
+                violate("C4" if v // horizon in destinations else "C3",
+                        info_id, name, f"vertex {name} has {ins} incoming "
+                        f"activations for info {info_id}")
+                if v in out_cnt and v not in source_vertices:
+                    violate("C3", info_id, name,
+                            f"vertex {name} forwards info {info_id} with "
+                            f"{ins} incoming activations instead of 1")
+        for v in out_cnt.keys() - in_cnt.keys() - source_vertices:
+            name = label(v)
+            violate("C3", info_id, name, f"vertex {name} forwards info "
+                    f"{info_id} with 0 incoming activations instead of 1")
+        # single deliveries that go no further: a C2 violation off the
+        # destination UAVs, a final delivery on them
+        final_deliveries = Counter()
+        for v in in_cnt.keys() - out_cnt.keys():
+            if in_cnt[v] == 1:
+                u = v // horizon
+                if u in destinations:
+                    final_deliveries[u] += 1
+                else:
+                    name = label(v)
+                    violate("C2", info_id, name,
+                            f"vertex {name} receives info {info_id} but "
+                            f"neither forwards nor delivers it")
 
-        # supply propagation from the info's source copies
+        # supply propagation from the info's source copies, one activated
+        # edge at a time out of each newly supplied vertex
+        heads_of: dict[int, list[int]] = {}
+        for e in edges:
+            heads_of.setdefault(tails[e], []).append(heads[e])
         supplied = set(source_vertices)
-        frontier = True
-        while frontier:
-            frontier = False
-            for e in edges:
-                if tails[e] in supplied and heads[e] not in supplied:
-                    supplied.add(heads[e])
-                    frontier = True
+        stack = list(heads_of.keys() & source_vertices)
+        while stack:
+            for v in heads_of.get(stack.pop(), ()):
+                if v not in supplied:
+                    supplied.add(v)
+                    stack.append(v)
         for e in sorted(edges):
             if tails[e] not in supplied:
                 violate("FLOW", info_id, f"edge {e}",
@@ -174,23 +189,17 @@ def check_feasibility(graph: TimeExpandedGraph, plan: Plan) -> FeasibilityReport
                         f"{label(heads[e])} is never supplied "
                         f"with info {info_id}")
 
-        for u in sorted(info.destinations):
-            copies = [graph.vertex_id(u, t) for t in range(graph.horizon)]
-            if not any(v in supplied for v in copies):
+        for u in sorted(destinations):
+            if supplied.isdisjoint(range(u * horizon, (u + 1) * horizon)):
                 violate("C5", info_id, f"UAV {u}",
                         f"destination UAV {u} never receives info {info_id}")
-            dead_ends = [v for v in copies
-                         if in_cnt.get(v, 0) == 1 and out_cnt.get(v, 0) == 0]
-            if len(dead_ends) > 1:
+            if final_deliveries[u] > 1:
                 violate("C5", info_id, f"UAV {u}",
-                        f"destination UAV {u} has {len(dead_ends)} competing "
-                        f"final deliveries of info {info_id}")
+                        f"destination UAV {u} has {final_deliveries[u]} "
+                        f"competing final deliveries of info {info_id}")
 
-        sends = any(out_cnt.get(v, 0) >= 1 for v in source_vertices)
-        self_satisfied = all(
-            any((u, t) in info.sources for t in range(graph.horizon))
-            for u in info.destinations)
-        if not sends and not self_satisfied:
+        if (source_vertices.isdisjoint(out_cnt)
+                and not destinations <= {u for u, _ in info.sources}):
             violate("C6", info_id, f"info {info_id}",
                     f"no source copy of info {info_id} sends it")
 

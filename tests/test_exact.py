@@ -16,7 +16,7 @@ from fleetcast.gen import generate_scenario, make_config
 from fleetcast.graph import KIND_CONNECTIVITY, build_time_expanded_graph
 from fleetcast.heuristic import HeuristicKind, greedy_plan
 from fleetcast.jsonio import canonical_dumps
-from fleetcast.plan import Plan, check_feasibility, plan_cost
+from fleetcast.plan import check_feasibility, plan_cost
 from fleetcast.report import report_to_dict
 
 
@@ -173,6 +173,53 @@ def test_refuted_demands_have_no_candidate_path():
     assert refuted >= 10
 
 
+def test_a_next_demand_refuted_at_a_node_is_refuted_in_every_child(
+        monkeypatch):
+    """A node whose own sweep refutes its next demand skips its children;
+    each child's own sweep, run here before the skip, refutes it too."""
+    searches = []
+
+    class Checked(_Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.last_sweep = None
+            self.refuting = self.children = 0
+            searches.append(self)
+
+        def _reaches(self, info, dest_uav):
+            found = super()._reaches(info, dest_uav)
+            self.last_sweep = (info, dest_uav, found)
+            return found
+
+        def _candidate_iter(self, info, dest_uav, *args):
+            # with no incumbent, a node's last sweep before it enumerates
+            # is that of its next demand, if it has one
+            level = self.demands.index((info, dest_uav))
+            dead = (self.incumbent_cost == math.inf
+                    and level + 1 < len(self.demands)
+                    and self.last_sweep == (*self.demands[level + 1], False))
+            self.refuting += dead
+            for cost, edges in super()._candidate_iter(info, dest_uav,
+                                                       *args):
+                if dead:
+                    undo = self._commit(info.id, edges)
+                    assert not super()._reaches(*self.demands[level + 1])
+                    self._undo(info.id, edges, undo)
+                    self.children += 1
+                yield cost, edges
+
+    monkeypatch.setattr("fleetcast.exact._Search", Checked)
+    for seed, graph in [*micro_graphs(25), *multi_destination_graphs(12)]:
+        for warm_start in (True, False):
+            solve_exact(graph, warm_start=warm_start)
+    # 80 refuting nodes over 296 children, then seed 71's 4,096 nodes
+    assert sum(search.refuting for search in searches) >= 75
+    assert sum(search.children for search in searches) >= 250
+    report = solve_exact(comparison_graph(71))
+    assert (report.status, report.nodes) == ("INFEASIBLE", 4_096)
+    assert searches[-1].children >= 4_000
+
+
 @pytest.mark.parametrize("channels, reaches", [(1, False), (2, True)])
 def test_sweep_counts_transmissions_in_a_time_unit(channels, reaches):
     # chain3 has one time unit, and 0 -> 1 -> 2 transmits twice in it
@@ -320,7 +367,7 @@ def _reference_paths(search, info, dest_uav):
     tails, heads = graph.edge_tail, graph.edge_head
     kinds, weights = graph.edge_kind, graph.edge_weight
     times = [tail % graph.horizon for tail in tails]
-    edges_of = search.plan_edges
+    edges_of = search._plan().activations
     used = set().union(*edges_of.values())
     owner, power, channel = {}, {}, [0] * graph.horizon
     for info_id, edges in edges_of.items():
@@ -404,7 +451,7 @@ def test_candidate_paths_match_reference_enumeration():
         search._undo(info.id, first, undo)
         assert before == (search.accrued, search.power, search.transmit,
                           search.channel, search.cache_used, search.supplied)
-        assert not any(search.plan_edges.values())
+        assert not search.paths
         _assert_candidates_match_reference(search, f"seed {seed}, undone")
         checked += 1
     assert checked >= 30
@@ -493,7 +540,7 @@ def test_nested_commit_and_undo_keep_a_shared_sender():
         return (search.accrued, dict(search.power), dict(search.transmit),
                 list(search.channel), set(search.cache_used),
                 {i: set(v) for i, v in search.supplied.items()},
-                {i: set(v) for i, v in search.plan_edges.items()})
+                list(search.paths))
 
     initial = state()
     first, second = (edge(0, 1), edge(1, 2)), (edge(1, 3),)
@@ -522,8 +569,7 @@ def _smallest_optimum(graph):
 
     def descend(level):
         if level == len(search.demands):
-            plan = Plan({info_id: frozenset(edges)
-                         for info_id, edges in search.plan_edges.items()})
+            plan = search._plan()
             plans[plan.lex_key()] = (plan_cost(graph, plan), plan)
             return
         info, dest_uav = search.demands[level]
@@ -566,12 +612,20 @@ def comparison_graph(seed):
 
 
 # sha256 of the canonical report, node count included; seed 9 has a greedy
-# warm start, seeds 11 and 30 have none and run out of nodes before any plan
+# warm start, seeds 11 and 30 have none and run out of nodes before any plan,
+# and seeds 69 and 71 have none and are proved infeasible
 PINNED_REPORT_SHA256 = {
     9: "2cea90ab16cf8aaccabe09608134a671375eb400841ec9d23c6458a9a1d2effe",
     11: "666938c2e25ad1a98e1179e9866c58c22b916465337adae92d2619a070411c8c",
     30: "a72483b99ff0f73a4356511fd20142caef201b6ff60f27a53b256fabc6f61083",
+    69: "bbaf83a3de89d1fdcdd2926fc82fdd0f484e6c0cd69b9721df878b9ed4d3a3f5",
+    71: "eeb36daeec6e57bbf624a5222a944a4366706cbaaeb5a7f1f103e0db68f42ffe",
 }
+
+
+def _report_digest(graph, report):
+    document = canonical_dumps(report_to_dict(graph, report))
+    return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("seed, max_nodes, status", [
@@ -582,14 +636,21 @@ def test_exact_reports_pinned_on_comparison_seeds(seed, max_nodes, status):
     report = solve_exact(graph, budget=SearchBudget(
         max_nodes=max_nodes, time_limit_seconds=600))
     assert (report.status, report.nodes) == (status, max_nodes + 1)
-    document = canonical_dumps(report_to_dict(graph, report))
-    digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
-    assert digest == PINNED_REPORT_SHA256[seed]
+    assert _report_digest(graph, report) == PINNED_REPORT_SHA256[seed]
     if report.plan is not None:
         # seed 9 holds the final optimum by then; the proof takes the rest
         full = solve_exact(graph, budget=SearchBudget(time_limit_seconds=600))
         assert full.status == "OPTIMAL"
         assert (report.objective, report.plan) == (full.objective, full.plan)
+
+
+@pytest.mark.parametrize("seed, nodes", [(69, 17_842), (71, 4_096)])
+def test_exact_infeasibility_proofs_pinned_on_comparison_seeds(seed, nodes):
+    graph = comparison_graph(seed)
+    report = solve_exact(graph, budget=SearchBudget(
+        max_nodes=20_000, time_limit_seconds=600))
+    assert (report.status, report.nodes) == ("INFEASIBLE", nodes)
+    assert _report_digest(graph, report) == PINNED_REPORT_SHA256[seed]
 
 
 
@@ -612,8 +673,9 @@ def test_descend_returns_with_its_accrued_energy_bit_equal(seed, monkeypatch):
     assert returned.count(False) == 0
 
 def test_time_limit_binds_while_demands_are_refuted():
-    # seed 11 has no warm start, and nearly every node refutes its last
-    # demand with a sweep that makes no heap pops
+    # seed 11 has no warm start and holds no plan within 300k nodes, and
+    # most of its nodes are children counted, not entered, below a node
+    # whose sweep refutes their demand
     graph = comparison_graph(11)
     started = time.perf_counter()
     report = solve_exact(graph, budget=SearchBudget(
