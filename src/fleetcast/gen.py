@@ -4,8 +4,11 @@ Trajectories are random-waypoint walks clipped to a square area: each UAV
 heads for a uniformly drawn waypoint at a fixed per-time-unit speed and draws
 the next waypoint on arrival. Informations get a uniform location; every
 (uav, time) pair within the gather radius of that location becomes a source
-copy, resampling the location until at least one exists. A scenario is a pure
-function of its config, including the seed.
+copy, resampling the location until at least one exists. The copies are found
+by scanning each UAV's walk over time and jumping past the time steps in
+which the UAV cannot close the distance to the radius at its speed (see
+`_gatherable`); the copies are exactly those a test of every pair finds. A
+scenario is a pure function of its config, including the seed.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .radio import RadioParams
 from .scenario import CACHE_CAPACITIES, CACHE_SINGLE, InfoSpec, Scenario
 
 _RESAMPLE_CAP = 200
+_SLACK = 1e-9  # relative margin of a jump in `_gatherable`
 MAX_VERTICES = 10 ** 6  # uav_count * horizon; larger only exhausts memory
 MAX_COUNTS = {"info_count": 10 ** 4, "subrange_count": 10 ** 3}  # the same
 
@@ -132,9 +136,9 @@ def generate_scenario(config: GenConfig, extra_provenance: dict | None = None) -
             loc = (rng.uniform(0.0, area), rng.uniform(0.0, area))
             found = frozenset(
                 (u, t)
-                for u in range(config.uav_count)
-                for t in range(config.horizon)
-                if math.dist(trajectories[u][t], loc) <= config.gather_radius)
+                for u, walk in enumerate(trajectories)
+                for t in _gatherable(walk, loc, config.gather_radius,
+                                     config.speed, area))
             if found:
                 sources = found
                 break
@@ -167,3 +171,41 @@ def generate_scenario(config: GenConfig, extra_provenance: dict | None = None) -
         cache_capacity=config.cache_capacity,
         provenance=provenance,
     )
+
+
+def _gatherable(walk, loc, radius, speed, area) -> list:
+    """The times t, ascending, with `math.dist(walk[t], loc) <= radius`.
+
+    `walk` is a waypoint walk of `generate_scenario` inside the square of
+    side `area`, so it moves at most `speed` per time unit, and `loc` lies
+    in that square. A copy at distance d beyond the radius therefore lets
+    the scan jump ahead ceil((d - radius) / speed) time units, with margins
+    for rounding: d is shrunk by a relative 1e-9, and the radius and the
+    step are grown by 1e-9 and by four ulps of `area`. A float step or
+    distance is off its exact value by a few ulps of its own size, which
+    the relative margins cover over up to 10**6 steps, plus a few ulps of
+    the coordinates, which `area` bounds: at a tiny `speed`, rounding a
+    position can stretch every step of a walk well past `speed`. A jump
+    that would pass the end of the walk ends the scan, so `gap / step` is
+    only formed below the horizon and converts to an int whatever the step.
+    """
+    grain = 4 * math.ulp(area)
+    reach = radius * (1 + _SLACK) + grain
+    step = speed * (1 + _SLACK) + grain
+    horizon = len(walk)
+    found = []
+    t = 0
+    while t < horizon:
+        d = math.dist(walk[t], loc)
+        if d <= radius:
+            found.append(t)
+            t += 1
+            continue
+        gap = d * (1 - _SLACK) - reach
+        if gap <= step:
+            t += 1
+        elif gap >= step * (horizon - t):
+            break
+        else:
+            t += math.ceil(gap / step)
+    return found

@@ -151,8 +151,8 @@ def export_lp(graph: TimeExpandedGraph, infos=None,
         row(" " + " ".join(binaries[k:k + 8]))
     row("Bounds")
     lines += [f" 0 <= {p}" for p in P]
-    row("End")
-    return "\n".join(lines) + "\n"
+    lines += ("End", "")  # the empty last line ends the text with "\n"
+    return "\n".join(lines)
 
 
 def _lead(coef) -> str:

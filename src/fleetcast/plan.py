@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import FormatError, PlanStructureError
 from .graph import KIND_CACHING, KIND_CONNECTIVITY, KIND_NAMES, TimeExpandedGraph
@@ -135,11 +136,14 @@ def check_feasibility(graph: TimeExpandedGraph, plan: Plan) -> FeasibilityReport
 
     for info_id in sorted(plan.activations):
         info = graph.info_by_id(info_id)
-        destinations = info.destinations
+        destinations, sources = info.destinations, info.sources
         edges = plan.activations[info_id]
-        source_vertices = {u * horizon + t for u, t in info.sources}
         in_cnt = Counter(map(heads.__getitem__, edges))
         out_cnt = Counter(map(tails.__getitem__, edges))
+        # the source copies among the plan's own vertices, the only ones
+        # the rules below test apart from the destination UAVs' (`_holds`)
+        source_vertices = {v for v in in_cnt.keys() | out_cnt.keys()
+                           if divmod(v, horizon) in sources}
         # a vertex's violations are emitted in rule order, and the final
         # sort orders distinct vertices by label, so vertices go unsorted
         for v, ins in in_cnt.items():
@@ -189,8 +193,9 @@ def check_feasibility(graph: TimeExpandedGraph, plan: Plan) -> FeasibilityReport
                         f"{label(heads[e])} is never supplied "
                         f"with info {info_id}")
 
+        supplied_uavs = {v // horizon for v in supplied}
         for u in sorted(destinations):
-            if supplied.isdisjoint(range(u * horizon, (u + 1) * horizon)):
+            if u not in supplied_uavs and not _holds(sources, u, horizon):
                 violate("C5", info_id, f"UAV {u}",
                         f"destination UAV {u} never receives info {info_id}")
             if final_deliveries[u] > 1:
@@ -199,13 +204,19 @@ def check_feasibility(graph: TimeExpandedGraph, plan: Plan) -> FeasibilityReport
                         f"competing final deliveries of info {info_id}")
 
         if (source_vertices.isdisjoint(out_cnt)
-                and not destinations <= {u for u, _ in info.sources}):
+                and not all(_holds(sources, u, horizon)
+                            for u in destinations)):
             violate("C6", info_id, f"info {info_id}",
                     f"no source copy of info {info_id} sends it")
 
     violations.sort(key=lambda v: (v.constraint, -1 if v.info is None else v.info,
                                    v.subject))
     return FeasibilityReport(feasible=not violations, violations=tuple(violations))
+
+
+def _holds(sources, uav, horizon) -> bool:
+    """Whether a (uav, time) pair of `sources` lies on `uav`."""
+    return not sources.isdisjoint(zip(repeat(uav), range(horizon)))
 
 
 def plan_cost(graph: TimeExpandedGraph, plan: Plan) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 
 from .errors import FormatError, ScenarioError
 from .jsonio import (_int_key, _is_int, check_int, check_number, read_json,
@@ -21,6 +22,8 @@ SCENARIO_FORMAT = "fleetcast-scenario/1"
 CACHE_SINGLE = "single"
 CACHE_UNLIMITED = "unlimited"
 CACHE_CAPACITIES = (CACHE_SINGLE, CACHE_UNLIMITED)
+
+_PAIR_SETS = (frozenset, set, list, tuple)
 
 
 @dataclass(frozen=True)
@@ -38,11 +41,18 @@ class InfoSpec:
 
     def __post_init__(self):
         check_int(self.id, "info id", ScenarioError, low=0)
-        sources = [(u, t) for u, t in self.sources]
-        for u, t in sources:
-            if not (_is_int(u) and _is_int(t)):
-                raise ScenarioError(f"info {self.id}: source ({u!r}, {t!r}) "
-                                    "must be a pair of integers")
+        sources = self.sources
+        # a collection of int 2-tuples is checked in whole-set passes; any
+        # other input takes the per-pair loop, which words the error
+        if not (type(sources) in _PAIR_SETS
+                and {*map(type, sources)} <= {tuple}
+                and {*map(len, sources)} <= {2}
+                and {*map(type, chain.from_iterable(sources))} <= {int}):
+            sources = [(u, t) for u, t in sources]
+            for u, t in sources:
+                if not (_is_int(u) and _is_int(t)):
+                    raise ScenarioError(f"info {self.id}: source ({u!r}, "
+                                        f"{t!r}) must be a pair of integers")
         destinations = list(self.destinations)
         for u in destinations:
             if not _is_int(u):
@@ -160,6 +170,8 @@ def _check_radii(radii, label):
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
+    # source copies in (uav, time) order: by vertex id, as 0 <= t < horizon
+    h = scenario.horizon
     doc = {
         "format": SCENARIO_FORMAT,
         "uav_count": scenario.uav_count,
@@ -172,7 +184,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "infos": [
             {
                 "id": info.id,
-                "sources": sorted([u, t] for u, t in info.sources),
+                "sources": [[v // h, v % h] for v in
+                            sorted([u * h + t for u, t in info.sources])],
                 "destinations": sorted(info.destinations),
             }
             for info in sorted(scenario.infos, key=lambda i: i.id)

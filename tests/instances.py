@@ -8,6 +8,7 @@ therefore read off directly as per-packet energies in joules.
 
 from __future__ import annotations
 
+from fleetcast.gen import make_config
 from fleetcast.radio import RadioParams
 from fleetcast.scenario import InfoSpec, Scenario
 
@@ -17,6 +18,16 @@ UNIT_RADIO = RadioParams(bandwidth_hz=8.0, path_loss_exponent=1.0,
 PAPER_RADIO = RadioParams(bandwidth_hz=40e6, path_loss_exponent=2.0,
                           noise_density=1e-9, packet_bits=1_600_000,
                           slot_seconds=0.01)
+
+
+def comparison_config(seed):
+    """The comparison-set generator config: |U| in {4, 5}, |I| = 2, T in
+    {20, 40}, small enough for the exact solver to certify."""
+    return make_config("paper", seed, uav_count=4 + seed % 2,
+                       horizon=20 if seed % 2 else 40, info_count=2,
+                       channels=1, area_side=180.0, speed=4.0,
+                       gather_radius=45.0, max_range=55.0,
+                       destinations_per_info=(1, 2))
 
 
 def static_scenario(positions, infos, radii=(10.0,), channels=2, horizon=1,

@@ -107,12 +107,7 @@ def comparison_set():
         seed += 1
         assert seed < 400, "seed scan exhausted"
         try:
-            config = make_config(
-                "paper", seed, uav_count=4 + seed % 2,
-                horizon=20 if seed % 2 else 40, info_count=2, channels=1,
-                area_side=180.0, speed=4.0, gather_radius=45.0,
-                max_range=55.0, destinations_per_info=(1, 2))
-            scenario = generate_scenario(config)
+            scenario = generate_scenario(instances.comparison_config(seed))
         except (GenerationError, ValueError):
             continue
         graph = build(scenario)

@@ -602,12 +602,7 @@ def test_exact_returns_the_smallest_lex_key_among_optima(warm_start):
 
 
 def comparison_graph(seed):
-    """The comparison-set configuration of tests/test_acceptance.py."""
-    scenario = generate_scenario(make_config(
-        "paper", seed, uav_count=4 + seed % 2,
-        horizon=20 if seed % 2 else 40, info_count=2, channels=1,
-        area_side=180.0, speed=4.0, gather_radius=45.0, max_range=55.0,
-        destinations_per_info=(1, 2)))
+    scenario = generate_scenario(instances.comparison_config(seed))
     return build_time_expanded_graph(scenario)
 
 

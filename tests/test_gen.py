@@ -5,11 +5,13 @@ import re
 
 import pytest
 
-from fleetcast.errors import GenerationError
+import instances
+from fleetcast import gen
+from fleetcast.errors import GenerationError, ScenarioError
 from fleetcast.gen import PAPER_RADIO, generate_scenario, make_config
 from fleetcast.graph import build_time_expanded_graph
 from fleetcast.jsonio import canonical_dumps
-from fleetcast.scenario import scenario_to_dict
+from fleetcast.scenario import InfoSpec, scenario_to_dict
 
 
 def test_config_validation():
@@ -138,3 +140,134 @@ def test_provenance_embedded():
     assert scen.provenance["seed"] == 21
     assert scen.provenance["profile"] == "micro"
     assert scen.provenance["config"]["uav_count"] == scen.uav_count
+
+
+def _gathered(walk, loc, radius):
+    """The gather definition, pair by pair: the times within the radius."""
+    return [t for t, pos in enumerate(walk) if math.dist(pos, loc) <= radius]
+
+
+def _fleet_config(seed):
+    return make_config("paper", seed, uav_count=30, info_count=20,
+                       horizon=500, channels=2, area_side=250.0)
+
+
+@pytest.mark.parametrize("configs, redraws", [
+    pytest.param([make_config("paper", s) for s in range(1, 61)], False,
+                 id="paper"),
+    pytest.param([make_config("micro", s) for s in range(1, 61)], True,
+                 id="micro"),
+    pytest.param([_fleet_config(s) for s in range(1, 4)], False, id="fleet"),
+    pytest.param([instances.comparison_config(s) for s in range(1, 121)],
+                 True, id="comparison"),
+    pytest.param([make_config("paper", s, **overrides)
+                  for overrides in (dict(speed=1e-7), dict(speed=1e-300),
+                                    dict(speed=5e-324), dict(speed=500.0),
+                                    dict(gather_radius=60.0), dict(horizon=1))
+                  for s in range(1, 21)], True,
+                 id="edge-speeds-radius-horizon"),
+])
+def test_sources_are_every_pair_within_the_gather_radius(monkeypatch, configs,
+                                                         redraws):
+    scan = gen._gatherable
+    drawn = []
+
+    def checked(walk, loc, radius, speed, area):
+        found = scan(walk, loc, radius, speed, area)
+        assert found == _gathered(walk, loc, radius)
+        drawn.append(loc)
+        return found
+
+    monkeypatch.setattr(gen, "_gatherable", checked)
+    resampled = 0
+    for config in configs:
+        drawn.clear()
+        scenario = generate_scenario(config)
+        locations = len(drawn) // config.uav_count
+        resampled += locations > config.info_count
+        assert len(drawn) == locations * config.uav_count
+        assert locations >= config.info_count
+        for info in scenario.infos:
+            assert info.sources
+    if redraws:
+        assert resampled  # the resampling path is scanned too
+
+
+def test_tiny_speed_ends_the_scan_at_the_horizon():
+    # a walk that does not move at the least positive speed: the step is
+    # the area grain alone, and the scan finds no copy or every copy
+    walk = ((10.0, 10.0),) * 500
+    loc = (120.0, 80.0)
+    assert gen._gatherable(walk, loc, 40.0, 5e-324, 150.0) == []
+    assert gen._gatherable(walk, (30.0, 10.0), 40.0, 5e-324, 150.0) == list(
+        range(500))
+
+
+def test_scan_allows_for_positions_rounded_to_the_area_grid():
+    # at a tiny speed, rounding each position of a walk to its float grid
+    # stretches every step well past `speed`; a jump by (d - radius) / speed
+    # would pass over the copies that close the distance
+    speed, area = 1.6 * math.ulp(100.0), 150.0  # steps round to 2 ulps
+    pos, waypoint = (100.0, 100.0), (101.0, 100.0)
+    walk = []
+    for _ in range(50):
+        walk.append(pos)
+        dx, dy = waypoint[0] - pos[0], waypoint[1] - pos[1]
+        scale = speed / math.hypot(dx, dy)
+        pos = (pos[0] + dx * scale, pos[1] + dy * scale)
+    assert math.dist(walk[0], walk[1]) > 1.2 * speed
+    loc = walk[40]
+    found = gen._gatherable(walk, loc, speed, speed, area)
+    assert found == _gathered(walk, loc, speed)
+    assert 40 in found
+
+
+class _Id(int):
+    """An int subclass: accepted as a coordinate, as `_is_int` accepts it."""
+
+
+@pytest.mark.parametrize("sources, error, message", [
+    ({(True, 0)}, ScenarioError,
+     "info 0: source (True, 0) must be a pair of integers"),
+    (frozenset({(0, 1), (2, False)}), ScenarioError,
+     "info 0: source (2, False) must be a pair of integers"),
+    ([(0, 1.0)], ScenarioError,
+     "info 0: source (0, 1.0) must be a pair of integers"),
+    ((("0", 1),), ScenarioError,
+     "info 0: source ('0', 1) must be a pair of integers"),
+    ({"ab"}, ScenarioError,
+     "info 0: source ('a', 'b') must be a pair of integers"),
+    ([(0, 1, 2)], ValueError, "too many values to unpack (expected 2)"),
+    ([(0,)], ValueError, "not enough values to unpack (expected 2, got 1)"),
+    ([5], TypeError, "cannot unpack non-iterable int object"),
+    ([[0, 1], [0, None]], ScenarioError,
+     "info 0: source (0, None) must be a pair of integers"),
+    (iter([(0, 1), (1.5, 2)]), ScenarioError,
+     "info 0: source (1.5, 2) must be a pair of integers"),
+    ((p for p in [(0, True)]), ScenarioError,
+     "info 0: source (0, True) must be a pair of integers"),
+    (frozenset(), ScenarioError, "info 0: sources must be nonempty"),
+    ([], ScenarioError, "info 0: sources must be nonempty"),
+    (iter(()), ScenarioError, "info 0: sources must be nonempty"),
+])
+def test_info_sources_are_refused_with_the_per_pair_wording(
+        sources, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        InfoSpec(id=0, sources=sources, destinations={0})
+
+
+@pytest.mark.parametrize("sources", [
+    frozenset({(0, 1), (2, 3)}),
+    {(0, 1), (2, 3)},
+    [(0, 1), (2, 3), (0, 1)],
+    ((2, 3), (0, 1)),
+    [[0, 1], [2, 3]],
+    iter([(0, 1), (2, 3)]),
+    (p for p in [(2, 3), (0, 1)]),
+    [(_Id(0), 1), (2, _Id(3))],
+])
+def test_info_sources_of_any_collection_are_a_frozenset_of_pairs(sources):
+    info = InfoSpec(id=0, sources=sources, destinations={0})
+    assert type(info.sources) is frozenset
+    assert info.sources == {(0, 1), (2, 3)}
+    assert all(type(pair) is tuple for pair in info.sources)
