@@ -185,9 +185,11 @@ def _gatherable(walk, loc, radius, speed, area) -> list:
     distance is off its exact value by a few ulps of its own size, which
     the relative margins cover over up to 10**6 steps, plus a few ulps of
     the coordinates, which `area` bounds: at a tiny `speed`, rounding a
-    position can stretch every step of a walk well past `speed`. A jump
-    that would pass the end of the walk ends the scan, so `gap / step` is
-    only formed below the horizon and converts to an int whatever the step.
+    position can stretch every step of a walk well past `speed`. The jump
+    is always a finite int: `walk[t]` and `loc` lie in the square, so
+    `gap` is at most sqrt(2) * `area`, and the step is at least four ulps
+    of `area`, more than `area` / 2**51, so `gap / step` stays below 2**52
+    whatever the speed. A jump past the end of the walk ends the scan.
     """
     grain = 4 * math.ulp(area)
     reach = radius * (1 + _SLACK) + grain
@@ -204,8 +206,6 @@ def _gatherable(walk, loc, radius, speed, area) -> list:
         gap = d * (1 - _SLACK) - reach
         if gap <= step:
             t += 1
-        elif gap >= step * (horizon - t):
-            break
         else:
             t += math.ceil(gap / step)
     return found

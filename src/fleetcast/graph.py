@@ -17,6 +17,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 from .errors import PlanStructureError
 from .radio import subrange_weight
@@ -41,16 +42,26 @@ class TimeExpandedGraph:
     solver names them: `edge_tail`, `edge_head`, `edge_kind` (a KIND_* code)
     and `edge_weight`, ordered by layer, then tail UAV, then head UAV. An
     edge's layer is its tail's. That order keeps each tail's edges
-    contiguous, so `out_edges[v]` is the `range` of v's out-edges, and
-    `in_edges[v]` is an `array('q')` of v's in-edges in ascending order:
-    neither table holds an int object per edge, which at fleet scale would
-    be a quarter of the graph's memory. `caching_edge[v]` is v's caching edge
+    contiguous, so `out_edges[v]` is the `range` of v's out-edges, with
+    heads strictly ascending: the caching head (u, t+1), id u*H+t+1, lies
+    between (u-1, t) and (u+1, t). `caching_edge[v]` is v's caching edge
     into v + 1, -1 in the last layer; the last vertex is in the last layer,
     so `caching_edge[v - 1]` is the caching edge into v for every v, -1 in
-    the first layer (index -1 included). `min_connectivity_weight`, the
-    smallest entry of the builder's subrange-weight table, bounds every
-    connectivity weight from below (inf without UAVs). Equality is
-    identity; the repr omits the tables.
+    the first layer (index -1 included). `feeders[g]` is a `bytearray` over
+    the vertices, 1 where a vertex has a connectivity edge into UAV g's copy
+    in its own layer, one byte per vertex and UAV; the greedy search reads
+    it for its goal UAV. `min_connectivity_weight`, the smallest entry of
+    the builder's subrange-weight table, bounds every connectivity weight
+    from below (inf without UAVs). These are built with the edges.
+
+    `in_edges[v]` is an `array('q')` of v's in-edges in ascending order,
+    derived from `edge_head` on first read: no greedy search reads it. The
+    table lives in the `_in_edges` holder, and `source_vertices` keeps its
+    results in `_sources`; `augment` shares both, so a base graph and the
+    graphs augmented from it compute each at most once between them.
+    Neither adjacency table holds an int object per edge, which at fleet
+    scale would be a quarter of the graph's memory. Equality is identity;
+    the repr omits the tables.
     """
 
     uav_count: int
@@ -62,10 +73,32 @@ class TimeExpandedGraph:
     edge_kind: list[int]
     edge_weight: list[float]
     out_edges: list[range]
-    in_edges: list[array]
     caching_edge: list[int]
+    feeders: list[bytearray]
     min_connectivity_weight: float
     infos: tuple[InfoSpec, ...]
+    _in_edges: list  # [the in-edge table], [None] before the first read
+    _sources: dict   # info -> its `source_vertices`, filled on first call
+
+    @property
+    def in_edges(self) -> list[array]:
+        holder = self._in_edges
+        if holder[0] is None:
+            table = [array("q") for _ in range(self.vertex_count)]
+            for e, head in enumerate(self.edge_head):
+                table[head].append(e)
+            holder[0] = table
+        return holder[0]
+
+    def source_vertices(self, info) -> list[int]:
+        """The vertex ids of the source copies of `info`, one of the graph's
+        informations, ascending; computed on the first call."""
+        ids = self._sources.get(info)
+        if ids is None:
+            h = self.horizon
+            ids = self._sources[info] = sorted([u * h + t
+                                                for u, t in info.sources])
+        return ids
 
     @property
     def vertex_count(self) -> int:
@@ -122,8 +155,8 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
     horizon, uav_count = scenario.horizon, scenario.uav_count
     tails, heads, kinds, weights = [], [], [], []
     out_edges = [range(0)] * (uav_count * horizon)
-    in_edges = [array("q") for _ in range(uav_count * horizon)]
     caching_edge = [-1] * (uav_count * horizon)
+    feeders = [bytearray(uav_count * horizon) for _ in range(uav_count)]
     first = 0  # the next tail's first edge
 
     radii = [scenario.radii_for(u) for u in range(uav_count)]
@@ -139,19 +172,18 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
                     if t + 1 == horizon:
                         continue
                     head, kind, weight = tail + 1, KIND_CACHING, 0.0
-                    e = caching_edge[tail] = len(tails)
+                    caching_edge[tail] = len(tails)
                 else:
                     dist = math.dist(position, layer[u2])
                     if dist > r[-1]:
                         continue
                     head, kind = ids[u2], KIND_CONNECTIVITY
                     weight = weight_of[u][bisect_left(r, dist)]
-                    e = len(tails)
+                    feeders[u2][tail] = 1
                 tails.append(tail)
                 heads.append(head)
                 kinds.append(kind)
                 weights.append(weight)
-                in_edges[head].append(e)
             end = len(tails)  # adjacent ranges share their bound
             out_edges[tail] = range(first, end)
             first = end
@@ -159,18 +191,22 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
     min_weight = min((w for ws in weight_of for w in ws), default=math.inf)
     return TimeExpandedGraph(
         uav_count, horizon, scenario.channels, scenario.cache_capacity,
-        tails, heads, kinds, weights, out_edges, in_edges, caching_edge,
-        min_weight, tuple(sorted(scenario.infos, key=lambda i: i.id)))
+        tails, heads, kinds, weights, out_edges, caching_edge, feeders,
+        min_weight, tuple(sorted(scenario.infos, key=lambda i: i.id)),
+        [None], {})
 
 
 def augment(graph: TimeExpandedGraph, infos) -> TimeExpandedGraph:
     """The graph serving the given infos in place of its own; they must pass
-    `check_infos` for its fleet. The constructor builds it from every other
-    field of `graph`, so it adds no vertex or edge, shares every table (the
-    edge lists, the `out_edges` ranges, the `in_edges` arrays and
-    `caching_edge`), and leaves `graph` unchanged."""
+    `check_infos` for its fleet, which the graph's own informations passed
+    when it got them, so only others are checked. The constructor builds it
+    from every other field of `graph`, so it adds no vertex or edge, shares
+    every table (the edge lists, the `out_edges` ranges, `caching_edge`,
+    `feeders`, and the `_in_edges` holder, so `in_edges` is built at most
+    once for both), and leaves `graph` unchanged."""
     infos = tuple(sorted(infos, key=lambda i: i.id))
-    check_infos(infos, graph.uav_count, graph.horizon)
+    if infos != graph.infos:
+        check_infos(infos, graph.uav_count, graph.horizon)
     return replace(graph, infos=infos)
 
 
@@ -196,13 +232,15 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     skipped. When they enter, every vertex with a finite `dist` has `dist` 0
     and is done, so a late seed that is not done still has parent -1.
     All late seeds are admitted at once, each given `dist` 0, and then wait
-    in a sorted queue instead of the heap: the next vertex settled is the
-    smaller of (0.0, next queued seed) and the heap's top, which is the pop
-    order the heap would give with the seeds pushed. No entry ties, because
-    nothing is pushed at key 0 onto a vertex whose `dist` is already 0, and
-    a pending relaxation waits for the queue to empty, as it would wait for
-    the heap entries at its level. `dist` 0 also stops a caching chain at a
-    later late seed, which keeps parent -1 and starts its own chain.
+    in `queue` instead of the heap, as runs [a, b) of consecutive copies of
+    one UAV in id order: the next vertex settled is the smaller of (0.0, a)
+    for the first queued run and the heap's top, which is the pop order the
+    heap would give with the seeds pushed. No entry ties, because nothing is
+    pushed at key 0 onto a vertex whose `dist` is already 0, and a pending
+    relaxation waits for the queue to empty, as it would wait for the heap
+    entries at its level. So while a late seed is queued, every vertex
+    settled is at distance 0. `dist` 0 also stops a caching run at a later
+    late seed, which keeps parent -1.
 
     Channel budget: connectivity edges stay inside one time unit, so every
     connectivity edge in `adjacency[v]` lies in v's own layer, `v % horizon`,
@@ -228,36 +266,61 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     connectivity steps: a vertex has at most one edge per head, and entries
     pushed at key d pop in key order, so the order of one vertex's
     relaxations changes no pop. A vertex without a discount settled at d
-    with d + `min_connectivity_weight` > d has only connectivity steps above
-    d, so its connectivity edges are not even read until the level ends;
-    any other vertex tests each step.
+    with d + `min_connectivity_weight` > d, a fast vertex, has only
+    connectivity steps above d, so its connectivity edges are not even read
+    until the level ends; any other vertex tests each step. `pending` holds
+    ranges of vertices in settle order: runs (below), ascending forward and
+    descending backward, and single vertices.
 
-    Caching chains: when such a vertex v strictly improves its caching
-    neighbour h, h is settled next without touching the heap, because it is
-    what the heap would pop next. Every heap entry is above (d, v) and none
-    is (d, h); forward, h = v + 1 and no vertex id lies between them;
-    backward, h = v - 1 is below (d, v). v pushes nothing else at key d:
-    its connectivity steps wait for the level end. The rest of the chain
-    runs in a tight loop that only marks each vertex done, queues it as
-    pending if its layer has a free channel (it is settled even in a closed
-    layer, but none of its steps is read there), and gives its caching
-    neighbour `dist` d and parent. That is all the per-vertex path would do:
-    every chain vertex is a copy of v's UAV at distance d, so none is a
-    feeder (settling one ends the search) and `ub` cannot change
-    along the chain; and none has a discount while it is no `power` key,
-    so it is as fast as v and passes the same `d + step > ub` test. Greedy
-    `power` keys are seeds, at `dist` 0 from the start, which no chain
-    enters; a chain vertex that is a key anyway leaves the tight loop and
-    takes the full per-vertex path. The loop sets `level` to d before it
-    queues anything: v, in a closed layer, may have queued nothing at d.
+    Caching runs: a fast vertex v settles, in one step, the copies of its
+    UAV that its caching steps would settle one by one. While v's caching
+    neighbour h is not done and d < dist[h], h is what the heap would pop
+    next: every heap entry is above (d, v) and none is (d, h); forward,
+    h = v + 1 and no vertex id lies between them; backward, h = v - 1 is
+    below (d, v). v pushes nothing at key d: its connectivity steps wait
+    for the level end. h is a copy of v's UAV at distance d, so it is no
+    feeder (settling one ends the search) and `ub` has not changed; unless
+    it is a `power` key it has no discount, so it is as fast as v, passes
+    the same `d + step > ub` test, and goes on in the same way. The run is
+    [v, s) forward and (s, v] backward, where s is the first copy of v's
+    UAV past v that is
+    - done (`done.find`, `done.rfind`), where the step would be refused;
+    - at distance d, found by `dist.index` forward: an unsettled vertex
+      never has a distance below the key being settled, so `not d < dist[s]`
+      means dist[s] == d. Backward there is none: an unsettled copy below v
+      at d would hold a heap entry below (d, v) or be a queued late seed
+      below v, and neither is left when v is settled;
+    - a `power` key, found in the `keyed` mask, which is given `dist` d and
+      parent and then takes the full per-vertex path. Greedy keys are seeds,
+      settled at 0 before any run above 0 and at `dist` 0 during one, so
+      the other stops end a greedy run first;
+    - or past the UAV's last copy (its first, backward).
+    Slice assignments give the run's vertices done, `dist` d, and as parent
+    the caching edge into each: caching[j - 1] forward, caching[j]
+    backward. The run is queued as pending, but a closed layer, found in
+    the `shut` mask, splits it: the vertex there is settled, and none of
+    its steps is read. The run sets `level` to d before it queues anything:
+    v, in a closed layer, may queue nothing at d.
+
+    Late runs: forward, a fast vertex v at distance 0 whose next id v + 1,
+    a copy of the same UAV, starts the first queued late run settles that
+    run with its own, up to the run's first `power` key. Each of those late
+    seeds is what the pop order gives next: they lie next to each other,
+    and no heap entry lies between their ids, because nothing is pushed at
+    key 0 onto a vertex with `dist` 0. Each is fast at 0 as v is and no
+    feeder, and its caching step is refused by the next one's `dist` 0, so
+    it settles as a run of one; only the last one's caching step can go on,
+    as above, from there. Backward, a late seed's caching run goes down to
+    lower ids, below the next late seed, so late seeds settle one at a
+    time.
 
     Goal: a forward search may name a `goal` UAV. Its copies `goal * H + t`,
     one per layer, are the feeders, and the search ends when it settles the
     first one, which it returns as `reached`. Vertices settle in
     nondecreasing distance and a tie never replaces a parent, so the parents
     of settled vertices are final, and the path walked back from `reached`
-    is the one a full search would give. Other entries of `dist` and `parent` are meaningful only
-    without a goal.
+    is the one a full search would give. Other entries of `dist` and
+    `parent` are meaningful only without a goal.
 
     Target bound: a search with a goal drops the work that cannot change
     the walked path. `ub` is the smallest distance given to a feeder so
@@ -268,14 +331,19 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
       `ub` to 0, and any other is dropped when `step` > `ub`.
     - A non-feeder without a discount settled at d with d + `step` > `ub`
       is only marked done: no pending entry, no zero-cost step, no caching
-      chain.
+      run.
     - At a level end the feeders are relaxed first: for each pending tail
       in settle order, its edge into its layer's feeder, so the tail
       settled first wins a tie (not always the lowest id: a discounted
       vertex's zero-cost step can settle a lower id later in the level).
-      That sets `ub` before the other steps are read, and a pending vertex
-      without a discount is skipped whole when
-      level + `min_connectivity_weight` + `step` > `ub`.
+      Only tails with such an edge are visited: `find` on
+      `graph.feeders[goal]` over each pending range, ascending in a forward
+      search, gives them in settle order, and `bisect_left` finds the edge
+      in the tail's out-range, whose heads ascend (see
+      `TimeExpandedGraph`). That sets `ub` before the other steps are read,
+      and a pending vertex without a discount is skipped whole when
+      level + `min_connectivity_weight` + `step` > `ub`: then only the
+      `power` keys in the pending ranges, found in `keyed`, are read.
     Why it is exact: every vertex on the walked path is at distance D or
     less. From a non-feeder, the rest of any path to a feeder holds a
     connectivity step out of a vertex without a discount: caching stays on
@@ -293,9 +361,10 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     the feeder settled first, -1 if there is none or no goal.
     """
     inf = math.inf
-    dist = [inf] * graph.vertex_count
-    parent = [-1] * graph.vertex_count
-    done = bytearray(graph.vertex_count)
+    count, horizon = graph.vertex_count, graph.horizon
+    dist = [inf] * count
+    parent = [-1] * count
+    done = bytearray(count)
     for v in deleted:
         done[v] = 1
     heap = [(0.0, v) for v in seeds]
@@ -304,27 +373,30 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
         dist[v] = 0.0
     kinds = graph.edge_kind
     weights = graph.edge_weight
-    horizon = graph.horizon
     channels = graph.channels
     wmin = graph.min_connectivity_weight
     caching = graph.caching_edge  # v's caching step is caching[v - back]
     back = 1 if ends is graph.edge_tail else 0
-    # target bound: feeds marks the goal's copies, from `first` on, and
-    # feed_in[t] maps layer t's connectivity in-edges by tail, on first use
-    feeds = bytearray(graph.vertex_count)
-    feed_in = [None] * horizon
+    ones = b"\x01" * horizon
+    shut = bytes(map(channels.__le__, channel_used))  # the closed layers
+    keyed = bytearray(count)  # the `power` keys
+    for v in power:
+        keyed[v] = 1
+    # target bound: feeds marks the goal's copies, into[v] a vertex with a
+    # connectivity edge into its layer's copy
+    feeds = bytearray(count)
     ub, step = inf, 0.0
     if goal is not None:
         first = goal * horizon
-        for f in range(first, first + horizon):
-            feeds[f] = 1
-            if dist[f] == 0.0:
-                ub = 0.0
+        feeds[first:first + horizon] = ones
+        into = graph.feeders[goal]
+        if 0.0 in dist[first:first + horizon]:
+            ub = 0.0
         if set(seeds).issuperset(power):
             step = wmin
     late = sorted(late)
-    queue, q = [], 0  # admitted late seeds in id order, queue[q] next
-    pending = []  # vertices settled at `level` with steps above it
+    queue, q = [], 0  # runs [queue[i], queue[i + 1]) of admitted late seeds
+    pending = []  # runs of vertices settled at `level` with steps above it
     level = 0.0
     while heap or pending or late or q < len(queue):
         if late and (not heap or heap[0][0] > 0.0):
@@ -336,7 +408,10 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
                 elif step > ub:
                     continue
                 dist[v] = 0.0
-                queue.append(v)
+                if queue and queue[-1] == v and v % horizon:
+                    queue[-1] = v + 1  # the last run grows
+                else:
+                    queue += (v, v + 1)
             late = ()
             continue
         if q < len(queue):  # (0.0, queue[q]) merged with the heap
@@ -345,22 +420,18 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
                 d, v = heappop(heap)
             else:
                 d = 0.0
-                q += 1
+                if v + 1 < queue[q + 1]:
+                    queue[q] = v + 1
+                else:
+                    q += 2
         elif pending and (not heap or heap[0][0] > level):
             if goal is not None:  # feeders first, see the target bound
-                for v in pending:
-                    t = v % horizon
-                    f = first + t
+                for v in _marked(pending, into):
+                    f = first + v % horizon
                     if done[f]:
                         continue
-                    into = feed_in[t]
-                    if into is None:
-                        into = feed_in[t] = {graph.edge_tail[e]: e
-                                             for e in graph.in_edges[f]
-                                             if not kinds[e]}
-                    e = into.get(v)
-                    if e is None:
-                        continue
+                    out = adjacency[v]
+                    e = bisect_left(ends, f, out.start, out.stop)
                     w = weights[e]
                     v_power = power.get(v, 0.0)
                     nd = level + (w - v_power) if w > v_power else level
@@ -369,7 +440,8 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
                         parent[f] = e
                         heappush(heap, (nd, f))
             plain = level + wmin + step <= ub  # undiscounted steps can help
-            for v in pending:
+            for v in (chain.from_iterable(pending) if plain
+                      else _marked(pending, keyed)):
                 v_power = power.get(v, 0.0)
                 if not (v_power or plain):
                     continue
@@ -391,19 +463,15 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
             d, v = heappop(heap)
         if done[v]:
             continue
-        while True:  # v, then the caching chain it starts
+        while True:  # v, then the caching run it starts
             done[v] = 1
             if feeds[v]:
                 return dist, parent, v  # see goal
             v_power = power.get(v, 0.0)
             if d + step > ub and not v_power:
                 break  # no path through v beats ub
-            fast = not v_power and d + wmin > d
-            if channel_used[v % horizon] < channels:
-                if fast:  # connectivity: above d
-                    pending.append(v)
-                    level = d
-                else:
+            if v_power or not d + wmin > d:  # a step may cost nothing
+                if not shut[v % horizon]:
                     later = False
                     for e in adjacency[v]:
                         if kinds[e]:
@@ -425,35 +493,73 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
                             parent[head] = e
                             heappush(heap, (d, head))
                     if later:
-                        pending.append(v)
+                        pending.append(range(v, v + 1))
                         level = d
-            e = caching[v - back]  # caching: zero cost
-            if e < 0:
+                e = caching[v - back]  # caching: zero cost
+                if e >= 0:
+                    head = ends[e]
+                    if not (done[head] or not d < dist[head] or d + step > ub):
+                        dist[head] = d
+                        parent[head] = e
+                        heappush(heap, (d, head))
                 break
-            head = ends[e]
-            if done[head] or not d < dist[head] or d + step > ub:
-                break  # v is no feeder, so neither is its caching neighbour
-            dist[head] = d
-            parent[head] = e
-            if not fast:
-                heappush(heap, (d, head))
+            base = v - v % horizon  # v's UAV's first copy; see caching runs
+            lead = v + 1  # [v, lead): v and the late seeds it leads
+            if (not back and q < len(queue) and queue[q] == lead
+                    and lead % horizon):
+                stop = queue[q + 1]  # see late runs
+                key = keyed.find(1, lead, stop)
+                lead = stop if key < 0 else key
+                if lead < stop:
+                    queue[q] = lead
+                else:
+                    q += 2
+            lo, hi, key = v, lead, -1
+            e = caching[lead - 1 - back]
+            if e >= 0 and not done[ends[e]] and d < dist[ends[e]]:
+                if back:  # the run is [lo, v + 1), settled descending
+                    stop = max(done.rfind(1, base, v), base - 1)
+                    key = keyed.rfind(1, stop + 1, v)
+                    lo = (stop if key < 0 else key) + 1
+                    dist[lo:v] = [d] * (v - lo)
+                    parent[lo:v] = caching[lo:v]
+                else:  # the run is [v, hi), settled ascending
+                    stop = done.find(1, lead, base + horizon)
+                    if stop < 0:
+                        stop = base + horizon
+                    try:
+                        stop = dist.index(d, lead, stop)
+                    except ValueError:
+                        pass
+                    key = keyed.find(1, lead, stop)
+                    hi = stop if key < 0 else key
+                    dist[lead:hi] = [d] * (hi - lead)
+                    parent[lead:hi] = caching[lead - 1:hi - 1]
+            done[lo:hi] = ones[:hi - lo]
+            runs = []  # closed layers split the run
+            t, end = lo - base, hi - base
+            while t < end:
+                c = shut.find(1, t, end)
+                if c < 0:
+                    c = end
+                if t < c:
+                    runs.append(range(base + t, base + c))
+                t = c + 1
+            pending += [r[::-1] for r in reversed(runs)] if back else runs
+            level = d
+            if key < 0:
                 break
-            level = d  # see caching chains
-            v = head
-            while v not in power:  # the rest of the chain, see caching chains
-                done[v] = 1
-                if channel_used[v % horizon] < channels:
-                    pending.append(v)
-                e = caching[v - back]
-                if e < 0:
-                    break
-                head = ends[e]
-                if done[head] or not d < dist[head]:
-                    break
-                dist[head] = d
-                parent[head] = e
-                v = head
-            else:
-                continue  # a `power` key: the full per-vertex path
-            break
+            dist[key] = d  # a `power` key: the full per-vertex path
+            parent[key] = caching[key - 1 + back]
+            v = key
     return dist, parent, -1
+
+
+def _marked(runs, marks):
+    """The vertices of the ascending `runs` that `marks` flags, in order."""
+    for run in runs:
+        end = run.stop
+        v = marks.find(1, run.start, end)
+        while v >= 0:
+            yield v
+            v = marks.find(1, v + 1, end)

@@ -132,7 +132,7 @@ def build_tree(graph: TimeExpandedGraph, info, state: ResidualState):
 
     tails, heads = graph.edge_tail, graph.edge_head
     kinds, weights = graph.edge_kind, graph.edge_weight
-    sources = [graph.vertex_id(u, t) for u, t in info.sources]
+    sources = graph.source_vertices(info)
     reached_copies: set[int] = set()  # with the tree's vertices: `touched`
     tree_edges: set[int] = set()
     tree_vertices: set[int] = set()

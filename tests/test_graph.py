@@ -24,7 +24,7 @@ from fleetcast.gen import generate_scenario, make_config
 from fleetcast.graph import (CACHING, CONNECTIVITY, KIND_CACHING,
                              KIND_CONNECTIVITY, KIND_NAMES, _shortest_paths,
                              augment, build_time_expanded_graph)
-from fleetcast import heuristic
+from fleetcast import graph as graph_module, heuristic
 from fleetcast.heuristic import (HeuristicKind, ResidualState, _walk_back,
                                  build_tree, greedy_plan)
 from fleetcast.jsonio import canonical_dumps
@@ -522,22 +522,36 @@ def _flat_graph(uav_count, horizon, conn, channels=1):
                 elif (u, u2, t) in conn:
                     edges.append((v, u2 * horizon + t, 0, conn[(u, u2, t)]))
     vertex_count = uav_count * horizon
-    out_edges = [[] for _ in range(vertex_count)]
+    out_edges = [range(0)] * vertex_count  # a tail's edges are contiguous
     in_edges = [[] for _ in range(vertex_count)]
     caching_edge = [-1] * vertex_count
     for e, (tail, head, kind, _) in enumerate(edges):
-        out_edges[tail].append(e)
+        out_edges[tail] = range(out_edges[tail].start if out_edges[tail]
+                                else e, e + 1)
         in_edges[head].append(e)
         if kind:
             caching_edge[tail] = e
     tails, heads, kinds, weights = ([edge[i] for edge in edges]
                                     for i in range(4))
-    return SimpleNamespace(
+    graph = SimpleNamespace(
         edge_tail=tails, edge_head=heads, edge_kind=kinds, edge_weight=weights,
         uav_count=uav_count, horizon=horizon,
         channels=channels, vertex_count=vertex_count,
         out_edges=out_edges, in_edges=in_edges, caching_edge=caching_edge,
         min_connectivity_weight=min(conn.values(), default=math.inf))
+    graph.feeders = _feeder_table(graph)
+    return graph
+
+
+def _feeder_table(graph):
+    """The builder's `feeders` derived from `in_edges`: per UAV g, a flag
+    for every tail of a connectivity edge into one of g's copies."""
+    table = [bytearray(graph.vertex_count) for _ in range(graph.uav_count)]
+    for v, ins in enumerate(graph.in_edges):
+        for e in ins:
+            if graph.edge_kind[e] == KIND_CONNECTIVITY:
+                table[v // graph.horizon][graph.edge_tail[e]] = 1
+    return table
 
 
 def _assert_kernel_matches_reference(graph, seeds, deleted=(), power=None,
@@ -730,6 +744,92 @@ def test_kernel_chain_vertex_with_a_discount_takes_the_full_path():
                                       graph.edge_head, (), power, [0] * 4)
     assert dist[6] == 0.0 and graph.edge_tail[parent[6]] == 2
     _assert_kernel_matches_reference(graph, seeds, power=power)
+
+
+def test_kernel_run_stops_at_an_unsettled_tie():
+    # (1,0) and (1,2) are both reached at 1.0 at the end of level 0: the run
+    # from (1,0) settles (1,1) and stops at (1,2), which keeps its own edge
+    # from (0,2) and starts the next run
+    conn = {(0, 1, 0): 1.0, (0, 1, 2): 1.0}
+    graph = _flat_graph(2, 4, conn)
+    dist, parent, _ = _shortest_paths(graph, [0], graph.out_edges,
+                                      graph.edge_head, (), {}, [0] * 4)
+    assert dist[4:] == [1.0] * 4
+    assert [graph.edge_tail[parent[v]] for v in range(4, 8)] == [0, 4, 2, 6]
+    assert graph.edge_kind[parent[6]] == KIND_CONNECTIVITY
+    _assert_kernel_matches_reference(graph, [0])
+
+
+def test_kernel_run_stops_at_a_power_key_above_zero():
+    # UAV 1's run at 1.0 reaches the key (1,2), whose discount makes its
+    # step into (2,2) free: the key takes the full path, relaxes that step
+    # at 1.0, and its caching step leaves (1,3) to the heap
+    conn = {(0, 1, 0): 1.0, (1, 2, 2): 1.0, (0, 2, 3): 1.0}
+    graph = _flat_graph(3, 4, conn)
+    power = {6: 1.0}
+    dist, parent, _ = _shortest_paths(graph, [0], graph.out_edges,
+                                      graph.edge_head, (), power, [0] * 4)
+    assert dist[5:8] == [1.0] * 3 and dist[10] == 1.0
+    assert graph.edge_tail[parent[10]] == 6
+    assert [graph.edge_tail[parent[v]] for v in (5, 6, 7)] == [4, 5, 6]
+    _assert_kernel_matches_reference(graph, [0], power=power)
+
+
+def test_kernel_closed_layers_split_a_run():
+    # seed (0,0)'s run covers UAV 0, but layers 1, 3 and 4 are closed: only
+    # (0,0), (0,2) and (0,5) send, so UAV 1 is first reached at (1,5), and
+    # (1,3) and (1,4) at 2.0 through (0,2), not at 1.0 through their own
+    # layers
+    weights = (3.0, 1.0, 2.0, 1.0, 1.0, 1.5)
+    conn = {(0, 1, t): w for t, w in enumerate(weights)}
+    graph = _flat_graph(2, 6, conn)
+    used = [0, 1, 0, 1, 1, 0]
+    dist, _, _ = _shortest_paths(graph, [0], graph.out_edges,
+                                 graph.edge_head, (), {}, used)
+    assert dist[6:] == [3.0, 3.0, 2.0, 2.0, 2.0, 1.5]
+    dist, parent, reached = _shortest_paths(graph, [0], graph.out_edges,
+                                            graph.edge_head, (), {}, used, 1)
+    assert reached == 11 and graph.edge_tail[parent[11]] == 5
+    _assert_kernel_matches_reference(graph, [0], channel_used=used)
+    _assert_kernel_matches_reference(graph, [], channel_used=used,
+                                     late=[0, 1, 2])
+
+
+def test_kernel_backward_runs_descend():
+    # backward from UAV 0's copies: (1,4) reaches them at 1.0 and its run
+    # goes down to (1,2), above the deleted (1,1); the closed layer 3 keeps
+    # (1,3) from walking its in-edge from (2,3), so UAV 2 is reached only
+    # through (1,2), at 1.5, and its run goes down to (2,0)
+    conn = {(1, 0, 4): 1.0, (2, 1, 3): 0.25, (2, 1, 2): 0.5, (2, 0, 1): 2.0}
+    graph = _flat_graph(3, 5, conn)
+    copies, deleted, used = [0, 1, 2, 3, 4], {6}, [0, 0, 0, 1, 0]
+    dist, parent, _ = _shortest_paths(graph, copies, graph.in_edges,
+                                      graph.edge_tail, deleted, {}, used)
+    assert dist[5:10] == [math.inf, math.inf, 1.0, 1.0, 1.0]
+    assert dist[10:15] == [1.5, 1.5, 1.5, math.inf, math.inf]
+    assert [graph.edge_head[parent[v]] for v in (7, 8, 10, 11, 12)] \
+        == [8, 9, 11, 12, 7]
+    _assert_kernel_matches_reference(graph, copies, deleted=deleted,
+                                     channel_used=used)
+    _assert_kernel_matches_reference(graph, copies, channel_used=used)
+
+
+def test_kernel_late_run_led_by_a_heap_vertex():
+    # late seed (0,0)'s discount makes its step into (1,0) free; (1,0) pops
+    # from the heap just before the queued late seeds (1,1) and (1,2), and
+    # settles them in its run, which goes on by caching to (1,3)
+    graph = _flat_graph(2, 4, {(0, 1, 0): 1.0, (1, 0, 3): 1.0})
+    late, power = [0, 5, 6], {0: 1.0}
+    dist, parent, _ = _shortest_paths(graph, (), graph.out_edges,
+                                      graph.edge_head, (), power, [0] * 4,
+                                      late=late)
+    assert dist == [0.0] * 8
+    assert [parent[v] for v in (5, 6)] == [-1, -1]
+    assert graph.edge_tail[parent[4]] == 0 and graph.edge_tail[parent[7]] == 6
+    _assert_kernel_matches_reference(graph, [], power=power, late=late)
+    # a key inside the late run settles it in two parts
+    power[5] = 1.0
+    _assert_kernel_matches_reference(graph, [], power=power, late=late)
 
 
 def _paper_graphs():
@@ -1048,6 +1148,66 @@ def test_builder_matches_reference_builder():
         _assert_same_graph(augment(base, scenario.infos), ref_graph, rng)
         count += 1
     assert count > 60
+
+
+def test_feeder_table_matches_the_in_edges():
+    # per UAV, the tails of the connectivity edges into its copies, also
+    # with per-UAV radii, where reach is not symmetric
+    count = 0
+    for scenario in _builder_scenarios():
+        graph = build_time_expanded_graph(scenario)
+        assert len(graph.feeders) == graph.uav_count
+        assert all(type(row) is bytearray for row in graph.feeders)
+        assert graph.feeders == _feeder_table(graph)
+        count += scenario.per_uav_radii is not None
+    assert count == 2
+
+
+def test_in_edges_are_built_on_first_read_and_shared():
+    scenario = generate_scenario(make_config("paper", 3, info_count=4,
+                                             horizon=30))
+    base = build_time_expanded_graph(scenario)
+    served = augment(base, scenario.infos[:2])
+    assert base._in_edges == [None] and served._in_edges is base._in_edges
+    table = served.in_edges  # read through the augmented graph
+    assert base.in_edges is table and served.in_edges is table
+    assert [list(ins) for ins in table] == _reference_build(scenario).in_edges
+    assert all(type(ins) is array and ins.typecode == "q" for ins in table)
+
+
+def test_augment_checks_only_infos_other_than_the_graphs(monkeypatch):
+    # the graph's own informations passed `check_infos` for its fleet when
+    # the scenario was built, so serving them again checks nothing
+    scenario = generate_scenario(make_config("paper", 3, info_count=4,
+                                             horizon=30))
+    base = build_time_expanded_graph(scenario)
+    checked = []
+    monkeypatch.setattr(graph_module, "check_infos",
+                        lambda infos, *fleet: checked.append(infos))
+    assert augment(base, reversed(base.infos)).infos == base.infos
+    assert checked == []
+    assert augment(base, base.infos[1:]).infos == base.infos[1:]
+    assert checked == [base.infos[1:]]
+
+
+def test_greedy_leaves_in_edges_unbuilt():
+    # no greedy search reads `in_edges`, so a greedy solve never builds it
+    for graph in _paper_graphs():
+        for kind in ("mpf", "muf", "lpf"):
+            greedy_plan(graph, graph.infos, HeuristicKind(kind))
+        assert graph._in_edges == [None]
+
+
+def test_source_vertices_are_sorted_ids_kept_per_graph():
+    scenario = generate_scenario(make_config("paper", 3, info_count=4,
+                                             horizon=30))
+    base = build_time_expanded_graph(scenario)
+    served = augment(base, scenario.infos[1:])
+    for info in served.infos:
+        ids = served.source_vertices(info)
+        assert ids == sorted(base.vertex_id(u, t) for u, t in info.sources)
+        assert served.source_vertices(info) is ids
+        assert base.source_vertices(info) is ids  # the cache is shared
 
 
 def test_one_base_augmented_twice_is_left_unchanged():

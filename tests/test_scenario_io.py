@@ -1,13 +1,17 @@
 """Scenario data model validation and lossless file round trips."""
 
+import re
+from types import SimpleNamespace
+
 import pytest
 
 import instances
 from fleetcast.errors import FormatError, ScenarioError
 from fleetcast.gen import generate_scenario, make_config
-from fleetcast.scenario import (InfoSpec, Scenario, load_scenario,
-                                save_scenario, scenario_from_dict,
-                                scenario_to_dict)
+from fleetcast.graph import augment, build_time_expanded_graph
+from fleetcast.scenario import (InfoSpec, Scenario, check_infos,
+                                load_scenario, save_scenario,
+                                scenario_from_dict, scenario_to_dict)
 
 
 def test_round_trip_is_lossless(tmp_path):
@@ -235,3 +239,51 @@ def test_load_rejects_what_json_does_not_allow(tmp_path, text):
     path.write_text(text)
     with pytest.raises(FormatError, match="not valid JSON"):
         load_scenario(path)
+
+
+def _info(i, sources, destinations=(1,)):
+    return InfoSpec(id=i, sources=set(sources), destinations=set(destinations))
+
+
+# (infos, error) on a fleet of 3 UAVs over 5 time units: the first fault in
+# info order, and within an information its id, then its sources, then its
+# destinations. The ids ascend, so `augment`, which sorts by id, words the
+# same fault
+CHECK_INFOS_CASES = [
+    ([_info(0, [(0, 0)]), _info(0, [(1, 1)])], "duplicate info id 0"),
+    ([_info(0, [(-1, 0)])], "info 0: source (-1, 0) outside the scenario"),
+    ([_info(0, [(3, 0)])], "info 0: source (3, 0) outside the scenario"),
+    ([_info(0, [(0, -1)])], "info 0: source (0, -1) outside the scenario"),
+    ([_info(0, [(2, 5)])], "info 0: source (2, 5) outside the scenario"),
+    ([_info(0, [(0, 0)], [3])], "info 0: destination UAV 3 does not exist"),
+    ([_info(0, [(0, 0)], [-1])], "info 0: destination UAV -1 does not exist"),
+    ([_info(0, [(0, 9)], [7])], "info 0: source (0, 9) outside the scenario"),
+    ([_info(2, [(0, 0)], [7]), _info(4, [(9, 0)])],
+     "info 2: destination UAV 7 does not exist"),
+    ([_info(1, [(0, 0)]), _info(1, [(9, 0)], [9])], "duplicate info id 1"),
+    ([_info(1, [(0, 0)]), _info(2, [(1, 4), (2, 2), (0, 5)])],
+     "info 2: source (0, 5) outside the scenario"),
+]
+
+
+@pytest.mark.parametrize("infos, message", CHECK_INFOS_CASES)
+def test_check_infos_words_the_first_fault(infos, message):
+    for given in (infos, iter(infos), tuple(infos)):
+        with pytest.raises(ScenarioError) as info:
+            check_infos(given, 3, 5)
+        assert str(info.value) == message
+    # the same, read field by field off objects that are no InfoSpec
+    plain = [SimpleNamespace(id=i.id, sources=i.sources,
+                             destinations=i.destinations) for i in infos]
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        check_infos(plain, 3, 5)
+    graph = build_time_expanded_graph(instances.static_scenario(
+        positions=[(0, 0), (5, 0), (10, 0)], horizon=5,
+        infos=[_info(0, [(0, 0)])]))
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        augment(graph, infos)
+
+
+def test_check_infos_passes_the_fleet_edges():
+    check_infos([], 3, 5)
+    check_infos([_info(0, [(0, 0), (2, 4)], [0, 2]), _info(1, [(1, 2)])], 3, 5)
