@@ -814,6 +814,24 @@ def test_kernel_backward_runs_descend():
     _assert_kernel_matches_reference(graph, copies, channel_used=used)
 
 
+def test_kernel_backward_run_stops_at_a_power_key():
+    # backward from (1,4) and (2,4): the run down UAV 1 stops at the key
+    # (1,2), whose discount makes its in-edge from (2,2) free; the key takes
+    # the full path and relaxes that edge at once, so (2,2) keeps it against
+    # the caching run down from (2,4) at the same distance
+    graph = _flat_graph(3, 6, {(2, 1, 2): 1.5})
+    seeds, power = [10, 16], {8: 2.0}
+    result = _shortest_paths(graph, seeds, graph.in_edges, graph.edge_tail,
+                             (), power, [0] * 6)
+    assert result == _reference_shortest_paths(
+        graph, seeds, graph.in_edges, graph.edge_tail, set(), power, [0] * 6,
+        {})
+    dist, parent, _ = result
+    assert dist[12:17] == [0.0] * 5
+    assert graph.edge_kind[parent[14]] == KIND_CONNECTIVITY
+    assert graph.edge_head[parent[14]] == 8
+
+
 def test_kernel_late_run_led_by_a_heap_vertex():
     # late seed (0,0)'s discount makes its step into (1,0) free; (1,0) pops
     # from the heap just before the queued late seeds (1,1) and (1,2), and
@@ -954,6 +972,18 @@ def test_kernel_bound_two_hop_answer():
     dist, parent, reached = _forward(graph, [0], {}, 2)
     assert reached == 2 and dist[2] == 2.0 and graph.edge_tail[parent[2]] == 1
     _assert_kernel_matches_reference(graph, [0])
+
+
+def test_kernel_bound_reads_discounted_tails_when_plain_steps_cannot_help():
+    # at the end of level 0 seed UAV 2's edge sets the bound to 1.8, above
+    # which 0 + 1.0 + the min weight 1.0 lies, so of the pending tails only
+    # the discounted seed, UAV 0, is read: its step to UAV 1 costs 0.5, and
+    # 0 -> 1 -> 3 wins at 1.5
+    conn = {(0, 1, 0): 2.0, (2, 3, 0): 1.8, (1, 3, 0): 1.0}
+    graph = _flat_graph(4, 1, conn)
+    dist, parent, reached = _forward(graph, [0, 2], {0: 1.5}, 3)
+    assert reached == 3 and dist[3] == 1.5 and graph.edge_tail[parent[3]] == 1
+    _assert_kernel_matches_reference(graph, [0, 2], power={0: 1.5})
 
 
 @given(st.data())
