@@ -54,8 +54,9 @@ class ExperimentRow:
 
 def _resolve_out(out, default_name) -> Path:
     """The file to write: `out`, whose directory must exist, or `default_name`
-    in $FLEETCAST_OUT_DIR (made if missing). Commands call it before their
-    work, so that a bad `--out` costs no solve."""
+    in $FLEETCAST_OUT_DIR (made if missing; a usage error if that fails,
+    as when it names a file). Commands call it before their work, so that
+    a bad `--out` or $FLEETCAST_OUT_DIR costs no solve."""
     if out is not None:
         path = Path(out)
         if not path.parent.is_dir():
@@ -63,7 +64,12 @@ def _resolve_out(out, default_name) -> Path:
                 f"--out {out}: directory {path.parent} does not exist")
         return path
     base = Path(os.environ.get("FLEETCAST_OUT_DIR", "."))
-    base.mkdir(parents=True, exist_ok=True)
+    try:
+        base.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"FLEETCAST_OUT_DIR {base}: not a directory "
+                               f"and cannot be made one ({exc.strerror})"
+                               ) from None
     return base / default_name
 
 

@@ -97,9 +97,8 @@ class _Search:
         self.transmit: dict[int, int] = {}  # sending vertex -> its info
         self.channel = [0] * graph.horizon
         self.power: dict[int, float] = {}
-        self.supplied = {
-            info.id: {graph.vertex_id(u, t) for u, t in info.sources}
-            for info in infos}
+        self.supplied = {info.id: set(graph.source_vertices(info))
+                         for info in infos}
         self.paths: list[tuple[int, tuple]] = []  # (info id, edges) per level
         self.accrued = 0.0
 
@@ -133,7 +132,7 @@ class _Search:
         self.pristine_lb = {}
         self.unreachable = None
         for info in infos:
-            starts = [graph.vertex_id(u, t) for u, t in info.sources]
+            starts = graph.source_vertices(info)
             worst = 0.0
             for u in sorted(info.destinations):
                 d = min(self.h_to_dest[u][v] for v in starts)

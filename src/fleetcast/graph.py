@@ -224,7 +224,8 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     its own entry forward, its predecessor's backward (see
     `TimeExpandedGraph`), so `ends` also tells the direction.
 
-    Late seeds: the `late` vertices enter at distance 0, in id order, once
+    Late seeds: the `late` vertices, ascending by contract (`build_tree`
+    passes `graph.source_vertices`), enter at distance 0 in that order once
     no distance-0 heap entry is left, which is before the level-0 pending
     relaxations. The distance-0 closure of the seeds is therefore settled
     first, and a seed's zero-cost step wins a tie against a late seed's even
@@ -265,54 +266,51 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     the same. The caching step, which costs nothing, is relaxed after the
     connectivity steps: a vertex has at most one edge per head, and entries
     pushed at key d pop in key order, so the order of one vertex's
-    relaxations changes no pop. A vertex without a discount settled at d
-    with d + `min_connectivity_weight` > d, a fast vertex, has only
-    connectivity steps above d, so its connectivity edges are not even read
-    until the level ends; any other vertex tests each step. `pending` holds
-    ranges of vertices in settle order: runs (below), ascending forward and
-    descending backward, and single vertices.
+    relaxations changes no pop. In a forward search, a vertex without a
+    discount settled at d with d + `min_connectivity_weight` > d, a fast
+    vertex, has only connectivity steps above d, so its connectivity edges
+    are not even read until the level ends; any other vertex takes the
+    per-vertex path, which tests each step and pushes the caching step on
+    the heap. `pending` holds ascending ranges of vertices in settle order:
+    caching runs (below) and single vertices.
 
-    Caching runs: a fast vertex v settles, in one step, the copies of its
-    UAV that its caching steps would settle one by one. While v's caching
-    neighbour h is not done and d < dist[h], h is what the heap would pop
-    next: every heap entry is above (d, v) and none is (d, h); forward,
-    h = v + 1 and no vertex id lies between them; backward, h = v - 1 is
-    below (d, v). v pushes nothing at key d: its connectivity steps wait
+    Caching runs: only forward searches make them. A backward search counts
+    no vertex fast, so each of its vertices takes the per-vertex path. A
+    fast vertex v settles, in one step, the copies of its UAV that its
+    caching steps would settle one by one. While h = v + 1, a copy of v's
+    UAV, is not done and d < dist[h], h is what the heap would pop next:
+    every heap entry is above (d, v), none is (d, h), and no vertex id lies
+    between them. v pushes nothing at key d: its connectivity steps wait
     for the level end. h is a copy of v's UAV at distance d, so it is no
     feeder (settling one ends the search) and `ub` has not changed; unless
     it is a `power` key it has no discount, so it is as fast as v, passes
     the same `d + step > ub` test, and goes on in the same way. The run is
-    [v, s) forward and (s, v] backward, where s is the first copy of v's
-    UAV past v that is
-    - done (`done.find`, `done.rfind`), where the step would be refused;
-    - at distance d, found by `dist.index` forward: an unsettled vertex
-      never has a distance below the key being settled, so `not d < dist[s]`
-      means dist[s] == d. Backward there is none: an unsettled copy below v
-      at d would hold a heap entry below (d, v) or be a queued late seed
-      below v, and neither is left when v is settled;
+    [v, s), where s is the first copy of v's UAV past v that is
+    - done (`done.find`), where the step would be refused;
+    - at distance d, found by `dist.index`: an unsettled vertex never has a
+      distance below the key being settled, so `not d < dist[s]` means
+      dist[s] == d;
     - a `power` key, found in the `keyed` mask, which is given `dist` d and
       parent and then takes the full per-vertex path. Greedy keys are seeds,
       settled at 0 before any run above 0 and at `dist` 0 during one, so
       the other stops end a greedy run first;
-    - or past the UAV's last copy (its first, backward).
+    - or past the UAV's last copy.
     Slice assignments give the run's vertices done, `dist` d, and as parent
-    the caching edge into each: caching[j - 1] forward, caching[j]
-    backward. The run is queued as pending, but a closed layer, found in
-    the `shut` mask, splits it: the vertex there is settled, and none of
-    its steps is read. The run sets `level` to d before it queues anything:
-    v, in a closed layer, may queue nothing at d.
+    the caching edge into each, caching[j - 1]. The run is queued as
+    pending, but a closed layer, found in the `shut` mask, splits it: the
+    vertex there is settled, and none of its steps is read. The run sets
+    `level` to d before it queues anything: v, in a closed layer, may queue
+    nothing at d.
 
-    Late runs: forward, a fast vertex v at distance 0 whose next id v + 1,
-    a copy of the same UAV, starts the first queued late run settles that
-    run with its own, up to the run's first `power` key. Each of those late
-    seeds is what the pop order gives next: they lie next to each other,
-    and no heap entry lies between their ids, because nothing is pushed at
-    key 0 onto a vertex with `dist` 0. Each is fast at 0 as v is and no
-    feeder, and its caching step is refused by the next one's `dist` 0, so
-    it settles as a run of one; only the last one's caching step can go on,
-    as above, from there. Backward, a late seed's caching run goes down to
-    lower ids, below the next late seed, so late seeds settle one at a
-    time.
+    Late runs: a fast vertex v at distance 0 whose next id v + 1, a copy of
+    the same UAV, starts the first queued late run settles that run with
+    its own, up to the run's first `power` key. Each of those late seeds is
+    what the pop order gives next: they lie next to each other, and no heap
+    entry lies between their ids, because nothing is pushed at key 0 onto a
+    vertex with `dist` 0. Each is fast at 0 as v is and no feeder, and its
+    caching step is refused by the next one's `dist` 0, so it settles as a
+    run of one; only the last one's caching step can go on, as above, from
+    there.
 
     Goal: a forward search may name a `goal` UAV. Its copies `goal * H + t`,
     one per layer, are the feeders, and the search ends when it settles the
@@ -337,13 +335,13 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
       settled first wins a tie (not always the lowest id: a discounted
       vertex's zero-cost step can settle a lower id later in the level).
       Only tails with such an edge are visited: `find` on
-      `graph.feeders[goal]` over each pending range, ascending in a forward
-      search, gives them in settle order, and `bisect_left` finds the edge
-      in the tail's out-range, whose heads ascend (see
-      `TimeExpandedGraph`). That sets `ub` before the other steps are read,
-      and a pending vertex without a discount is skipped whole when
-      level + `min_connectivity_weight` + `step` > `ub`: then only the
-      `power` keys in the pending ranges, found in `keyed`, are read.
+      `graph.feeders[goal]` over each pending range gives them in settle
+      order, and `bisect_left` finds the edge in the tail's out-range,
+      whose heads ascend (see `TimeExpandedGraph`). That sets `ub` before
+      the other steps are read, and a pending vertex without a discount is
+      skipped whole when level + `min_connectivity_weight` + `step` > `ub`:
+      then only the `power` keys in the pending ranges, found in `keyed`,
+      are read.
     Why it is exact: every vertex on the walked path is at distance D or
     less. From a non-feeder, the rest of any path to a feeder holds a
     connectivity step out of a vertex without a discount: caching stays on
@@ -377,6 +375,7 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     wmin = graph.min_connectivity_weight
     caching = graph.caching_edge  # v's caching step is caching[v - back]
     back = 1 if ends is graph.edge_tail else 0
+    fast = 0.0 if back else wmin  # backward, no vertex is fast
     ones = b"\x01" * horizon
     shut = bytes(map(channels.__le__, channel_used))  # the closed layers
     keyed = bytearray(count)  # the `power` keys
@@ -394,7 +393,6 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
             ub = 0.0
         if set(seeds).issuperset(power):
             step = wmin
-    late = sorted(late)
     queue, q = [], 0  # runs [queue[i], queue[i + 1]) of admitted late seeds
     pending = []  # runs of vertices settled at `level` with steps above it
     level = 0.0
@@ -470,7 +468,7 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
             v_power = power.get(v, 0.0)
             if d + step > ub and not v_power:
                 break  # no path through v beats ub
-            if v_power or not d + wmin > d:  # a step may cost nothing
+            if v_power or not d + fast > d:  # a step may cost nothing
                 if not shut[v % horizon]:
                     later = False
                     for e in adjacency[v]:
@@ -505,8 +503,7 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
                 break
             base = v - v % horizon  # v's UAV's first copy; see caching runs
             lead = v + 1  # [v, lead): v and the late seeds it leads
-            if (not back and q < len(queue) and queue[q] == lead
-                    and lead % horizon):
+            if q < len(queue) and queue[q] == lead and lead % horizon:
                 stop = queue[q + 1]  # see late runs
                 key = keyed.find(1, lead, stop)
                 lead = stop if key < 0 else key
@@ -514,43 +511,33 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
                     queue[q] = lead
                 else:
                     q += 2
-            lo, hi, key = v, lead, -1
-            e = caching[lead - 1 - back]
-            if e >= 0 and not done[ends[e]] and d < dist[ends[e]]:
-                if back:  # the run is [lo, v + 1), settled descending
-                    stop = max(done.rfind(1, base, v), base - 1)
-                    key = keyed.rfind(1, stop + 1, v)
-                    lo = (stop if key < 0 else key) + 1
-                    dist[lo:v] = [d] * (v - lo)
-                    parent[lo:v] = caching[lo:v]
-                else:  # the run is [v, hi), settled ascending
-                    stop = done.find(1, lead, base + horizon)
-                    if stop < 0:
-                        stop = base + horizon
-                    try:
-                        stop = dist.index(d, lead, stop)
-                    except ValueError:
-                        pass
-                    key = keyed.find(1, lead, stop)
-                    hi = stop if key < 0 else key
-                    dist[lead:hi] = [d] * (hi - lead)
-                    parent[lead:hi] = caching[lead - 1:hi - 1]
-            done[lo:hi] = ones[:hi - lo]
-            runs = []  # closed layers split the run
-            t, end = lo - base, hi - base
-            while t < end:
+            hi, key = lead, -1  # the run is [v, hi)
+            if lead % horizon and not done[lead] and d < dist[lead]:
+                stop = done.find(1, lead, base + horizon)
+                if stop < 0:
+                    stop = base + horizon
+                try:
+                    stop = dist.index(d, lead, stop)
+                except ValueError:
+                    pass
+                key = keyed.find(1, lead, stop)
+                hi = stop if key < 0 else key
+                dist[lead:hi] = [d] * (hi - lead)
+                parent[lead:hi] = caching[lead - 1:hi - 1]
+            done[v:hi] = ones[:hi - v]
+            t, end = v - base, hi - base
+            while t < end:  # closed layers split the run
                 c = shut.find(1, t, end)
                 if c < 0:
                     c = end
                 if t < c:
-                    runs.append(range(base + t, base + c))
+                    pending.append(range(base + t, base + c))
                 t = c + 1
-            pending += [r[::-1] for r in reversed(runs)] if back else runs
             level = d
             if key < 0:
                 break
             dist[key] = d  # a `power` key: the full per-vertex path
-            parent[key] = caching[key - 1 + back]
+            parent[key] = caching[key - 1]
             v = key
     return dist, parent, -1
 

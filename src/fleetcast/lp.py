@@ -93,12 +93,13 @@ def export_lp(graph: TimeExpandedGraph, infos=None,
         binaries += h
         binaries += b
         binaries += d.values()
-        source_vertices = {graph.vertex_id(u, t) for u, t in info.sources}
+        sources = graph.source_vertices(info)
+        source_set = set(sources)
         for v in range(n_vertices):
             outs = out_edges[v]
             ins = " + ".join(map(a.__getitem__, in_edges[v]))
             ins_ = f"{ins} " if ins else ""     # ready for a next term
-            if v not in source_vertices:
+            if v not in source_set:
                 sends = " + ".join(map(a.__getitem__, outs))
                 sends_ = f"{sends} " if sends else ""
                 if outs:
@@ -115,7 +116,7 @@ def export_lp(graph: TimeExpandedGraph, infos=None,
         for u in dest_uavs:
             copies = " + ".join([d[v] for v in range(u * horizon, (u + 1) * horizon)])
             row(f" c5_{i}_{u}: {copies} = 1")
-        sends = " + ".join([a[e] for v in sorted(source_vertices) for e in out_edges[v]])
+        sends = " + ".join([a[e] for v in sources for e in out_edges[v]])
         # no source can send: the row reads 0 P_0 >= 1, unsatisfiable
         row(f" c6_{i}: {sends or '0 P_0'} >= 1")
 

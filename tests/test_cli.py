@@ -239,6 +239,31 @@ def test_out_dir_env_var(tmp_path, monkeypatch, micro_scenario):
     assert len(produced) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--profile", "micro", "--seed", "1"),
+    ("solve", "SCENARIO", "--method", "mpf"),
+    ("lp", "SCENARIO"),
+    ("compare", "SCENARIO", "--methods", "mpf", "--no-markdown"),
+    ("sweep", "--variable", "packet_size", "--values", "100", "--seeds", "0",
+     "--profile", "micro"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_dir_env_var_naming_a_file_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, micro_scenario, argv, under):
+    # a file, or a path below one, cannot be the output directory: every
+    # writing command refuses it before any work, and writes nothing
+    blocker = tmp_path / "outputs"
+    blocker.write_text("not a directory\n")
+    out_dir = blocker / "sub" if under else blocker
+    monkeypatch.setenv("FLEETCAST_OUT_DIR", str(out_dir))
+    before = sorted(tmp_path.iterdir())
+    code = run(*[str(micro_scenario) if a == "SCENARIO" else a for a in argv])
+    assert code == 1
+    assert f"FLEETCAST_OUT_DIR {out_dir}:" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_jobs_flag_matches_serial_results(micro_scenario, tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"

@@ -8,6 +8,7 @@ import pytest
 
 import instances
 import oracles
+from fleetcast import heuristic
 from fleetcast.errors import GenerationError, PlanStructureError
 from fleetcast.gen import generate_scenario, make_config
 from fleetcast.graph import KIND_CONNECTIVITY, build_time_expanded_graph
@@ -226,6 +227,33 @@ def test_tree_vertex_keeps_a_zero_cost_tie_against_a_source_copy():
     assert report.plan.activations == {0: frozenset({
         hop((2, 1), (0, 1)), hop((2, 1), (1, 1)), hop((1, 1), (3, 1))})}
     assert report.objective == 20.0
+
+
+def test_greedy_passes_late_seeds_ascending(monkeypatch):
+    # the kernel takes its late seeds in ascending id order by contract and
+    # does not sort them; `build_tree`, its one caller, must pass them so in
+    # every search of every ordering
+    kernel = heuristic._shortest_paths
+    lates = []
+
+    def recording(graph, seeds, adjacency, ends, deleted, power, used,
+                  goal=None, late=()):
+        lates.append(list(late))
+        return kernel(graph, seeds, adjacency, ends, deleted, power, used,
+                      goal, late)
+
+    monkeypatch.setattr(heuristic, "_shortest_paths", recording)
+    configs = [instances.comparison_config(seed) for seed in range(1, 21)]
+    configs += [make_config("paper", seed) for seed in (1, 2, 3)]
+    kinds = [HeuristicKind(name) for name in ("mpf", "lpf", "muf")]
+    kinds += [HeuristicKind("r", seed=seed) for seed in (0, 1)]
+    for config in configs:
+        graph = build_time_expanded_graph(generate_scenario(config))
+        for kind in kinds:
+            greedy_plan(graph, graph.infos, kind)
+    assert len(lates) > 400 and max(map(len, lates)) > 10
+    for late in lates:
+        assert all(a < b for a, b in zip(late, late[1:])), late
 
 
 # Canonical report digests on a mid-size generated scenario, recorded with the
