@@ -16,6 +16,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain
 
@@ -55,10 +56,7 @@ class TimeExpandedGraph:
     from below (inf without UAVs). These are built with the edges.
 
     `in_edges[v]` is an `array('q')` of v's in-edges in ascending order,
-    derived from `edge_head` on first read: no greedy search reads it. The
-    table lives in the `_in_edges` holder, and `source_vertices` keeps its
-    results in `_sources`; `augment` shares both, so a base graph and the
-    graphs augmented from it compute each at most once between them.
+    derived from `edge_head` on first read: no greedy search reads it.
     Neither adjacency table holds an int object per edge, which at fleet
     scale would be a quarter of the graph's memory. Equality is identity;
     the repr omits the tables.
@@ -77,28 +75,25 @@ class TimeExpandedGraph:
     feeders: list[bytearray]
     min_connectivity_weight: float
     infos: tuple[InfoSpec, ...]
-    _in_edges: list  # [the in-edge table], [None] before the first read
-    _sources: dict   # info -> its `source_vertices`, filled on first call
 
-    @property
+    @cached_property
     def in_edges(self) -> list[array]:
-        holder = self._in_edges
-        if holder[0] is None:
-            table = [array("q") for _ in range(self.vertex_count)]
-            for e, head in enumerate(self.edge_head):
-                table[head].append(e)
-            holder[0] = table
-        return holder[0]
+        table = [array("q") for _ in range(self.vertex_count)]
+        for e, head in enumerate(self.edge_head):
+            table[head].append(e)
+        return table
+
+    @cached_property
+    def _source_ids(self) -> dict:
+        h = self.horizon
+        return {info: sorted([u * h + t for u, t in info.sources])
+                for info in self.infos}
 
     def source_vertices(self, info) -> list[int]:
         """The vertex ids of the source copies of `info`, one of the graph's
-        informations, ascending; computed on the first call."""
-        ids = self._sources.get(info)
-        if ids is None:
-            h = self.horizon
-            ids = self._sources[info] = sorted([u * h + t
-                                                for u, t in info.sources])
-        return ids
+        informations, ascending; computed for all of them on the first
+        call."""
+        return self._source_ids[info]
 
     @property
     def vertex_count(self) -> int:
@@ -192,8 +187,7 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
     return TimeExpandedGraph(
         uav_count, horizon, scenario.channels, scenario.cache_capacity,
         tails, heads, kinds, weights, out_edges, caching_edge, feeders,
-        min_weight, tuple(sorted(scenario.infos, key=lambda i: i.id)),
-        [None], {})
+        min_weight, tuple(sorted(scenario.infos, key=lambda i: i.id)))
 
 
 def augment(graph: TimeExpandedGraph, infos) -> TimeExpandedGraph:
@@ -201,9 +195,9 @@ def augment(graph: TimeExpandedGraph, infos) -> TimeExpandedGraph:
     `check_infos` for its fleet, which the graph's own informations passed
     when it got them, so only others are checked. The constructor builds it
     from every other field of `graph`, so it adds no vertex or edge, shares
-    every table (the edge lists, the `out_edges` ranges, `caching_edge`,
-    `feeders`, and the `_in_edges` holder, so `in_edges` is built at most
-    once for both), and leaves `graph` unchanged."""
+    every table built with the edges (the edge lists, the `out_edges`
+    ranges, `caching_edge`, `feeders`), derives its own `in_edges` and
+    source ids when first read, and leaves `graph` unchanged."""
     infos = tuple(sorted(infos, key=lambda i: i.id))
     if infos != graph.infos:
         check_infos(infos, graph.uav_count, graph.horizon)
@@ -441,8 +435,6 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
             for v in (chain.from_iterable(pending) if plain
                       else _marked(pending, keyed)):
                 v_power = power.get(v, 0.0)
-                if not (v_power or plain):
-                    continue
                 for e in adjacency[v]:
                     if kinds[e]:
                         continue

@@ -11,6 +11,7 @@ rules that file contents and constructor arguments are checked against.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import chain
 from math import isfinite
 from pathlib import Path
@@ -167,14 +168,27 @@ def _no_constant(name):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _object(pairs) -> dict:
+    """A JSON object's dict; a key named twice raises `FormatError`, where
+    the decoder would keep the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise FormatError(f"key {key!r} is repeated in one object")
+    return obj
+
+
 def read_json(path, expected_format: str) -> dict:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"),
-                         parse_constant=_no_constant)
+                         parse_constant=_no_constant,
+                         object_pairs_hook=_object)
     except ValueError as exc:   # also not UTF-8, or an integer too long
         raise FormatError(f"{path}: not valid JSON: {exc}") from None
     except RecursionError:
         raise FormatError(f"{path}: not valid JSON: nested too deeply") from None
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: expected a JSON object at top level")
     found = obj.get("format")

@@ -216,17 +216,25 @@ def scenario_from_dict(doc: dict) -> Scenario:
             trajectories=doc["trajectories"],
             subrange_radii=doc["subrange_radii"],
             radio=radio,
-            infos=tuple(
-                InfoSpec(id=entry["id"],
-                         sources=[tuple(src) for src in entry["sources"]],
-                         destinations=list(entry["destinations"]))
-                for entry in doc["infos"]),
+            infos=tuple(map(_info_from_dict, doc["infos"])),
             per_uav_radii=per_uav,
             cache_capacity=doc.get("cache_capacity", CACHE_SINGLE),
             provenance=doc.get("provenance"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed scenario document: {exc!r}") from None
+
+
+def _info_from_dict(entry) -> InfoSpec:
+    """An info entry; a source or destination listed twice raises
+    `FormatError`, where `InfoSpec` would keep the set."""
+    info = InfoSpec(id=entry["id"],
+                    sources=[tuple(src) for src in entry["sources"]],
+                    destinations=list(entry["destinations"]))
+    for what in ("sources", "destinations"):
+        if len(getattr(info, what)) < len(entry[what]):
+            raise FormatError(f"info {info.id}: {what} list an entry twice")
+    return info
 
 
 def _uav_key(key) -> int:

@@ -160,6 +160,28 @@ def test_scenario_file_that_is_no_json_text_exits_1(work, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "lp"])
+@pytest.mark.parametrize("what", ["key", "source", "destination"])
+def test_a_repeated_key_or_info_entry_exits_1(work, capsys, command, what):
+    doc = json.loads((work / "base.json").read_text())
+    scenario = work / "repeated.json"
+    if what == "key":
+        text = json.dumps(doc).replace('"channels": ',
+                                       '"channels": 2, "channels": ', 1)
+        named = f"{scenario}: key 'channels' is repeated in one object"
+    else:  # info 0 lists its first source or destination twice
+        listed = doc["infos"][0][what + "s"]
+        listed.append(listed[0])
+        text = json.dumps(doc)
+        named = f"info {doc['infos'][0]['id']}: {what}s list an entry twice"
+    scenario.write_text(text)
+    out = work / "repeated.out"
+    argv = ("--method", "mpf") if command == "solve" else ()
+    assert run(command, str(scenario), *argv, "--out", str(out)) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("gen", "--profile", "micro", "--seed", "1"),
     ("solve", "{base}", "--method", "mpf"),

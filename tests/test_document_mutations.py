@@ -3,7 +3,8 @@
 A mutant replaces one value of a valid document, a leaf or a whole subtree,
 or deletes one object key. Loading it must either raise a declared library
 error, or give an object that saves to a fixed point: a document that loads
-and saves back to the same bytes.
+and saves back to the same bytes. A document that names a key twice in one
+object is refused, whichever object it is.
 """
 
 import copy
@@ -116,3 +117,37 @@ def test_mutant_loads_to_a_fixed_point_or_fails_declared(kind, tmp_path):
         assert second.read_bytes() == first.read_bytes()
 
     check()
+
+
+def _text_repeating(node, target):
+    """The JSON text of `node`, with the object `target` naming its first
+    key twice, both times with its value."""
+    if isinstance(node, list):
+        return "[" + ", ".join(_text_repeating(x, target) for x in node) + "]"
+    if not isinstance(node, dict):
+        return json.dumps(node)
+    items = [json.dumps(key) + ": " + _text_repeating(value, target)
+             for key, value in node.items()]
+    if node is target:
+        items.insert(0, items[0])
+    return "{" + ", ".join(items) + "}"
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_a_key_repeated_in_any_object_is_refused(kind, tmp_path):
+    load = LOADERS[kind][0]
+    path = tmp_path / "repeated.json"
+    count = 0
+    for graph, doc in DOCUMENTS[kind]:
+        for where in _paths(doc):
+            node = _at(doc, where)
+            if not (isinstance(node, dict) and node):
+                continue
+            path.write_text(_text_repeating(doc, node), encoding="utf-8")
+            key = next(iter(node))
+            with pytest.raises(FormatError) as refused:
+                load(graph, path)
+            assert str(refused.value) == (
+                f"{path}: key {key!r} is repeated in one object")
+            count += 1
+    assert count >= 2 * len(DOCUMENTS[kind])  # nested objects too

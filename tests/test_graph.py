@@ -193,7 +193,6 @@ def test_adjacency_tables_hold_no_int_per_edge(name):
     assert sum(map(len, graph.in_edges)) == len(graph.edges)
     served = augment(graph, scenario.infos[:1])
     assert served.out_edges is graph.out_edges
-    assert served.in_edges is graph.in_edges
 
 
 def test_augment_two_infos_share_source_vertex():
@@ -1194,16 +1193,29 @@ def test_feeder_table_matches_the_in_edges():
     assert count == 2
 
 
-def test_in_edges_are_built_on_first_read_and_shared():
+def test_in_edges_are_built_on_first_read_per_graph():
     scenario = generate_scenario(make_config("paper", 3, info_count=4,
                                              horizon=30))
     base = build_time_expanded_graph(scenario)
     served = augment(base, scenario.infos[:2])
-    assert base._in_edges == [None] and served._in_edges is base._in_edges
+    assert "in_edges" not in vars(base) and "in_edges" not in vars(served)
     table = served.in_edges  # read through the augmented graph
-    assert base.in_edges is table and served.in_edges is table
+    assert served.in_edges is table and "in_edges" not in vars(base)
     assert [list(ins) for ins in table] == _reference_build(scenario).in_edges
     assert all(type(ins) is array and ins.typecode == "q" for ins in table)
+
+
+def test_in_edges_follow_the_edge_lists_of_a_replaced_graph():
+    # a copy given another graph's edge lists derives that graph's in-edges,
+    # also when the original's were read first
+    graph, other = (build_time_expanded_graph(generate_scenario(make_config(
+        "paper", seed, info_count=4, horizon=30))) for seed in (3, 4))
+    assert graph.vertex_count == other.vertex_count
+    assert graph.edge_head != other.edge_head
+    assert graph.in_edges
+    swapped = dataclasses.replace(graph, edge_tail=other.edge_tail,
+                                  edge_head=other.edge_head)
+    assert swapped.in_edges == other.in_edges != graph.in_edges
 
 
 def test_augment_checks_only_infos_other_than_the_graphs(monkeypatch):
@@ -1226,7 +1238,7 @@ def test_greedy_leaves_in_edges_unbuilt():
     for graph in _paper_graphs():
         for kind in ("mpf", "muf", "lpf"):
             greedy_plan(graph, graph.infos, HeuristicKind(kind))
-        assert graph._in_edges == [None]
+        assert "in_edges" not in vars(graph)
 
 
 def test_source_vertices_are_sorted_ids_kept_per_graph():
@@ -1238,7 +1250,6 @@ def test_source_vertices_are_sorted_ids_kept_per_graph():
         ids = served.source_vertices(info)
         assert ids == sorted(base.vertex_id(u, t) for u, t in info.sources)
         assert served.source_vertices(info) is ids
-        assert base.source_vertices(info) is ids  # the cache is shared
 
 
 def test_one_base_augmented_twice_is_left_unchanged():
@@ -1250,11 +1261,12 @@ def test_one_base_augmented_twice_is_left_unchanged():
     ref_base, ref_graphs = _reference_graph(scenario, [first, second])
     base = build_time_expanded_graph(scenario)
     tables = ("edge_tail", "edge_head", "edge_kind", "edge_weight",
-              "out_edges", "in_edges", "caching_edge")
+              "out_edges", "caching_edge")  # built with the edges
 
     def contents(graph):  # the adjacency tables hold ranges and arrays
         return {name: [list(x) if name.endswith("_edges") else x
-                       for x in getattr(graph, name)] for name in tables}
+                       for x in getattr(graph, name)]
+                for name in tables + ("in_edges",)}
 
     before = contents(base)
     g1 = augment(base, first)
@@ -1263,7 +1275,7 @@ def test_one_base_augmented_twice_is_left_unchanged():
         _assert_same_graph(graph, ref, rng)
     _assert_same_graph(base, ref_base, rng)
     assert contents(base) == before
-    for graph in (g1, g2):      # augment shares every table of its base
+    for graph in (g1, g2):      # augment shares the tables of its base
         for name in tables:
             assert getattr(graph, name) is getattr(base, name), name
 

@@ -40,6 +40,18 @@ def test_dict_round_trip():
     assert scenario_from_dict(scenario_to_dict(scen)) == scen
 
 
+@pytest.mark.parametrize("what, entry", [("sources", [0, 0]),
+                                         ("destinations", 3)])
+def test_an_info_entry_listed_twice_is_a_format_error(what, entry):
+    doc = scenario_to_dict(instances.star4())
+    doc["infos"][0][what].insert(0, entry)
+    with pytest.raises(FormatError, match=f"info 0: {what} list an entry"):
+        scenario_from_dict(doc)
+    # in memory, an information keeps the set of any collection
+    info = InfoSpec(id=0, sources=[(0, 0), (0, 0)], destinations=(3, 3, 2))
+    assert info.sources == {(0, 0)} and info.destinations == {2, 3}
+
+
 def test_validation_catches_bad_shapes():
     base = instances.chain3()
     with pytest.raises(ScenarioError):
