@@ -50,6 +50,7 @@ from itertools import filterfalse
 
 from .graph import KIND_CONNECTIVITY, TimeExpandedGraph, _shortest_paths
 from .heuristic import HeuristicKind, greedy_plan
+from .jsonio import check_int
 from .plan import Plan, _energy
 from .report import (METHOD_EXACT, STATUS_FEASIBLE, STATUS_INFEASIBLE,
                      STATUS_OPTIMAL, STATUS_TIMEOUT, SolveReport)
@@ -64,10 +65,12 @@ class SearchBudget:
     time_limit_seconds: float = 300.0
 
     def __post_init__(self):
-        if not self.max_nodes > 0:  # NaN fails too
-            raise ValueError("max_nodes must be positive")
-        if not self.time_limit_seconds > 0:
-            raise ValueError("time_limit_seconds must be positive")
+        check_int(self.max_nodes, "max_nodes", ValueError, low=1)
+        limit = self.time_limit_seconds
+        if (isinstance(limit, bool) or not isinstance(limit, (int, float))
+                or not limit > 0):  # NaN fails too; inf means no limit
+            raise ValueError(
+                f"time_limit_seconds must be a positive number, got {limit!r}")
 
 
 class _BudgetExhausted(Exception):

@@ -16,11 +16,10 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain
 
-from .errors import PlanStructureError
+from .errors import InternalError, PlanStructureError
 from .radio import subrange_weight
 from .scenario import InfoSpec, Scenario, check_infos
 
@@ -31,6 +30,27 @@ CACHING = "caching"
 KIND_CONNECTIVITY = 0
 KIND_CACHING = 1
 KIND_NAMES = (CONNECTIVITY, CACHING)
+
+
+class _derived:
+    """A graph table derived on first read and then kept on the graph, as
+    `functools.cached_property` keeps it, but stored with
+    `object.__setattr__`: `cached_property` writes through `__dict__`, which
+    materialises the instance dict, and CPython 3.11 then reads every other
+    attribute of the graph more slowly."""
+
+    def __init__(self, derive):
+        self.derive = derive
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, graph, owner=None):
+        if graph is None:
+            return self
+        table = self.derive(graph)
+        object.__setattr__(graph, self.name, table)  # shadows this descriptor
+        return table
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -76,14 +96,14 @@ class TimeExpandedGraph:
     min_connectivity_weight: float
     infos: tuple[InfoSpec, ...]
 
-    @cached_property
+    @_derived
     def in_edges(self) -> list[array]:
         table = [array("q") for _ in range(self.vertex_count)]
         for e, head in enumerate(self.edge_head):
             table[head].append(e)
         return table
 
-    @cached_property
+    @_derived
     def _source_ids(self) -> dict:
         h = self.horizon
         return {info: sorted([u * h + t for u, t in info.sources])
@@ -218,6 +238,10 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     its own entry forward, its predecessor's backward (see
     `TimeExpandedGraph`), so `ends` also tells the direction.
 
+    Discounts: every key of `power` is a seed, by contract (`build_tree`
+    discounts only the vertices of its own tree, which are its seeds), and
+    any other key raises `InternalError`.
+
     Late seeds: the `late` vertices, ascending by contract (`build_tree`
     passes `graph.source_vertices`), enter at distance 0 in that order once
     no distance-0 heap entry is left, which is before the level-0 pending
@@ -276,18 +300,14 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     every heap entry is above (d, v), none is (d, h), and no vertex id lies
     between them. v pushes nothing at key d: its connectivity steps wait
     for the level end. h is a copy of v's UAV at distance d, so it is no
-    feeder (settling one ends the search) and `ub` has not changed; unless
-    it is a `power` key it has no discount, so it is as fast as v, passes
-    the same `d + step > ub` test, and goes on in the same way. The run is
-    [v, s), where s is the first copy of v's UAV past v that is
+    feeder (settling one ends the search) and `ub` has not changed; d <
+    dist[h] makes it no seed, so it has no discount, is as fast as v,
+    passes the same `d + step > ub` test, and goes on in the same way. The
+    run is [v, s), where s is the first copy of v's UAV past v that is
     - done (`done.find`), where the step would be refused;
     - at distance d, found by `dist.index`: an unsettled vertex never has a
       distance below the key being settled, so `not d < dist[s]` means
       dist[s] == d;
-    - a `power` key, found in the `keyed` mask, which is given `dist` d and
-      parent and then takes the full per-vertex path. Greedy keys are seeds,
-      settled at 0 before any run above 0 and at `dist` 0 during one, so
-      the other stops end a greedy run first;
     - or past the UAV's last copy.
     Slice assignments give the run's vertices done, `dist` d, and as parent
     the caching edge into each, caching[j - 1]. The run is queued as
@@ -298,10 +318,11 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
 
     Late runs: a fast vertex v at distance 0 whose next id v + 1, a copy of
     the same UAV, starts the first queued late run settles that run with
-    its own, up to the run's first `power` key. Each of those late seeds is
-    what the pop order gives next: they lie next to each other, and no heap
-    entry lies between their ids, because nothing is pushed at key 0 onto a
-    vertex with `dist` 0. Each is fast at 0 as v is and no feeder, and its
+    its own. Each of those late seeds is what the pop order gives next:
+    they lie next to each other, and no heap entry lies between their ids,
+    because nothing is pushed at key 0 onto a vertex with `dist` 0. Each is
+    no feeder, and fast at 0 as v is: a late seed that is also a seed is
+    done before the late seeds enter, so no queued one has a discount. Its
     caching step is refused by the next one's `dist` 0, so it settles as a
     run of one; only the last one's caching step can go on, as above, from
     there.
@@ -317,7 +338,7 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     Target bound: a search with a goal drops the work that cannot change
     the walked path. `ub` is the smallest distance given to a feeder so
     far, 0 if a seed is one; the search ends at some D <= `ub`. `step` is
-    `min_connectivity_weight` when every key of `power` is a seed, else 0.
+    `min_connectivity_weight`.
     - A relaxation into a feeder at nd > `ub`, or into a non-feeder at
       nd + `step` > `ub`, is dropped. A late seed that is a feeder sets
       `ub` to 0, and any other is dropped when `step` > `ub`.
@@ -339,8 +360,8 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     Why it is exact: every vertex on the walked path is at distance D or
     less. From a non-feeder, the rest of any path to a feeder holds a
     connectivity step out of a vertex without a discount: caching stays on
-    the UAV, and the seeds, the only discounted vertices when `step` > 0,
-    have parent -1 and are never re-entered. That step costs at least
+    the UAV, and the seeds, the only discounted vertices, have parent -1
+    and are never re-entered. That step costs at least
     `min_connectivity_weight` and float addition is monotone, so a path
     through a non-feeder at d costs at least fl(d + `step`). A dropped
     relaxation leaves a larger `dist`; a later one at a value no smaller is
@@ -372,21 +393,21 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
     fast = 0.0 if back else wmin  # backward, no vertex is fast
     ones = b"\x01" * horizon
     shut = bytes(map(channels.__le__, channel_used))  # the closed layers
-    keyed = bytearray(count)  # the `power` keys
+    keyed = bytearray(count)  # the `power` keys, all seeds by contract
     for v in power:
+        if dist[v]:
+            raise InternalError("a discounted vertex is no seed")
         keyed[v] = 1
     # target bound: feeds marks the goal's copies, into[v] a vertex with a
     # connectivity edge into its layer's copy
     feeds = bytearray(count)
-    ub, step = inf, 0.0
+    ub, step = inf, wmin
     if goal is not None:
         first = goal * horizon
         feeds[first:first + horizon] = ones
         into = graph.feeders[goal]
         if 0.0 in dist[first:first + horizon]:
             ub = 0.0
-        if set(seeds).issuperset(power):
-            step = wmin
     queue, q = [], 0  # runs [queue[i], queue[i + 1]) of admitted late seeds
     pending = []  # runs of vertices settled at `level` with steps above it
     level = 0.0
@@ -453,84 +474,71 @@ def _shortest_paths(graph, seeds, adjacency, ends, deleted, power, channel_used,
             d, v = heappop(heap)
         if done[v]:
             continue
-        while True:  # v, then the caching run it starts
-            done[v] = 1
-            if feeds[v]:
-                return dist, parent, v  # see goal
-            v_power = power.get(v, 0.0)
-            if d + step > ub and not v_power:
-                break  # no path through v beats ub
-            if v_power or not d + fast > d:  # a step may cost nothing
-                if not shut[v % horizon]:
-                    later = False
-                    for e in adjacency[v]:
-                        if kinds[e]:
-                            continue
-                        head = ends[e]
-                        if done[head]:
-                            continue
-                        w = weights[e]
-                        if w > v_power and d + (w - v_power) > d:
-                            later = True
-                        elif d < dist[head]:
-                            if feeds[head]:
-                                if d > ub:
-                                    continue
-                                ub = d
-                            elif d + step > ub:
-                                continue
-                            dist[head] = d
-                            parent[head] = e
-                            heappush(heap, (d, head))
-                    if later:
-                        pending.append(range(v, v + 1))
-                        level = d
-                e = caching[v - back]  # caching: zero cost
-                if e >= 0:
+        done[v] = 1
+        if feeds[v]:
+            return dist, parent, v  # see goal
+        v_power = power.get(v, 0.0)
+        if d + step > ub and not v_power:
+            continue  # no path through v beats ub
+        if v_power or not d + fast > d:  # a step may cost nothing
+            if not shut[v % horizon]:
+                later = False
+                for e in adjacency[v]:
+                    if kinds[e]:
+                        continue
                     head = ends[e]
-                    if not (done[head] or not d < dist[head] or d + step > ub):
+                    if done[head]:
+                        continue
+                    w = weights[e]
+                    if w > v_power and d + (w - v_power) > d:
+                        later = True
+                    elif d < dist[head]:
+                        if feeds[head]:
+                            if d > ub:
+                                continue
+                            ub = d
+                        elif d + step > ub:
+                            continue
                         dist[head] = d
                         parent[head] = e
                         heappush(heap, (d, head))
-                break
-            base = v - v % horizon  # v's UAV's first copy; see caching runs
-            lead = v + 1  # [v, lead): v and the late seeds it leads
-            if q < len(queue) and queue[q] == lead and lead % horizon:
-                stop = queue[q + 1]  # see late runs
-                key = keyed.find(1, lead, stop)
-                lead = stop if key < 0 else key
-                if lead < stop:
-                    queue[q] = lead
-                else:
-                    q += 2
-            hi, key = lead, -1  # the run is [v, hi)
-            if lead % horizon and not done[lead] and d < dist[lead]:
-                stop = done.find(1, lead, base + horizon)
-                if stop < 0:
-                    stop = base + horizon
-                try:
-                    stop = dist.index(d, lead, stop)
-                except ValueError:
-                    pass
-                key = keyed.find(1, lead, stop)
-                hi = stop if key < 0 else key
-                dist[lead:hi] = [d] * (hi - lead)
-                parent[lead:hi] = caching[lead - 1:hi - 1]
-            done[v:hi] = ones[:hi - v]
-            t, end = v - base, hi - base
-            while t < end:  # closed layers split the run
-                c = shut.find(1, t, end)
-                if c < 0:
-                    c = end
-                if t < c:
-                    pending.append(range(base + t, base + c))
-                t = c + 1
-            level = d
-            if key < 0:
-                break
-            dist[key] = d  # a `power` key: the full per-vertex path
-            parent[key] = caching[key - 1]
-            v = key
+                if later:
+                    pending.append(range(v, v + 1))
+                    level = d
+            e = caching[v - back]  # caching: zero cost
+            if e >= 0:
+                head = ends[e]
+                if not (done[head] or not d < dist[head] or d + step > ub):
+                    dist[head] = d
+                    parent[head] = e
+                    heappush(heap, (d, head))
+            continue
+        base = v - v % horizon  # v's UAV's first copy; see caching runs
+        lead = v + 1  # [v, lead): v and the late seeds it leads
+        if q < len(queue) and queue[q] == lead and lead % horizon:
+            lead = queue[q + 1]  # see late runs
+            q += 2
+        hi = lead  # the run is [v, hi)
+        if lead % horizon and not done[lead] and d < dist[lead]:
+            hi = done.find(1, lead, base + horizon)
+            if hi < 0:
+                hi = base + horizon
+            try:
+                hi = dist.index(d, lead, hi)
+            except ValueError:
+                pass
+            dist[lead:hi] = [d] * (hi - lead)
+            parent[lead:hi] = caching[lead - 1:hi - 1]
+        done[v:hi] = ones[:hi - v]
+        t, end = v - base, hi - base
+        while t < end:  # closed layers split the run
+            c = shut.find(1, t, end)
+            if c < 0:
+                c = end
+            if t < c:
+                pending.append(range(base + t, base + c))
+            t = c + 1
+        level = d
     return dist, parent, -1
 
 

@@ -122,9 +122,8 @@ def build_tree(graph: TimeExpandedGraph, info, state: ResidualState):
     off the channel list against the state's.
 
     Every key of the discount map is the tail of a tree edge, so a tree
-    vertex and a seed of every later search. The kernel's target bound
-    relies on that: with no discount off the seeds, its step is the smallest
-    connectivity weight (see `_shortest_paths`).
+    vertex and a seed of every later search: the kernel takes discounts on
+    its seeds only (see `_shortest_paths`).
     """
     graph.served([info])  # raises for an information the graph lacks
     if state.graph is not graph:

@@ -29,8 +29,17 @@ def test_budget_validation():
         SearchBudget(time_limit_seconds=math.nan)
     with pytest.raises(ValueError):
         SearchBudget(max_nodes=math.nan)
+    # a node count is an integer: not a fraction, a bool (True would be a
+    # 1-node budget) or a string
+    for nodes in (2.5, True, "5", 1.0):
+        with pytest.raises(ValueError, match="max_nodes"):
+            SearchBudget(max_nodes=nodes)
+    for seconds in (True, "5", None, [1.0]):
+        with pytest.raises(ValueError, match="time_limit_seconds"):
+            SearchBudget(time_limit_seconds=seconds)
     assert SearchBudget(time_limit_seconds=math.inf).time_limit_seconds \
         == math.inf
+    assert SearchBudget(max_nodes=1, time_limit_seconds=2).max_nodes == 1
 
 
 def test_self_delivery_costs_nothing():

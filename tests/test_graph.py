@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import instances
-from fleetcast.errors import GenerationError, PlanStructureError, ScenarioError
+from fleetcast.errors import (GenerationError, InternalError,
+                              PlanStructureError, ScenarioError)
 from fleetcast.exact import SearchBudget, solve_exact
 from fleetcast.gen import generate_scenario, make_config
 from fleetcast.graph import (CACHING, CONNECTIVITY, KIND_CACHING,
@@ -430,8 +431,8 @@ def _random_residual(graph, rng):
     Some other infos' trees are committed first; the seeds are part of a
     tree built for the served info on that state, so no seed is deleted, and
     the late seeds are the info's source copies. Extra deletions, power
-    discounts that sometimes zero a step exactly, and channel counts that
-    fill some layers are added on top.
+    discounts on seeds (as `build_tree` gives them) that sometimes zero a
+    step exactly, and channel counts that fill some layers are added on top.
     """
     infos = list(graph.infos)
     rng.shuffle(infos)
@@ -455,7 +456,7 @@ def _random_residual(graph, rng):
         if v not in seeds and rng.random() < 0.1:
             deleted.add(v)
     power = {}
-    for v in range(graph.vertex_count):
+    for v in seeds:
         conn = [graph.edge_weight[e] for e in graph.out_edges[v]
                 if graph.edge_kind[e] == 0]
         if conn and rng.random() < 0.3:
@@ -497,7 +498,7 @@ def test_shortest_paths_match_reference_kernel():
             copies = [graph.vertex_id(uav, t) for t in range(graph.horizon)
                       if graph.vertex_id(uav, t) not in deleted]
             backward = (graph, copies, graph.in_edges, graph.edge_tail,
-                        deleted, power, used, delta)
+                        deleted, {}, used, delta)  # no discounts backward
             assert _shortest_paths(*backward[:6], folded) \
                 == _reference_shortest_paths(*backward)
     assert early_stops > 0  # the early stop really left work undone
@@ -612,6 +613,16 @@ def test_kernel_all_weights_equal():
     _assert_kernel_matches_reference(graph, [], late=[0, 7])
     _assert_kernel_matches_reference(graph, [1, 6, 11])
     _assert_kernel_matches_reference(graph, [6], late=[0, 7])
+    # all weights 0: no vertex is fast, so late seed (0,0) takes the
+    # per-vertex path and pushes (2,0), which must pop after the queued late
+    # seed (1,1), a lower id: (1,1)'s edge into (2,1) wins over the caching
+    # step from (2,0)
+    graph = _flat_graph(3, 2, {(0, 2, 0): 0.0, (1, 2, 1): 0.0})
+    dist, parent, _ = _shortest_paths(graph, (), graph.out_edges,
+                                      graph.edge_head, (), {}, [0, 0],
+                                      late=[0, 3])
+    assert dist[5] == 0.0 and graph.edge_tail[parent[5]] == 3
+    _assert_kernel_matches_reference(graph, [], late=[0, 3])
 
 
 def test_kernel_discount_that_zeroes_a_step():
@@ -652,8 +663,18 @@ def test_kernel_closed_layer():
     _assert_kernel_matches_reference(graph, [0], channel_used=[1, 0, 0])
     _assert_kernel_matches_reference(graph, [0], channel_used=[0, 0, 0],
                                      layer_delta={0: 1, 1: 1})
-    _assert_kernel_matches_reference(graph, [0], power={0: 1.0, 3: 2.0},
+    _assert_kernel_matches_reference(graph, [0], power={0: 1.0},
                                      layer_delta={0: 1})
+    # 1e16 + 1.0 == 1e16: UAV 1's copies take the per-vertex path at 1e16,
+    # and (1,1), in the closed layer 1, sends nothing: (2,1) is reached by
+    # caching from (2,0), not by the edge out of (1,1), which pops first
+    conn = {(0, 1, t): 1e16 for t in range(3)}
+    conn.update({(1, 2, t): 1.0 for t in range(3)})
+    graph = _flat_graph(3, 3, conn, channels=1)
+    dist, parent, _ = _shortest_paths(graph, [0], graph.out_edges,
+                                      graph.edge_head, (), {}, [0, 1, 0])
+    assert dist[3:9] == [1e16] * 6 and graph.edge_kind[parent[7]] == KIND_CACHING
+    _assert_kernel_matches_reference(graph, [0], layer_delta={1: 1})
 
 
 def test_kernel_backward_direction():
@@ -719,30 +740,22 @@ def test_kernel_chain_through_a_closed_layer():
 
 
 def test_kernel_chain_from_a_closed_layer_keeps_its_level():
-    # (1,0), discounted and with no edge out, is settled at 1.0 and pushes
-    # (1,1), in a closed layer; (1,1) queues nothing and chains on to (1,2),
-    # whose edge into (2,2) waits for the end of level 1.0, not of level 0
+    # seed (1,0), discounted and with no edge out, takes the per-vertex path
+    # and pushes (1,1), in a closed layer; (1,1) queues nothing and chains
+    # on to (1,2), whose edge into (2,2) waits for the end of level 0. Only
+    # a seed is discounted, so such a chain starts at 0: above 0 a closed
+    # copy is reached only by its predecessor's caching step, in the
+    # predecessor's own run
     conn = {(0, 1, 0): 1.0, (1, 2, 2): 1.0}
     graph = _flat_graph(3, 4, conn)
     used, power = [0, 1, 0, 0], {4: 0.5}
-    dist, parent, _ = _shortest_paths(graph, [0], graph.out_edges,
+    dist, parent, _ = _shortest_paths(graph, [4], graph.out_edges,
                                       graph.edge_head, (), power, used)
-    assert dist[5:8] == [1.0] * 3 and dist[10] == 2.0
-    _assert_kernel_matches_reference(graph, [0], power=power,
+    assert dist[4:8] == [0.0] * 4 and dist[10] == 1.0
+    assert graph.edge_kind[parent[5]] == KIND_CACHING
+    assert graph.edge_tail[parent[10]] == 6
+    _assert_kernel_matches_reference(graph, [4], power=power,
                                      channel_used=used)
-
-
-def test_kernel_chain_vertex_with_a_discount_takes_the_full_path():
-    # (0,2) is on seed (0,0)'s chain and, unlike any greedy chain vertex, a
-    # `power` key: it must relax its now free step into (1,2) while it is
-    # settled, before seed (2,2) pops and offers the same 0
-    conn = {(0, 1, 2): 1.0, (2, 1, 2): 1.0}
-    graph = _flat_graph(3, 4, conn)
-    seeds, power = [0, 10], {2: 1.0, 10: 1.0}
-    dist, parent, _ = _shortest_paths(graph, seeds, graph.out_edges,
-                                      graph.edge_head, (), power, [0] * 4)
-    assert dist[6] == 0.0 and graph.edge_tail[parent[6]] == 2
-    _assert_kernel_matches_reference(graph, seeds, power=power)
 
 
 def test_kernel_run_stops_at_an_unsettled_tie():
@@ -757,21 +770,6 @@ def test_kernel_run_stops_at_an_unsettled_tie():
     assert [graph.edge_tail[parent[v]] for v in range(4, 8)] == [0, 4, 2, 6]
     assert graph.edge_kind[parent[6]] == KIND_CONNECTIVITY
     _assert_kernel_matches_reference(graph, [0])
-
-
-def test_kernel_run_stops_at_a_power_key_above_zero():
-    # UAV 1's run at 1.0 reaches the key (1,2), whose discount makes its
-    # step into (2,2) free: the key takes the full path, relaxes that step
-    # at 1.0, and its caching step leaves (1,3) to the heap
-    conn = {(0, 1, 0): 1.0, (1, 2, 2): 1.0, (0, 2, 3): 1.0}
-    graph = _flat_graph(3, 4, conn)
-    power = {6: 1.0}
-    dist, parent, _ = _shortest_paths(graph, [0], graph.out_edges,
-                                      graph.edge_head, (), power, [0] * 4)
-    assert dist[5:8] == [1.0] * 3 and dist[10] == 1.0
-    assert graph.edge_tail[parent[10]] == 6
-    assert [graph.edge_tail[parent[v]] for v in (5, 6, 7)] == [4, 5, 6]
-    _assert_kernel_matches_reference(graph, [0], power=power)
 
 
 def test_kernel_closed_layers_split_a_run():
@@ -814,40 +812,31 @@ def test_kernel_backward_runs_descend():
     _assert_kernel_matches_reference(graph, copies, channel_used=used)
 
 
-def test_kernel_backward_run_stops_at_a_power_key():
-    # backward from (1,4) and (2,4), against the reference: the key (1,2),
-    # reached at 0 by caching down UAV 1, has a discount that makes its
-    # in-edge from (2,2) free and relaxes it at once, so (2,2) keeps that
-    # edge against the caching steps down from (2,4) at the same distance
-    graph = _flat_graph(3, 6, {(2, 1, 2): 1.5})
-    seeds, power = [10, 16], {8: 2.0}
-    result = _shortest_paths(graph, seeds, graph.in_edges, graph.edge_tail,
-                             (), power, [0] * 6)
-    assert result == _reference_shortest_paths(
-        graph, seeds, graph.in_edges, graph.edge_tail, set(), power, [0] * 6,
-        {})
-    dist, parent, _ = result
-    assert dist[12:17] == [0.0] * 5
-    assert graph.edge_kind[parent[14]] == KIND_CONNECTIVITY
-    assert graph.edge_head[parent[14]] == 8
-
-
-def test_kernel_late_run_led_by_a_heap_vertex():
-    # late seed (0,0)'s discount makes its step into (1,0) free; (1,0) pops
-    # from the heap just before the queued late seeds (1,1) and (1,2), and
-    # settles them in its run, which goes on by caching to (1,3)
-    graph = _flat_graph(2, 4, {(0, 1, 0): 1.0, (1, 0, 3): 1.0})
-    late, power = [0, 5, 6], {0: 1.0}
-    dist, parent, _ = _shortest_paths(graph, (), graph.out_edges,
-                                      graph.edge_head, (), power, [0] * 4,
-                                      late=late)
-    assert dist == [0.0] * 8
-    assert [parent[v] for v in (5, 6)] == [-1, -1]
-    assert graph.edge_tail[parent[4]] == 0 and graph.edge_tail[parent[7]] == 6
-    _assert_kernel_matches_reference(graph, [], power=power, late=late)
-    # a key inside the late run settles it in two parts
-    power[5] = 1.0
-    _assert_kernel_matches_reference(graph, [], power=power, late=late)
+# Inputs of retired tests: each discounts a vertex that is no seed, which
+# no caller does (see `build_tree`), and the kernel refuses it.
+@pytest.mark.parametrize("uav_count, horizon, conn, seeds, power, goal, late", [
+    pytest.param(3, 4, {(0, 1, 0): 1.0, (1, 2, 2): 1.0, (0, 2, 3): 1.0},
+                 [0], {6: 1.0}, None, (), id="run-key-above-zero"),
+    pytest.param(3, 4, {(0, 1, 2): 1.0, (2, 1, 2): 1.0},
+                 [0, 10], {2: 1.0, 10: 1.0}, None, (), id="chain-vertex"),
+    pytest.param(4, 1, {(0, 3, 0): 1.8, (0, 1, 0): 1.0, (1, 3, 0): 2.0},
+                 [0], {1: 1.5}, 3, (), id="bound-discount"),
+    pytest.param(3, 6, {(2, 1, 2): 1.5},
+                 [10, 16], {8: 2.0}, None, (), id="backward-key"),
+    pytest.param(2, 4, {(0, 1, 0): 1.0, (1, 0, 3): 1.0},
+                 [], {0: 1.0}, None, [0, 5, 6], id="late-seed-key"),
+    pytest.param(2, 4, {(0, 1, 0): 1.0, (1, 0, 3): 1.0},
+                 [], {0: 1.0, 5: 1.0}, None, [0, 5, 6], id="key-in-late-run"),
+])
+def test_kernel_refuses_a_discount_off_the_seeds(uav_count, horizon, conn,
+                                                 seeds, power, goal, late):
+    graph = _flat_graph(uav_count, horizon, conn)
+    used = [0] * horizon
+    for adjacency, ends, aim in ((graph.out_edges, graph.edge_head, goal),
+                                 (graph.in_edges, graph.edge_tail, None)):
+        with pytest.raises(InternalError, match="no seed"):
+            _shortest_paths(graph, seeds, adjacency, ends, (), power, used,
+                            aim, late)
 
 
 def _paper_graphs():
@@ -928,16 +917,6 @@ def test_kernel_bound_tie_goes_to_the_tail_settled_first():
     _assert_kernel_matches_reference(graph, [2, 3], power={3: 2.0})
 
 
-def test_kernel_bound_discount_off_the_seeds_keeps_step_zero():
-    # UAV 1 is no seed, and its discount makes 0 -> 1 -> 3 cost 1.5, below
-    # the direct 1.8 although 1.0 + min weight 1.0 is above it
-    conn = {(0, 3, 0): 1.8, (0, 1, 0): 1.0, (1, 3, 0): 2.0}
-    graph = _flat_graph(4, 1, conn)
-    dist, parent, reached = _forward(graph, [0], {1: 1.5}, 3)
-    assert reached == 3 and dist[3] == 1.5 and graph.edge_tail[parent[3]] == 1
-    _assert_kernel_matches_reference(graph, [0], power={1: 1.5})
-
-
 def test_kernel_bound_seed_feeder_skips_other_chains():
     # seed (2, 1) is a copy of the goal, so the bound is 0 from the start;
     # seed (1, 0)'s discounted free step reaches (2, 0), a lower id, which
@@ -1005,12 +984,11 @@ def test_kernel_matches_reference_on_small_graphs(data):
     seeds = sorted(data.draw(st.sets(vertices, min_size=0 if late else 1,
                                      max_size=3)))
     deleted = data.draw(st.sets(vertices, max_size=3)) - set(seeds)
-    # discounts on seeds only, as `build_tree` gives them, let the target
-    # bound use the smallest weight as its step
-    keys = (st.sampled_from(seeds) if seeds and data.draw(st.booleans())
-            else vertices)
+    # discounts on seeds only, as `build_tree` gives them and the kernel
+    # requires
     power = data.draw(st.dictionaries(
-        keys, st.sampled_from(values + (0.5 * values[0],)), max_size=4))
+        st.sampled_from(seeds), st.sampled_from(values + (0.5 * values[0],)),
+        max_size=4)) if seeds else {}
     used = data.draw(st.lists(st.integers(0, channels), min_size=horizon,
                               max_size=horizon))
     delta = data.draw(st.dictionaries(st.integers(0, horizon - 1),
@@ -1036,9 +1014,8 @@ def test_kernel_bound_matches_reference_near_a_destination(rng):
     graph = _flat_graph(uav_count, horizon, conn)
     goal = rng.randrange(uav_count)
     seeds = sorted(rng.sample(range(real), rng.randint(1, 3)))
-    seeds_only = rng.random() < 0.5
-    power = {v: rng.choice(values + (0.5,)) for v in range(real)
-             if (v in seeds or not seeds_only) and rng.random() < 0.5}
+    power = {v: rng.choice(values + (0.5,)) for v in seeds
+             if rng.random() < 0.5}
     late = sorted(rng.sample(range(real), rng.randint(0, 2)))
     _assert_kernel_matches_reference(graph, seeds, power=power, late=late,
                                      goals=[goal])
