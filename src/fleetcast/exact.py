@@ -71,6 +71,11 @@ class SearchBudget:
                 or not limit > 0):  # NaN fails too; inf means no limit
             raise ValueError(
                 f"time_limit_seconds must be a positive number, got {limit!r}")
+        try:
+            float(limit)  # the deadline is a float
+        except OverflowError:
+            raise ValueError("time_limit_seconds is too large for a float") \
+                from None
 
 
 class _BudgetExhausted(Exception):

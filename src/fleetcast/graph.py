@@ -166,6 +166,15 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
     transmitter's outermost subrange at time t; its weight is the per-packet
     energy of the smallest enclosing subrange. Each UAV also gets a
     zero-weight caching edge into its next time copy.
+
+    Each layer measures every unordered pair u < u' once: `math.dist` takes
+    the absolute difference of each coordinate, so `dist(p, q)` and
+    `dist(q, p)` are the same float. Each direction is tested against its
+    own tail's outer radius, since per-UAV radii make reach asymmetric. Tail
+    u emits, in this order: its edges into earlier UAVs, which those UAVs'
+    pairs measured and left in `reached[u]` in ascending order; its caching
+    edge; its edges into later UAVs, as its own pairs are measured. So every
+    tail's heads ascend.
     """
     horizon, uav_count = scenario.horizon, scenario.uav_count
     tails, heads, kinds, weights = [], [], [], []
@@ -175,30 +184,41 @@ def build_time_expanded_graph(scenario: Scenario) -> TimeExpandedGraph:
     first = 0  # the next tail's first edge
 
     radii = [scenario.radii_for(u) for u in range(uav_count)]
+    outer = [r[-1] for r in radii]
     weight_of = [[subrange_weight(scenario.radio, r) for r in rs] for rs in radii]
 
+    reached = [[] for _ in range(uav_count)]  # per tail: (earlier head, dist)
     for t in range(horizon):
         layer = [traj[t] for traj in scenario.trajectories]
         ids = [u * horizon + t for u in range(uav_count)]
         for u in range(uav_count):
-            tail, position, r = ids[u], layer[u], radii[u]
-            for u2 in range(uav_count):
-                if u2 == u:
-                    if t + 1 == horizon:
-                        continue
-                    head, kind, weight = tail + 1, KIND_CACHING, 0.0
-                    caching_edge[tail] = len(tails)
-                else:
-                    dist = math.dist(position, layer[u2])
-                    if dist > r[-1]:
-                        continue
-                    head, kind = ids[u2], KIND_CONNECTIVITY
-                    weight = weight_of[u][bisect_left(r, dist)]
+            tail, position, r, w = ids[u], layer[u], radii[u], weight_of[u]
+            row = reached[u]
+            if row:
+                for u2, dist in row:
+                    tails.append(tail)
+                    heads.append(ids[u2])
+                    kinds.append(KIND_CONNECTIVITY)
+                    weights.append(w[bisect_left(r, dist)])
                     feeders[u2][tail] = 1
+                row.clear()  # no later tail of this layer adds to it
+            if t + 1 < horizon:
+                caching_edge[tail] = len(tails)
                 tails.append(tail)
-                heads.append(head)
-                kinds.append(kind)
-                weights.append(weight)
+                heads.append(tail + 1)
+                kinds.append(KIND_CACHING)
+                weights.append(0.0)
+            reach = outer[u]
+            for u2 in range(u + 1, uav_count):
+                dist = math.dist(position, layer[u2])
+                if dist <= reach:
+                    tails.append(tail)
+                    heads.append(ids[u2])
+                    kinds.append(KIND_CONNECTIVITY)
+                    weights.append(w[bisect_left(r, dist)])
+                    feeders[u2][tail] = 1
+                if dist <= outer[u2]:
+                    reached[u2].append((u, dist))
             end = len(tails)  # adjacent ranges share their bound
             out_edges[tail] = range(first, end)
             first = end

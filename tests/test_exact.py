@@ -37,8 +37,19 @@ def test_budget_validation():
     for seconds in (True, "5", None, [1.0]):
         with pytest.raises(ValueError, match="time_limit_seconds"):
             SearchBudget(time_limit_seconds=seconds)
+    # an integer past the float range cannot set a deadline; one inside it
+    # and inf (no limit) can
+    with pytest.raises(ValueError, match="time_limit_seconds"):
+        SearchBudget(time_limit_seconds=10**400)
+    assert SearchBudget(time_limit_seconds=10**300).time_limit_seconds \
+        == 10**300
     assert SearchBudget(time_limit_seconds=math.inf).time_limit_seconds \
         == math.inf
+    graph = build_time_expanded_graph(instances.chain3())
+    for seconds in (10**300, math.inf):
+        report = solve_exact(graph, budget=SearchBudget(
+            time_limit_seconds=seconds))
+        assert report.status == "OPTIMAL"
     assert SearchBudget(max_nodes=1, time_limit_seconds=2).max_nodes == 1
 
 

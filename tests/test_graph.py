@@ -4,6 +4,7 @@ connectivity edges, and the shortest-path kernel against plain references."""
 import copy
 import dataclasses
 import gc
+import hashlib
 import math
 import random
 import weakref
@@ -1143,6 +1144,27 @@ def _builder_scenarios():
     scenario = generate_scenario(make_config("paper", 4))
     yield dataclasses.replace(scenario, per_uav_radii={
         0: (20.0, 45.0, 90.0), 2: (5.0, 200.0), 3: (60.0,)})
+    # the builder measures each pair once and tests both directions: two
+    # co-located UAVs (distance 0, the inner subrange) and a third 5 m from
+    # both, exactly on the inner subrange's bound
+    info = InfoSpec(id=0, sources={(0, 0)}, destinations={1})
+    yield instances.static_scenario(
+        positions=[(0, 0), (0, 0), (3, 4)], radii=(5.0, 10.0), horizon=3,
+        infos=[info])
+    # UAV 1 reaches UAV 0 below it and UAV 2 above it at exactly its outer
+    # radius, 5 m, beyond theirs; UAVs 0 and 2 are 10 m apart
+    yield instances.static_scenario(
+        positions=[(0, 0), (3, 4), (6, 8)], radii=(4.0,), horizon=2,
+        per_uav_radii={1: (2.5, 5.0)}, infos=[info])
+    # one UAV, and one time unit
+    one = dict(uav_count=1, destinations_per_info=(1, 1))
+    for overrides in (one, dict(horizon=1), dict(one, horizon=1)):
+        yield generate_scenario(make_config("paper", 1, **overrides))
+    # a dozen UAVs, several with radii of their own
+    scenario = generate_scenario(make_config("paper", 2, uav_count=12))
+    yield dataclasses.replace(scenario, per_uav_radii={
+        0: (10.0, 75.0), 3: (30.0,), 4: (6.0, 12.0, 150.0), 7: (45.0, 90.0),
+        11: (1.0,)})
 
 
 def test_builder_matches_reference_builder():
@@ -1167,7 +1189,26 @@ def test_feeder_table_matches_the_in_edges():
         assert all(type(row) is bytearray for row in graph.feeders)
         assert graph.feeders == _feeder_table(graph)
         count += scenario.per_uav_radii is not None
-    assert count == 2
+    assert count == 4
+
+
+def test_fleet_graph_matches_its_pin():
+    # every table the builder makes for the fleet-size scenario (30 UAVs,
+    # 20 informations, 500 time units), weights as `float.hex`: the CI pins
+    # on fleet reports cover only the edges a plan uses
+    scenario = generate_scenario(make_config(
+        "paper", 1, uav_count=30, info_count=20, horizon=500, channels=2,
+        area_side=250.0))
+    graph = build_time_expanded_graph(scenario)
+    assert len(graph.edges) == 108_040
+    digest = hashlib.sha256()
+    for table in (graph.edge_tail, graph.edge_head, graph.edge_kind,
+                  [w.hex() for w in graph.edge_weight],
+                  [(r.start, r.stop) for r in graph.out_edges],
+                  graph.caching_edge, [row.hex() for row in graph.feeders]):
+        digest.update(repr(list(table)).encode())
+    assert digest.hexdigest() == \
+        "9a61d1e294203c57e1f99d261317a27bc9ec11afacfadfb49ecd12a2e693950d"
 
 
 def test_in_edges_are_built_on_first_read_per_graph():
