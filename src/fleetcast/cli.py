@@ -55,22 +55,32 @@ class ExperimentRow:
 def _resolve_out(out, default_name) -> Path:
     """The file to write: `out`, whose directory must exist, or `default_name`
     in $FLEETCAST_OUT_DIR (made if missing; a usage error if that fails,
-    as when it names a file). Commands call it before their work, so that
-    a bad `--out` or $FLEETCAST_OUT_DIR costs no solve."""
-    if out is not None:
-        path = Path(out)
-        if not path.parent.is_dir():
-            raise click.UsageError(
-                f"--out {out}: directory {path.parent} does not exist")
-        return path
-    base = Path(os.environ.get("FLEETCAST_OUT_DIR", "."))
+    as when it names a file). A file name the OS refuses, such as one too
+    long, or a file or directory that cannot be written, is a usage error
+    too. Commands call it before their work, so that a bad `--out` or
+    $FLEETCAST_OUT_DIR costs no solve."""
+    if out is None:
+        base = Path(os.environ.get("FLEETCAST_OUT_DIR", "."))
+        try:
+            base.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise click.UsageError(f"FLEETCAST_OUT_DIR {base}: not a directory "
+                                   f"and cannot be made one ({exc.strerror})"
+                                   ) from None
+        out = base / default_name
+    elif not Path(out).parent.is_dir():
+        raise click.UsageError(
+            f"--out {out}: directory {Path(out).parent} does not exist")
+    path = Path(out)
     try:
-        base.mkdir(parents=True, exist_ok=True)
+        path.stat()  # a name the OS refuses, such as one too long, fails here
+    except FileNotFoundError:
+        pass
     except OSError as exc:
-        raise click.UsageError(f"FLEETCAST_OUT_DIR {base}: not a directory "
-                               f"and cannot be made one ({exc.strerror})"
-                               ) from None
-    return base / default_name
+        raise click.UsageError(f"cannot write {path}: {exc.strerror}") from None
+    if not os.access(path if path.exists() else path.parent, os.W_OK):
+        raise click.UsageError(f"cannot write {path}: permission denied")
+    return path
 
 
 def _integer(text: str) -> int:

@@ -11,14 +11,17 @@ a path sequence, so the enumeration is exhaustive.
 
 One backward search per destination UAV on the pristine graph, ignoring
 channels, gives the cheapest distance from every vertex to a copy of that
-UAV. These tables steer path generation as an admissible estimate, and they
-give the lower bound: every not-yet-started information is charged the
-largest, over its destinations, of the distance from its nearest source copy,
-which never exceeds the cost of any structure serving it; an infinite one
-proves the instance infeasible. A greedy warm start provides the initial
-incumbent. Among equal-cost optima the lexicographically smallest activation
-set (by info id, then edge index) is returned, which keeps golden outputs
-stable.
+UAV. These tables are per graph, not per solve: the graph builds each on its
+first use (`TimeExpandedGraph.distances_to`) and keeps it, as it keeps the
+`conn_out` table that path generation walks, so a solve builds only its own
+state and a later solve on the graph runs no backward search. The tables
+steer path generation as an admissible estimate, and they give the lower
+bound: every not-yet-started information is charged the largest, over its
+destinations, of the distance from its nearest source copy, which never
+exceeds the cost of any structure serving it; an infinite one proves the
+instance infeasible. A greedy warm start provides the initial incumbent.
+Among equal-cost optima the lexicographically smallest activation set (by
+info id, then edge index) is returned, which keeps golden outputs stable.
 
 A level whose next demand serves the same information also charges that
 next demand while it enumerates: a partial path is dropped once its cost
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import filterfalse
 
-from .graph import KIND_CONNECTIVITY, TimeExpandedGraph, _shortest_paths
+from .graph import TimeExpandedGraph
 from .heuristic import HeuristicKind, greedy_plan
 from .jsonio import check_int
 from .plan import Plan, _energy
@@ -115,25 +118,10 @@ class _Search:
         self.incumbent_key = None
         self.guard = 0.0
 
-        # connectivity out-edges per vertex for path generation, as
-        # (e, head, weight); the caching step is the graph's `caching_edge`
-        self.conn_out = [[] for _ in range(graph.vertex_count)]
-        for v in range(graph.vertex_count):
-            for e in graph.out_edges[v]:
-                if graph.edge_kind[e] == KIND_CONNECTIVITY:
-                    self.conn_out[v].append(
-                        (e, graph.edge_head[e], graph.edge_weight[e]))
-
-        # admissible remaining-distance estimates steer path generation:
-        # channel-free cheapest distances from every vertex to a copy of uav
-        self.h_to_dest = {}
-        self.dest_copies = {}
-        for uav in sorted({u for _, u in self.demands}):
-            copies = [graph.vertex_id(uav, t) for t in range(graph.horizon)]
-            self.dest_copies[uav] = frozenset(copies)
-            self.h_to_dest[uav] = _shortest_paths(
-                graph, copies, graph.in_edges, graph.edge_tail, (), {},
-                [0] * graph.horizon)[0]
+        # the graph's channel-free distance tables steer path generation
+        h, uavs = graph.horizon, {u for _, u in self.demands}
+        self.h_to_dest = {u: graph.distances_to(u) for u in uavs}
+        self.dest_copies = {u: frozenset(range(u * h, u * h + h)) for u in uavs}
 
         # admissible bound for informations not yet started: the largest
         # channel-free cheapest-path distance to any of their destinations
@@ -397,7 +385,7 @@ class _Search:
         kinds = graph.edge_kind
         tails = graph.edge_tail
         caching = graph.caching_edge
-        conn_out = self.conn_out
+        conn_out = graph.conn_out
         info_id = info.id
         deadline = self.deadline
         while heap:
@@ -500,7 +488,7 @@ class _Search:
             raise _BudgetExhausted
         remaining = self.h_to_dest[dest_uav]
         caching = self.graph.caching_edge
-        conn_out = self.conn_out
+        conn_out = self.graph.conn_out
         horizon = self.graph.horizon
         channels = self.graph.channels
         channel = self.channel

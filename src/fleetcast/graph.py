@@ -75,11 +75,16 @@ class TimeExpandedGraph:
     the builder's subrange-weight table, bounds every connectivity weight
     from below (inf without UAVs). These are built with the edges.
 
-    `in_edges[v]` is an `array('q')` of v's in-edges in ascending order,
-    derived from `edge_head` on first read: no greedy search reads it.
-    Neither adjacency table holds an int object per edge, which at fleet
-    scale would be a quarter of the graph's memory. Equality is identity;
-    the repr omits the tables.
+    Tables that only some solvers read are derived on first read and kept
+    for the graph, so every search and export on it shares them; no greedy
+    search reads any of them. `in_edges[v]` is an `array('q')` of v's
+    in-edges in ascending order, derived from `edge_head`. Neither adjacency
+    table holds an int object per edge, which at fleet scale would be a
+    quarter of the graph's memory. `conn_out[v]` lists v's connectivity
+    out-edges as `(edge, head, weight)` tuples in `out_edges` order, for
+    `exact`'s path generation and `export_lp`. `distances_to(uav)` is the
+    channel-free distance table to UAV `uav`'s copies, built per UAV on its
+    first call. Equality is identity; the repr omits the tables.
     """
 
     uav_count: int
@@ -102,6 +107,27 @@ class TimeExpandedGraph:
         for e, head in enumerate(self.edge_head):
             table[head].append(e)
         return table
+
+    @_derived
+    def conn_out(self) -> list[list[tuple]]:
+        kinds, heads, weights = self.edge_kind, self.edge_head, self.edge_weight
+        return [[(e, heads[e], weights[e]) for e in out
+                 if kinds[e] == KIND_CONNECTIVITY] for out in self.out_edges]
+
+    @_derived
+    def _distances(self) -> dict:
+        return {}
+
+    def distances_to(self, uav: int) -> list[float]:
+        """The cheapest channel-free distance from every vertex to a copy of
+        UAV `uav`: one backward kernel search with no discount, deletion or
+        busy channel, run on the first call for `uav` and kept for the
+        graph. Callers must not mutate it."""
+        if uav not in self._distances:
+            self._distances[uav] = _shortest_paths(
+                self, range(uav * self.horizon, (uav + 1) * self.horizon),
+                self.in_edges, self.edge_tail, (), {}, [0] * self.horizon)[0]
+        return self._distances[uav]
 
     @_derived
     def _source_ids(self) -> dict:
@@ -236,8 +262,9 @@ def augment(graph: TimeExpandedGraph, infos) -> TimeExpandedGraph:
     when it got them, so only others are checked. The constructor builds it
     from every other field of `graph`, so it adds no vertex or edge, shares
     every table built with the edges (the edge lists, the `out_edges`
-    ranges, `caching_edge`, `feeders`), derives its own `in_edges` and
-    source ids when first read, and leaves `graph` unchanged."""
+    ranges, `caching_edge`, `feeders`), derives its own `in_edges`,
+    `conn_out`, distance tables and source ids when first read, and leaves
+    `graph` unchanged."""
     infos = tuple(sorted(infos, key=lambda i: i.id))
     if infos != graph.infos:
         check_infos(infos, graph.uav_count, graph.horizon)

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 from .errors import InternalError, PlanStructureError
 from .graph import KIND_CONNECTIVITY, TimeExpandedGraph, _shortest_paths
+from .jsonio import check_int
 from .plan import Plan, _energy, check_feasibility, plan_cost
 from .report import (HEURISTIC_KINDS, RANDOM_KIND, STATUS_FEASIBLE,
                      STATUS_INFEASIBLE_HEURISTIC, SolveReport)
@@ -51,6 +52,8 @@ class HeuristicKind:
         if (self.seed is None) == (self.kind == RANDOM_KIND):
             raise ValueError(f"a seed is required for kind {RANDOM_KIND!r} "
                              "and forbidden for the deterministic kinds")
+        if self.seed is not None:
+            check_int(self.seed, "seed", ValueError)
 
     def label(self) -> str:
         return self.kind if self.seed is None else f"{self.kind}[{self.seed}]"
@@ -241,8 +244,7 @@ def greedy_plan(graph: TimeExpandedGraph, infos, kind: HeuristicKind,
     by_id = {info.id: info for info in infos}
     if max_restarts is None:
         max_restarts = len(infos)
-    if max_restarts < 0:
-        raise ValueError("max_restarts must be nonnegative")
+    check_int(max_restarts, "max_restarts", ValueError, low=0)
 
     standalone = {}
     queue = order_information(graph, infos, kind, standalone=standalone)

@@ -26,7 +26,8 @@ from itertools import chain, repeat
 from operator import itemgetter
 
 from .errors import LpSizeError
-from .graph import KIND_CACHING, KIND_CONNECTIVITY, TimeExpandedGraph
+from .graph import KIND_CACHING, TimeExpandedGraph
+from .jsonio import check_int
 from .scenario import CACHE_SINGLE
 
 LP_HEADER = "\\ fleetcast-lp/1"
@@ -64,12 +65,11 @@ def export_lp(graph: TimeExpandedGraph, infos=None,
     n_vars = (len(infos) * n_edges + 2 * len(infos) * n_vertices
               + sum(len(i.destinations) for i in infos) * horizon
               + n_vertices)
-    if n_vars > max_variables:
+    if n_vars > check_int(max_variables, "max_variables", ValueError):
         raise LpSizeError(
             f"instance needs {n_vars} variables, cap is {max_variables}")
 
     kind = graph.edge_kind
-    weight = graph.edge_weight
     out_edges, in_edges = graph.out_edges, graph.in_edges   # in index order
 
     # Each variable name is built once; a row is its unit-coefficient names
@@ -123,23 +123,21 @@ def export_lp(graph: TimeExpandedGraph, infos=None,
     if infos:
         for v in range(n_vertices):
             row(f" c7_{v}: {' + '.join([b[v] for b in b_of])} <= 1")
-        conn_out = [[e for e in outs if kind[e] == KIND_CONNECTIVITY]
-                    for outs in out_edges]
+        conn_out = graph.conn_out   # (edge, head, weight), in index order
         for info, a, b in zip(infos, a_of, b_of):
             i = info.id
-            for v in range(n_vertices):
-                conn = conn_out[v]
+            for v, conn in enumerate(conn_out):
                 if conn:
-                    row(f" c8_{i}_{v}: {' + '.join([a[e] for e in conn])} "
+                    row(f" c8_{i}_{v}: {' + '.join([a[e] for e, _, _ in conn])} "
                         f"{_lead(-len(conn))}{b[v]} <= 0")
         for t in range(horizon):  # layer t's tails by UAV: edge-index order
-            layer = [e for v in range(t, n_vertices, horizon) for e in conn_out[v]]
+            layer = [e for e, _, _ in chain.from_iterable(conn_out[t::horizon])]
             if layer:
                 row(f" c9_{t}: {' + '.join([a[e] for a in a_of for e in layer])} "
                     f"<= {graph.channels!r}")
         for v in range(n_vertices):
-            for e in conn_out[v]:
-                lead = _lead(-weight[e])    # the same for every information
+            for e, _, w in conn_out[v]:
+                lead = _lead(-w)    # the same for every information
                 terms = f" {lead}".join([a[e] for a in a_of])
                 row(f" c10_{v}_{e}: {P[v]} {lead}{terms} >= 0")
         if graph.cache_capacity == CACHE_SINGLE:

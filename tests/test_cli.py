@@ -92,6 +92,23 @@ def test_solve_infeasible_exits_2(tmp_path):
     assert code == 2
 
 
+def test_solve_stops_at_the_restart_cap(tmp_path):
+    # comparison seed 9: mpf needs one restart, so --max-restarts 0 leaves
+    # it without a plan, which exits 2 with a report
+    import instances
+    from fleetcast.gen import generate_scenario
+    from fleetcast.scenario import save_scenario
+    scen_path = tmp_path / "seed9.json"
+    save_scenario(generate_scenario(instances.comparison_config(9)), scen_path)
+    for cap, code, status, restarts in (("0", 2, "INFEASIBLE_HEURISTIC", 0),
+                                        ("1", 0, "FEASIBLE", 1)):
+        out = tmp_path / f"r{cap}.json"
+        assert run("solve", str(scen_path), "--method", "mpf",
+                   "--max-restarts", cap, "--out", str(out)) == code
+        doc = json.loads(out.read_text())
+        assert (doc["status"], doc["restarts"]) == (status, restarts)
+
+
 def test_solve_rejects_float_horizon(micro_scenario, tmp_path):
     doc = json.loads(micro_scenario.read_text())
     doc["horizon"] = float(doc["horizon"])
@@ -262,6 +279,45 @@ def test_out_dir_env_var_naming_a_file_is_a_usage_error(
     assert f"FLEETCAST_OUT_DIR {out_dir}:" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
     assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--profile", "micro", "--seed", "1"),
+    ("solve", "SCENARIO", "--method", "mpf"),
+    ("lp", "SCENARIO"),
+    ("compare", "SCENARIO", "--methods", "mpf", "--no-markdown"),
+    ("sweep", "--variable", "packet_size", "--values", "100", "--seeds", "0",
+     "--profile", "micro"),
+], ids=lambda argv: argv[0])
+def test_out_name_the_os_refuses_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, micro_scenario, argv):
+    # a 300-character file name is longer than any file system allows: every
+    # writing command refuses it before any work, names it, and writes
+    # nothing
+    out = tmp_path / ("x" * 300 + ".out")
+    solves = []
+    monkeypatch.setattr("fleetcast.cli._solve",
+                        lambda task: solves.append(task))
+    before = sorted(tmp_path.iterdir())
+    code = run(*[str(micro_scenario) if a == "SCENARIO" else a for a in argv],
+               "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "internal error" not in err and solves == []
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_default_name_the_os_refuses_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, micro_scenario):
+    # a scenario stem of 250 characters is a valid name, but the report's
+    # default name adds to it and is not
+    scenario = tmp_path / ("s" * 250 + ".json")
+    scenario.write_bytes(micro_scenario.read_bytes())
+    monkeypatch.setenv("FLEETCAST_OUT_DIR", str(tmp_path / "outputs"))
+    assert run("solve", str(scenario), "--method", "mpf") == 1
+    assert "error: cannot write " in capsys.readouterr().err
+    assert list((tmp_path / "outputs").iterdir()) == []
 
 
 def test_jobs_flag_matches_serial_results(micro_scenario, tmp_path):

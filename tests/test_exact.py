@@ -13,6 +13,7 @@ from fleetcast.errors import GenerationError
 from fleetcast.exact import (SearchBudget, _BudgetExhausted, _Search,
                              solve_exact)
 from fleetcast.gen import generate_scenario, make_config
+from fleetcast import graph as graph_module
 from fleetcast.graph import KIND_CONNECTIVITY, build_time_expanded_graph
 from fleetcast.heuristic import HeuristicKind, greedy_plan
 from fleetcast.jsonio import canonical_dumps
@@ -667,6 +668,44 @@ def test_exact_infeasibility_proofs_pinned_on_comparison_seeds(seed, nodes):
     assert (report.status, report.nodes) == ("INFEASIBLE", nodes)
     assert _report_digest(graph, report) == PINNED_REPORT_SHA256[seed]
 
+
+
+def test_a_second_solve_on_a_graph_runs_no_backward_search(monkeypatch):
+    # the distance tables are the graph's: the first solve builds one per
+    # destination UAV, and a later solve on the graph reads them
+    backward = []
+    kernel = graph_module._shortest_paths
+
+    def counted(graph, seeds, adjacency, ends, *args, **kwargs):
+        if ends is graph.edge_tail:
+            backward.append(tuple(seeds))
+        return kernel(graph, seeds, adjacency, ends, *args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "_shortest_paths", counted)
+    graph = comparison_graph(6)
+    first = solve_exact(graph)
+    destinations = {u for info in graph.infos for u in info.destinations}
+    assert len(backward) == len(set(backward)) == len(destinations) > 0
+    second = solve_exact(graph)
+    assert len(backward) == len(destinations)
+    assert (second.status, second.nodes, second.plan) \
+        == (first.status, first.nodes, first.plan)
+
+
+@pytest.mark.parametrize("seed", [6, 8, 19, 71])
+def test_a_solve_stopped_by_its_budget_leaves_the_graph_as_fresh(seed):
+    # a solve cut short by its node budget unwinds without undoing its
+    # commits; none of that state is the graph's, so a full solve after it
+    # gives the bytes and node count of a full solve on a fresh graph
+    graph = comparison_graph(seed)
+    stopped = solve_exact(graph, budget=SearchBudget(max_nodes=1))
+    assert stopped.nodes == 2 and "conn_out" in vars(graph)
+    full = solve_exact(graph)
+    fresh_graph = comparison_graph(seed)
+    fresh = solve_exact(fresh_graph)
+    assert full.status in ("OPTIMAL", "INFEASIBLE")
+    assert full.nodes == fresh.nodes > 1_000
+    assert _report_digest(graph, full) == _report_digest(fresh_graph, fresh)
 
 
 @pytest.mark.parametrize("seed", [9, 37])

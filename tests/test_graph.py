@@ -887,8 +887,9 @@ def test_kernel_matches_reference_on_greedy_searches(monkeypatch):
 
 
 def test_kernel_matches_reference_on_backward_searches():
-    # the distance tables `exact` builds: every UAV's copies, walked back
-    # over `in_edges`, with no residual state and with closed layers
+    # the graph's distance tables, which `exact` reads: every UAV's copies,
+    # walked back over `in_edges`, with no residual state, and the same
+    # searches with closed layers
     for graph in _paper_graphs():
         closed = [graph.channels * (t % 5 == 0) for t in range(graph.horizon)]
         for uav in range(graph.uav_count):
@@ -1252,11 +1253,44 @@ def test_augment_checks_only_infos_other_than_the_graphs(monkeypatch):
 
 
 def test_greedy_leaves_in_edges_unbuilt():
-    # no greedy search reads `in_edges`, so a greedy solve never builds it
+    # no greedy search reads `in_edges`, `conn_out` or a distance table, so
+    # a greedy solve never builds them
     for graph in _paper_graphs():
         for kind in ("mpf", "muf", "lpf"):
             greedy_plan(graph, graph.infos, HeuristicKind(kind))
-        assert "in_edges" not in vars(graph)
+        for table in ("in_edges", "conn_out", "_distances"):
+            assert table not in vars(graph)
+
+
+def test_conn_out_lists_the_connectivity_out_edges_once_per_graph():
+    scenario = generate_scenario(make_config("paper", 3, info_count=4,
+                                             horizon=30))
+    base = build_time_expanded_graph(scenario)
+    served = augment(base, scenario.infos[:2])
+    assert "conn_out" not in vars(base) and "conn_out" not in vars(served)
+    table = served.conn_out
+    assert served.conn_out is table and "conn_out" not in vars(base)
+    kinds, heads = served.edge_kind, served.edge_head
+    assert table == [[(e, heads[e], served.edge_weight[e]) for e in out
+                      if kinds[e] == KIND_CONNECTIVITY]
+                     for out in served.out_edges]
+    assert sum(map(len, table)) == kinds.count(KIND_CONNECTIVITY) > 0
+
+
+def test_distances_to_builds_one_uav_on_its_first_call_and_keeps_it():
+    graph = next(_paper_graphs())
+    assert "_distances" not in vars(graph)
+    horizon = graph.horizon
+    for uav in (3, 0, 3):
+        table = graph.distances_to(uav)
+        copies = range(uav * horizon, (uav + 1) * horizon)
+        # the backward kernel search to the UAV's copies, with no residual
+        # state and no busy channel
+        assert table == _reference_shortest_paths(
+            graph, copies, graph.in_edges, graph.edge_tail, (), {},
+            [0] * horizon, {})[0]
+        assert graph.distances_to(uav) is table
+    assert sorted(graph._distances) == [0, 3]
 
 
 def test_source_vertices_are_sorted_ids_kept_per_graph():

@@ -31,6 +31,15 @@ def test_kind_validation():
     assert HeuristicKind("r", seed=7).label() == "r[7]"
 
 
+def test_random_seed_is_an_integer():
+    # True would be labelled r[True] and 2.5 r[2.5], which no report file
+    # may name
+    for seed in (True, 2.5, "7", 7.0):
+        with pytest.raises(ValueError, match="seed"):
+            HeuristicKind("r", seed=seed)
+    assert HeuristicKind("r", seed=-3).label() == "r[-3]"
+
+
 def test_muf_orders_by_destination_count():
     scen = instances.static_scenario(
         positions=[(0, 0), (5, 0), (9, 0)], channels=6,
@@ -143,6 +152,27 @@ def test_greedy_gives_up_after_restarts():
     assert report.status == "INFEASIBLE_HEURISTIC"
     assert report.restarts == 2  # one per info beyond the first pass
     assert report.plan is None
+
+
+def test_greedy_restart_cap_is_an_integer_of_at_least_zero():
+    graph = build_time_expanded_graph(instances.crossing_pair(1))
+    for cap in (True, 2.5, "3", -1):
+        with pytest.raises(ValueError, match="max_restarts"):
+            greedy_plan(graph, graph.infos, HeuristicKind("mpf"), cap)
+
+
+def test_greedy_stops_at_its_restart_cap():
+    # comparison seed 9: mpf's first pass fails, and one restart finds a
+    # plan, within the default cap of one per information; a cap of 0 stops
+    # after the first pass
+    graph = build_time_expanded_graph(generate_scenario(
+        instances.comparison_config(9)))
+    for cap in (None, 1, 2):
+        report = greedy_plan(graph, graph.infos, HeuristicKind("mpf"), cap)
+        assert (report.status, report.restarts) == ("FEASIBLE", 1)
+    report = greedy_plan(graph, graph.infos, HeuristicKind("mpf"), 0)
+    assert (report.status, report.restarts) == ("INFEASIBLE_HEURISTIC", 0)
+    assert report.plan is None and report.objective is None
 
 
 def test_greedy_failure_does_not_prove_infeasibility():

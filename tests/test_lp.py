@@ -84,6 +84,15 @@ def test_size_cap():
         export_lp(graph, max_variables=3)
 
 
+def test_size_cap_is_an_integer():
+    # True would be a cap of 1, and 2.5 is no count
+    graph = build_time_expanded_graph(instances.chain3())
+    for cap in (True, 2.5, "500000", 500_000.0):
+        with pytest.raises(ValueError, match="max_variables"):
+            export_lp(graph, max_variables=cap)
+    assert export_lp(graph, max_variables=500_000) == export_lp(graph)
+
+
 @pytest.mark.parametrize("make", [
     instances.chain3, instances.star4, lambda: instances.crossing_pair(2),
     instances.disjoint_pairs, instances.self_delivery,
